@@ -15,7 +15,7 @@
 namespace cspm::core {
 
 /// Canonical 64-bit key of an unordered leafset pair — the map key of the
-/// CandidateStore and of the warm-start initial-gain cache.
+/// CandidateStore.
 inline uint64_t CandidatePairKey(LeafsetId x, LeafsetId y) {
   if (x > y) std::swap(x, y);
   return (static_cast<uint64_t>(x.value()) << 32) | y.value();

@@ -1,9 +1,13 @@
 #include "cspm/gain.h"
 
 #include <algorithm>
+#include <iterator>
+#include <limits>
+#include <vector>
 
 #include "mdl/codes.h"
 #include "util/check.h"
+#include "util/thread_pool.h"
 
 namespace cspm::core {
 namespace {
@@ -25,6 +29,237 @@ uint64_t IntersectionSize(PosListView a, PosListView b) {
   }
   return n;
 }
+
+double DirectXLog2X(uint64_t n) { return mdl::XLog2X(static_cast<double>(n)); }
+
+/// Eqs. 10-15 for one shared coreset whose x and y lines overlap in
+/// xye > 0 positions, accumulated into `r`. ComputeMergeGain and the sweep
+/// both go through here, so every pair sees the same floating-point
+/// operations in the same order; `xlog` is mdl::XLog2X or a table of it.
+template <typename XLog>
+void AddSharedCore(const XLog& xlog, uint64_t fe, uint64_t xe, uint64_t ye,
+                   uint64_t ze, uint64_t xye, double core_code,
+                   double union_st_cost, double x_st_cost, double y_st_cost,
+                   GainResult* r) {
+  r->feasible = true;
+  ++r->cores_with_overlap;
+  r->total_overlap += xye;
+
+  // P1 (Eq. 10): f_e log f_e - (f_e - xy_e) log(f_e - xy_e).
+  r->data_gain_bits += xlog(fe) - xlog(fe - xye);
+
+  // P2 (Eqs. 11-15, generalized): old Σ l log l minus new Σ l log l over
+  // the affected lines, ze being the existing union line's frequency.
+  // XLog2X(0) = 0 handles the totally-merged cases uniformly.
+  const double old_terms = xlog(xe) + xlog(ye) + xlog(ze);
+  const double new_terms = xlog(xe - xye) + xlog(ye - xye) + xlog(ze + xye);
+  r->data_gain_bits -= old_terms - new_terms;
+
+  // Model delta for CTL: removed lines vs added line at this coreset.
+  if (ze == 0) r->model_delta_bits += union_st_cost + core_code;
+  if (xe == xye) r->model_delta_bits -= x_st_cost + core_code;
+  if (ye == xye) r->model_delta_bits -= y_st_cost + core_code;
+}
+
+/// Per-(coreset, vertex) index over the lines of a sweep's rows. Lines are
+/// numbered row by row in ascending coreset order, and every position of
+/// every line is one entry. The entries of one (coreset, vertex) form a
+/// run in ascending row order, so the rows that share a position with a
+/// line, and come after it, are the rest of that position's run.
+struct CooccurrenceIndex {
+  std::vector<uint32_t> row_first_line;  // per row, plus an end sentinel
+  std::vector<CoreId> line_core;
+  std::vector<uint32_t> line_begin;  // first position, plus an end sentinel
+  /// Per position: [first later entry of its run, end of its run).
+  std::vector<uint32_t> run_next;
+  std::vector<uint32_t> run_end;
+  /// Per entry: its row, and the size of that row's line.
+  std::vector<uint32_t> entry_row;
+  std::vector<uint32_t> entry_line_size;
+  uint64_t max_core_total = 0;
+
+  CooccurrenceIndex(const InvertedDatabase& idb,
+                    std::span<const LeafsetId> rows);
+};
+
+CooccurrenceIndex::CooccurrenceIndex(const InvertedDatabase& idb,
+                                     std::span<const LeafsetId> rows) {
+  std::vector<PosListView> views;
+  std::vector<uint32_t> line_row;
+  uint64_t positions = 0;
+  size_t num_vertices = 0;
+  line_begin.push_back(0);
+  for (size_t i = 0; i < rows.size(); ++i) {
+    row_first_line.push_back(static_cast<uint32_t>(views.size()));
+    for (CoreId e : idb.CoresOf(rows[i])) {
+      const PosListView line = idb.FindLine(e, rows[i]);
+      views.push_back(line);
+      line_row.push_back(static_cast<uint32_t>(i));
+      line_core.push_back(e);
+      positions += line.size();
+      CSPM_CHECK(positions < std::numeric_limits<uint32_t>::max());
+      line_begin.push_back(static_cast<uint32_t>(positions));
+      num_vertices = std::max(num_vertices, line.back().index() + 1);
+      max_core_total = std::max(max_core_total, idb.CoreLineTotal(e));
+    }
+  }
+  row_first_line.push_back(static_cast<uint32_t>(views.size()));
+
+  // Line ids grouped by coreset; ascending line id is ascending row.
+  std::vector<uint32_t> core_begin(idb.num_coresets() + 1, 0);
+  for (CoreId e : line_core) ++core_begin[e.index() + 1];
+  for (size_t c = 0; c < idb.num_coresets(); ++c) {
+    core_begin[c + 1] += core_begin[c];
+  }
+  std::vector<uint32_t> core_lines(views.size());
+  {
+    std::vector<uint32_t> fill(core_begin.begin(), core_begin.end() - 1);
+    for (size_t l = 0; l < views.size(); ++l) {
+      core_lines[fill[line_core[l].index()]++] = static_cast<uint32_t>(l);
+    }
+  }
+
+  run_next.resize(positions);
+  run_end.resize(positions);
+  entry_row.resize(positions);
+  entry_line_size.resize(positions);
+  std::vector<uint32_t> cursor(num_vertices, 0);  // count, then fill cursor
+  std::vector<uint32_t> end(num_vertices, 0);
+  std::vector<VertexId> distinct;
+  uint32_t next = 0;
+  for (size_t c = 0; c < idb.num_coresets(); ++c) {
+    const std::span<const uint32_t> lines(core_lines.data() + core_begin[c],
+                                          core_begin[c + 1] - core_begin[c]);
+    distinct.clear();
+    for (uint32_t l : lines) {
+      for (VertexId v : views[l]) {
+        if (cursor[v.index()]++ == 0) distinct.push_back(v);
+      }
+    }
+    for (VertexId v : distinct) {
+      const uint32_t count = cursor[v.index()];
+      cursor[v.index()] = next;
+      next += count;
+      end[v.index()] = next;
+    }
+    for (uint32_t l : lines) {
+      const auto size = static_cast<uint32_t>(views[l].size());
+      for (uint32_t k = 0; k < size; ++k) {
+        const size_t v = views[l][k].index();
+        const uint32_t entry = cursor[v]++;
+        entry_row[entry] = line_row[l];
+        entry_line_size[entry] = size;
+        run_next[line_begin[l] + k] = entry + 1;
+        run_end[line_begin[l] + k] = end[v];
+      }
+    }
+    for (VertexId v : distinct) cursor[v.index()] = 0;
+  }
+}
+
+/// One worker's scratch for the sweep: per-partner overlap counters and
+/// gain accumulators, indexed by row, reset after every row.
+class RowSweep {
+ public:
+  RowSweep(const InvertedDatabase& idb, const CodeModel& cm,
+           std::span<const LeafsetId> rows, const CooccurrenceIndex& index,
+           std::span<const double> xlog_table, std::span<const double> st_costs)
+      : idb_(idb),
+        cm_(cm),
+        rows_(rows),
+        index_(index),
+        xlog_table_(xlog_table),
+        st_costs_(st_costs),
+        overlap_(rows.size(), 0),
+        y_line_size_(rows.size(), 0),
+        partner_(rows.size()) {}
+
+  /// Replaces `out` with the pairs of row i, ascending by partner.
+  void Run(size_t i, std::vector<PairGain>* out) {
+    const LeafsetId x = rows_[i];
+    const auto xlog = [this](uint64_t n) { return xlog_table_[n]; };
+    met_.clear();
+    for (uint32_t l = index_.row_first_line[i];
+         l < index_.row_first_line[i + 1]; ++l) {
+      // Step 1: |P_x ∩ P_y| under this coreset for every partner y.
+      touched_.clear();
+      for (uint32_t p = index_.line_begin[l]; p < index_.line_begin[l + 1];
+           ++p) {
+        for (uint32_t entry = index_.run_next[p]; entry < index_.run_end[p];
+             ++entry) {
+          const uint32_t j = index_.entry_row[entry];
+          if (overlap_[j]++ == 0) {
+            touched_.push_back(j);
+            y_line_size_[j] = index_.entry_line_size[entry];
+          }
+        }
+      }
+      // Step 2: this coreset's terms. Coresets ascend, so each partner
+      // accumulates them in ComputeMergeGain's order.
+      const CoreId e = index_.line_core[l];
+      const uint64_t fe = idb_.CoreLineTotal(e);
+      const uint64_t xe = index_.line_begin[l + 1] - index_.line_begin[l];
+      const double core_code = cm_.CoreCodeLength(e);
+      for (uint32_t j : touched_) {
+        const uint64_t xye = overlap_[j];
+        overlap_[j] = 0;
+        Partner& s = partner_[j];
+        if (!s.met) Meet(x, j);
+        if (s.subset) continue;
+        const uint64_t ze = s.union_id == LeafsetRegistry::kNotFound
+                                ? 0
+                                : idb_.FindLine(e, s.union_id).size();
+        AddSharedCore(xlog, fe, xe, y_line_size_[j], ze, xye, core_code,
+                      s.union_st_cost, st_costs_[i], st_costs_[j], &s.gain);
+      }
+    }
+    std::sort(met_.begin(), met_.end());
+    out->clear();
+    for (uint32_t j : met_) {
+      const Partner& s = partner_[j];
+      out->push_back({rows_[j], s.subset ? GainResult{} : s.gain});
+      partner_[j] = Partner{};
+    }
+  }
+
+ private:
+  struct Partner {
+    GainResult gain;
+    LeafsetId union_id = LeafsetRegistry::kNotFound;
+    double union_st_cost = 0.0;
+    bool met = false;
+    /// The union is x or y itself: infeasible (see ComputeMergeGain).
+    bool subset = false;
+  };
+
+  /// First overlap of x with row j: the pair-level inputs.
+  void Meet(LeafsetId x, uint32_t j) {
+    Partner& s = partner_[j];
+    s.met = true;
+    met_.push_back(j);
+    const std::vector<AttrId>& vx = idb_.leafsets().Values(x);
+    const std::vector<AttrId>& vy = idb_.leafsets().Values(rows_[j]);
+    union_.clear();
+    std::set_union(vx.begin(), vx.end(), vy.begin(), vy.end(),
+                   std::back_inserter(union_));
+    s.union_id = idb_.leafsets().Find(union_);
+    s.subset = s.union_id == x || s.union_id == rows_[j];
+    if (!s.subset) s.union_st_cost = cm_.StCost(union_);
+  }
+
+  const InvertedDatabase& idb_;
+  const CodeModel& cm_;
+  std::span<const LeafsetId> rows_;
+  const CooccurrenceIndex& index_;
+  std::span<const double> xlog_table_;
+  std::span<const double> st_costs_;
+  std::vector<uint32_t> overlap_;
+  std::vector<uint32_t> y_line_size_;
+  std::vector<Partner> partner_;
+  std::vector<uint32_t> touched_;
+  std::vector<uint32_t> met_;
+  std::vector<AttrId> union_;
+};
 
 }  // namespace
 
@@ -49,44 +284,62 @@ GainResult ComputeMergeGain(const InvertedDatabase& idb, const CodeModel& cm,
   idb.ForEachSharedCore(x, y, [&](CoreId e, PosListView px, PosListView py) {
     const uint64_t xye = IntersectionSize(px, py);
     if (xye == 0) return;  // nothing merges under this coreset
-    result.feasible = true;
-    ++result.cores_with_overlap;
-    result.total_overlap += xye;
-
-    const uint64_t xe = px.size();
-    const uint64_t ye = py.size();
-    const uint64_t fe = idb.CoreLineTotal(e);
-
-    // P1 (Eq. 10): f_e log f_e - (f_e - xy_e) log(f_e - xy_e).
-    result.data_gain_bits += mdl::XLog2X(static_cast<double>(fe)) -
-                             mdl::XLog2X(static_cast<double>(fe - xye));
-
-    // P2 (Eqs. 11-15, generalized): old Σ l log l minus new Σ l log l over
-    // the affected lines. XLog2X(0) = 0 handles the totally-merged cases
-    // uniformly.
-    uint64_t ze = 0;  // existing union line frequency, if any
-    if (existing_union != LeafsetRegistry::kNotFound) {
-      ze = idb.FindLine(e, existing_union).size();
-    }
-    const double old_terms = mdl::XLog2X(static_cast<double>(xe)) +
-                             mdl::XLog2X(static_cast<double>(ye)) +
-                             mdl::XLog2X(static_cast<double>(ze));
-    const double new_terms = mdl::XLog2X(static_cast<double>(xe - xye)) +
-                             mdl::XLog2X(static_cast<double>(ye - xye)) +
-                             mdl::XLog2X(static_cast<double>(ze + xye));
-    result.data_gain_bits -= old_terms - new_terms;
-
-    // Model delta for CTL: removed lines vs added line at this coreset.
-    const double core_code = cm.CoreCodeLength(e);
-    if (ze == 0) result.model_delta_bits += union_st_cost + core_code;
-    if (xe == xye) result.model_delta_bits -= x_st_cost + core_code;
-    if (ye == xye) result.model_delta_bits -= y_st_cost + core_code;
+    const uint64_t ze = existing_union == LeafsetRegistry::kNotFound
+                            ? 0
+                            : idb.FindLine(e, existing_union).size();
+    AddSharedCore(DirectXLog2X, idb.CoreLineTotal(e), px.size(), py.size(), ze,
+                  xye, cm.CoreCodeLength(e), union_st_cost, x_st_cost,
+                  y_st_cost, &result);
   });
   if (!result.feasible) {
     result.data_gain_bits = 0.0;
     result.model_delta_bits = 0.0;
   }
   return result;
+}
+
+uint64_t SweepMergeGains(const InvertedDatabase& idb, const CodeModel& cm,
+                         std::span<const LeafsetId> rows,
+                         util::ThreadPool* pool, const PairGainSink& sink) {
+  const CooccurrenceIndex index(idb, rows);
+  // Step 3: XLog2X is a pure function of an integer; every argument of
+  // Eqs. 10-15 lies in 0..f_e.
+  std::vector<double> xlog_table(index.max_core_total + 1);
+  for (uint64_t n = 0; n < xlog_table.size(); ++n) {
+    xlog_table[n] = DirectXLog2X(n);
+  }
+  std::vector<double> st_costs(rows.size());
+  for (size_t i = 0; i < rows.size(); ++i) {
+    st_costs[i] = cm.StCost(idb.leafsets().Values(rows[i]));
+  }
+
+  uint64_t evaluated = 0;
+  auto deliver = [&](size_t i, const std::vector<PairGain>& pairs) {
+    evaluated += pairs.size();
+    if (!pairs.empty()) sink(rows[i], pairs);
+  };
+  if (pool == nullptr || rows.size() < 3) {
+    RowSweep sweep(idb, cm, rows, index, xlog_table, st_costs);
+    std::vector<PairGain> pairs;
+    for (size_t i = 0; i < rows.size(); ++i) {
+      sweep.Run(i, &pairs);
+      deliver(i, pairs);
+    }
+    return evaluated;
+  }
+
+  // Interleaved row stripes balance the triangle (early rows have more
+  // partners); each stripe owns its scratch.
+  std::vector<std::vector<PairGain>> row_pairs(rows.size());
+  const size_t stripes = std::min(rows.size(), 8 * pool->num_threads());
+  pool->ParallelFor(stripes, [&](size_t stripe) {
+    RowSweep sweep(idb, cm, rows, index, xlog_table, st_costs);
+    for (size_t i = stripe; i < rows.size(); i += stripes) {
+      sweep.Run(i, &row_pairs[i]);
+    }
+  });
+  for (size_t i = 0; i < rows.size(); ++i) deliver(i, row_pairs[i]);
+  return evaluated;
 }
 
 GainResult ComputeSplitGain(const InvertedDatabase& idb, const CodeModel& cm,

@@ -2,8 +2,16 @@
 #ifndef CSPM_CSPM_GAIN_H_
 #define CSPM_CSPM_GAIN_H_
 
+#include <cstdint>
+#include <functional>
+#include <span>
+
 #include "cspm/code_model.h"
 #include "cspm/inverted_database.h"
+
+namespace cspm::util {
+class ThreadPool;
+}  // namespace cspm::util
 
 namespace cspm::core {
 
@@ -45,6 +53,37 @@ struct GainResult {
 /// plus the fold-into-existing-union-line extension.
 GainResult ComputeMergeGain(const InvertedDatabase& idb, const CodeModel& cm,
                             LeafsetId x, LeafsetId y);
+
+/// One pair of a set-wide sweep: partner y of the row it was emitted for,
+/// with the gain ComputeMergeGain(row, y) returns.
+struct PairGain {
+  LeafsetId y{};
+  GainResult gain;
+};
+
+/// Receives one row's pairs: every partner y > x of `rows` that shares a
+/// position with x under some coreset, ascending by y.
+using PairGainSink =
+    std::function<void(LeafsetId x, std::span<const PairGain> partners)>;
+
+/// The co-occurrence gain sweep: ComputeMergeGain(x, y) for every pair
+/// x < y of `rows` (sorted, distinct, active leafsets) whose members
+/// co-occur, i.e. share a position under some coreset. Every other pair
+/// is infeasible under ComputeMergeGain and costs nothing here. Each row
+/// walks its own lines once over a per-(coreset, vertex) index of the
+/// rows' lines, counting |P_x ∩ P_y| for every partner, then evaluates
+/// Eqs. 10-15 per shared coreset in ascending coreset order from those
+/// integer counts, with XLog2X read from a table over 0..max f_e. Same
+/// integer inputs, same per-pair operation order and a tabulated pure
+/// function: every result is bit-identical to the single-pair call
+/// (DESIGN.md §4). `sink` is called for each row with at least one
+/// partner, in ascending row order; with a pool, rows are evaluated
+/// concurrently (each task with its own scratch) and still delivered in
+/// row order, so the output never depends on threading. Returns the
+/// number of pairs evaluated (the pairs delivered to `sink`).
+uint64_t SweepMergeGains(const InvertedDatabase& idb, const CodeModel& cm,
+                         std::span<const LeafsetId> rows,
+                         util::ThreadPool* pool, const PairGainSink& sink);
 
 /// Computes the exact gain of *undoing* line (e, l) of a merged leafset
 /// via InvertedDatabase::SplitLine (no mutation): its positions return to

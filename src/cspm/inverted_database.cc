@@ -24,6 +24,17 @@ void IntersectInto(PosListView a, PosListView b, PosList* out) {
                         std::back_inserter(*out));
 }
 
+/// Distinct sorted attribute values over the neighbours of v — the leaf
+/// values v contributes lines for. Shared by the two delta patches.
+void GatherDistinctNeighbourAttrs(const graph::AttributedGraph& g, VertexId v,
+                                  std::vector<AttrId>* out) {
+  // One definition of "neighbourhood" across the library (scoring_plan),
+  // deduplicated for line membership.
+  GatherNeighbourhoodAttrs(g, v, out);
+  std::sort(out->begin(), out->end());
+  out->erase(std::unique(out->begin(), out->end()), out->end());
+}
+
 }  // namespace
 
 size_t InvertedDatabase::LowerBoundCore(const LeafsetLines& lines, CoreId e) {
@@ -239,15 +250,6 @@ InvertedDatabase InvertedDatabase::Clone() const {
     }
   }
   return c;
-}
-
-void GatherDistinctNeighbourAttrs(const graph::AttributedGraph& g, VertexId v,
-                                  std::vector<AttrId>* out) {
-  // One definition of "neighbourhood" across the library (scoring_plan),
-  // deduplicated for line membership.
-  GatherNeighbourhoodAttrs(g, v, out);
-  std::sort(out->begin(), out->end());
-  out->erase(std::unique(out->begin(), out->end()), out->end());
 }
 
 Status InvertedDatabase::ApplyDelta(const graph::AttributedGraph& old_graph,

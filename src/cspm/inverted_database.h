@@ -44,12 +44,6 @@ struct DeltaPatchStats {
   uint64_t positions_removed = 0;
 };
 
-/// Distinct sorted attribute values over the neighbours of v — the leaf
-/// values v contributes lines for. Shared by the delta patch and the
-/// dirty-candidate collection (miner.cc).
-void GatherDistinctNeighbourAttrs(const graph::AttributedGraph& g, VertexId v,
-                                  std::vector<AttrId>* out);
-
 /// Outcome of merging the leafsets of a candidate pair.
 struct MergeOutcome {
   LeafsetId merged_id{};

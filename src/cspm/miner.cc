@@ -1,11 +1,9 @@
 #include "cspm/miner.h"
 
 #include <algorithm>
-#include <bit>
 #include <memory>
+#include <numeric>
 #include <optional>
-#include <unordered_map>
-#include <unordered_set>
 #include <utility>
 
 #include "cspm/candidates.h"
@@ -92,10 +90,8 @@ struct SearchContext {
   }
 };
 
-/// Best pair of one all-pairs scan. The serial scan keeps the first pair,
-/// in row-major (i, j) order, whose gain strictly exceeds every earlier
-/// one; Offer/Reduce replicate exactly that rule, so the pooled path is
-/// bit-identical as long as rows are reduced in ascending order.
+/// Best pair of one all-pairs scan: the first pair, in row-major (x, y)
+/// order, whose gain strictly exceeds every earlier one.
 struct BestPair {
   double gain = 0.0;
   LeafsetId x{};
@@ -110,126 +106,43 @@ struct BestPair {
       found = true;
     }
   }
-  void Reduce(const BestPair& o, double threshold) {
-    if (o.found) Offer(o.gain, threshold, o.x, o.y);
-  }
 };
 
-// Scans all pairs of `actives` for the best gain above the threshold.
-// Serial and pooled paths produce identical results (same FP inputs, same
-// reduction order).
+// Scans all pairs of `actives` for the best gain above the threshold. The
+// sweep delivers pairs in row-major order on the serial and pooled paths
+// alike, so the result never depends on threading.
 BestPair ScanAllPairs(const SearchContext& ctx,
                       const std::vector<LeafsetId>& actives,
                       uint64_t* computations) {
-  const size_t m = actives.size();
   const double threshold = ctx.options->min_gain_bits;
   BestPair best;
-  if (ctx.pool == nullptr || m < 3) {
-    for (size_t i = 0; i < m; ++i) {
-      for (size_t j = i + 1; j < m; ++j) {
-        GainResult gr =
-            ComputeMergeGain(*ctx.idb, *ctx.cm, actives[i], actives[j]);
-        ++*computations;
-        if (!gr.feasible) continue;
-        best.Offer(gr.Total(ctx.options->gain_policy), threshold,
-                   actives[i], actives[j]);
-      }
+  const auto offer = [&](LeafsetId x, std::span<const PairGain> partners) {
+    for (const PairGain& p : partners) {
+      if (!p.gain.feasible) continue;
+      best.Offer(p.gain.Total(ctx.options->gain_policy), threshold, x, p.y);
     }
-    return best;
-  }
-
-  // One task per row i; each row keeps its local best, then rows reduce in
-  // ascending order.
-  std::vector<BestPair> row_best(m - 1);
-  ctx.pool->ParallelFor(row_best.size(), [&](size_t i) {
-    BestPair& row = row_best[i];
-    for (size_t j = i + 1; j < m; ++j) {
-      GainResult gr =
-          ComputeMergeGain(*ctx.idb, *ctx.cm, actives[i], actives[j]);
-      if (!gr.feasible) continue;
-      row.Offer(gr.Total(ctx.options->gain_policy), threshold,
-                actives[i], actives[j]);
-    }
-  });
-  *computations += PossiblePairs(m);
-  for (const BestPair& row : row_best) best.Reduce(row, threshold);
+  };
+  *computations += SweepMergeGains(*ctx.idb, *ctx.cm, actives, ctx.pool, offer);
   return best;
 }
 
-// Seeds the candidate store over all active pairs, in (i, j) row-major
-// order on both the serial and pooled paths (rows are applied in order),
-// so the store's heap state never depends on threading. Cold runs (cache
-// == nullptr) compute every gain. Warm runs compute only the pairs in
-// `dirty` (all of them under all_dirty) and replay the cached gain for
-// clean pairs — sound per CollectDirtyCandidatePairs, and bit-identical
-// to a cold regeneration because iteration and insertion order match
-// exactly. `capture` (optional) receives the refreshed gain cache.
-// Returns the number of gains computed.
-uint64_t GenerateCandidates(const SearchContext& ctx,
-                            const std::unordered_map<uint64_t, double>* cache,
-                            const DirtyCandidates* dirty,
-                            CandidateStore* store, RelatedDict* rdict,
-                            std::unordered_map<uint64_t, double>* capture) {
+// Seeds the candidate store over all active pairs from one sweep, in
+// row-major (x, y) order on the serial and pooled paths alike, so the
+// store's heap state (and its tie-breaking) never depends on threading.
+// Returns the number of pairs evaluated.
+uint64_t GenerateCandidates(const SearchContext& ctx, CandidateStore* store,
+                            RelatedDict* rdict) {
   const auto actives = ctx.idb->active_leafsets();  // copy: stable snapshot
-  const size_t m = actives.size();
-  auto pair_is_dirty = [&](LeafsetId x, LeafsetId y) {
-    return dirty == nullptr || dirty->all_dirty ||
-           std::binary_search(dirty->pair_keys.begin(),
-                              dirty->pair_keys.end(), CandidatePairKey(x, y));
+  const auto seed = [&](LeafsetId x, std::span<const PairGain> partners) {
+    for (const PairGain& p : partners) {
+      if (!p.gain.feasible) continue;
+      const double total = p.gain.Total(ctx.options->gain_policy);
+      if (total <= ctx.options->min_gain_bits) continue;
+      store->Set(x, p.y, total);
+      rdict->Link(x, p.y);
+    }
   };
-  auto accept = [&](LeafsetId x, LeafsetId y, double total) {
-    store->Set(x, y, total);
-    rdict->Link(x, y);
-    if (capture != nullptr) capture->emplace(CandidatePairKey(x, y), total);
-  };
-  // One pair's seed gain: freshly computed when dirty (counted), replayed
-  // from the cache when clean. False keeps the pair out of the store.
-  auto evaluate = [&](LeafsetId x, LeafsetId y, uint64_t* computations,
-                      double* total) {
-    if (!pair_is_dirty(x, y)) {
-      auto it = cache->find(CandidatePairKey(x, y));
-      if (it == cache->end()) return false;
-      *total = it->second;
-      return true;
-    }
-    GainResult gr = ComputeMergeGain(*ctx.idb, *ctx.cm, x, y);
-    ++*computations;
-    if (!gr.feasible) return false;
-    *total = gr.Total(ctx.options->gain_policy);
-    return *total > ctx.options->min_gain_bits;
-  };
-
-  if (ctx.pool == nullptr || m < 3) {
-    uint64_t computations = 0;
-    for (size_t i = 0; i < m; ++i) {
-      for (size_t j = i + 1; j < m; ++j) {
-        double total = 0.0;
-        if (evaluate(actives[i], actives[j], &computations, &total)) {
-          accept(actives[i], actives[j], total);
-        }
-      }
-    }
-    return computations;
-  }
-
-  std::vector<std::vector<std::pair<LeafsetId, double>>> row_hits(m - 1);
-  std::vector<uint64_t> row_computations(m - 1, 0);
-  ctx.pool->ParallelFor(m - 1, [&](size_t i) {
-    for (size_t j = i + 1; j < m; ++j) {
-      double total = 0.0;
-      if (evaluate(actives[i], actives[j], &row_computations[i], &total)) {
-        row_hits[i].emplace_back(actives[j], total);
-      }
-    }
-  });
-  uint64_t computations = 0;
-  for (size_t i = 0; i + 1 < m; ++i) {
-    computations += row_computations[i];
-    for (const auto& [other, total] : row_hits[i]) {
-      accept(actives[i], other, total);
-    }
-  }
-  return computations;
+  return SweepMergeGains(*ctx.idb, *ctx.cm, actives, ctx.pool, seed);
 }
 
 void RecordIteration(const SearchContext& ctx, uint64_t iteration,
@@ -379,110 +292,87 @@ void RunPartialLoop(const SearchContext& ctx, CandidateStore& store,
   obs::GetCounter("mine.merges")->Add(iteration);
 }
 
+/// Dense ranks of ids 0..n-1 by the lexicographic order of their value
+/// lists `values(id)`; equal lists share a rank.
+template <typename ValuesFn>
+std::vector<uint32_t> RankByValues(size_t n, const ValuesFn& values) {
+  std::vector<uint32_t> ids(n);
+  std::iota(ids.begin(), ids.end(), 0u);
+  std::sort(ids.begin(), ids.end(), [&](uint32_t a, uint32_t b) {
+    return values(a) < values(b);
+  });
+  std::vector<uint32_t> rank(n, 0);
+  uint32_t r = 0;
+  for (size_t k = 0; k < ids.size(); ++k) {
+    if (k > 0 && values(ids[k - 1]) < values(ids[k])) ++r;
+    rank[ids[k]] = r;
+  }
+  return rank;
+}
+
 // Extracts the a-stars of a final database into the model, sorted by
 // (code length, core values, leaf values) — shared by every mine/resume
 // flavour so the published model shape never depends on the path taken.
+// The sort runs on flat keys, with the two value-list comparisons replaced
+// by precomputed ranks: the same total order, since no two lines share
+// both their coreset and their leafset.
 void ExtractAStars(const CspmOptions& options, const InvertedDatabase& idb,
                    const CodeModel& cm, CspmModel* model) {
+  const auto core_values = [&](uint32_t c) -> const std::vector<AttrId>& {
+    return idb.CoresetValues(CoreId(c));
+  };
+  const auto leaf_values = [&](uint32_t l) -> const std::vector<AttrId>& {
+    return idb.leafsets().Values(LeafsetId(l));
+  };
+  const std::vector<uint32_t> core_rank =
+      RankByValues(idb.num_coresets(), core_values);
+  const std::vector<uint32_t> leaf_rank =
+      RankByValues(idb.leafsets().size(), leaf_values);
+
+  struct Key {
+    double code_length_bits;
+    uint32_t core_rank;
+    uint32_t leaf_rank;
+    CoreId e;
+    LeafsetId l;
+    uint64_t frequency;
+  };
+  std::vector<Key> keys;
+  keys.reserve(idb.num_lines());
   idb.ForEachLine([&](CoreId e, LeafsetId l, PosListView positions) {
-    AStar s;
-    s.core_values = idb.CoresetValues(e);
-    s.leaf_values = idb.leafsets().Values(l);
-    s.frequency = positions.size();
-    s.core_total = idb.CoreLineTotal(e);
-    s.coreset_frequency = idb.CoresetFrequency(e);
-    s.code_length_bits =
-        cm.CoreCodeLength(e) +
-        CodeModel::LeafCodeLength(s.frequency, s.core_total);
-    if (options.include_singleton_leafsets || s.leaf_values.size() >= 2) {
-      model->astars.push_back(std::move(s));
+    if (!options.include_singleton_leafsets &&
+        idb.leafsets().Values(l).size() < 2) {
+      return;
     }
+    const uint64_t frequency = positions.size();
+    const double code_length_bits =
+        cm.CoreCodeLength(e) +
+        CodeModel::LeafCodeLength(frequency, idb.CoreLineTotal(e));
+    keys.push_back({code_length_bits, core_rank[e.index()],
+                    leaf_rank[l.index()], e, l, frequency});
   });
-  std::sort(model->astars.begin(), model->astars.end(),
-            [](const AStar& a, const AStar& b) {
-              if (a.code_length_bits != b.code_length_bits) {
-                return a.code_length_bits < b.code_length_bits;
-              }
-              if (a.core_values != b.core_values) {
-                return a.core_values < b.core_values;
-              }
-              return a.leaf_values < b.leaf_values;
-            });
+  std::sort(keys.begin(), keys.end(), [](const Key& a, const Key& b) {
+    if (a.code_length_bits != b.code_length_bits) {
+      return a.code_length_bits < b.code_length_bits;
+    }
+    if (a.core_rank != b.core_rank) return a.core_rank < b.core_rank;
+    return a.leaf_rank < b.leaf_rank;
+  });
+
+  model->astars.reserve(keys.size());
+  for (const Key& k : keys) {
+    AStar s;
+    s.core_values = idb.CoresetValues(k.e);
+    s.leaf_values = idb.leafsets().Values(k.l);
+    s.frequency = k.frequency;
+    s.core_total = idb.CoreLineTotal(k.e);
+    s.coreset_frequency = idb.CoresetFrequency(k.e);
+    s.code_length_bits = k.code_length_bits;
+    model->astars.push_back(std::move(s));
+  }
 }
 
 }  // namespace
-
-std::vector<uint64_t> CollectDirtyCandidatePairs(
-    const graph::AttributedGraph& old_graph,
-    const graph::AttributedGraph& new_graph,
-    std::span<const graph::VertexId> dirty_vertices,
-    std::span<const CoreId> dirty_cores) {
-  const size_t m = new_graph.num_attribute_values();
-  // Pair marks: a dense m^2 bit matrix up to ~8 MB (m <= 8192), a hash
-  // set of pair keys beyond — so the cost stays bounded by the touched
-  // neighbourhoods, not by the attribute vocabulary squared.
-  const bool dense = m <= 8192;
-  std::vector<uint64_t> bits(dense ? (m * m + 63) / 64 : 0, 0);
-  std::unordered_set<uint64_t> sparse;
-  std::vector<char> vertex_done(new_graph.num_vertices().index(), 0);
-  std::vector<AttrId> attrs;  // distinct neighbour attrs of one vertex
-
-  auto mark_pairs = [&]() {
-    for (size_t i = 0; i < attrs.size(); ++i) {
-      for (size_t j = i + 1; j < attrs.size(); ++j) {
-        if (dense) {
-          const size_t bit = attrs[i].index() * m + attrs[j].index();
-          bits[bit >> 6] |= uint64_t{1} << (bit & 63);
-        } else {
-          sparse.insert(CandidatePairKey(LeafsetId(attrs[i].value()),
-                                         LeafsetId(attrs[j].value())));
-        }
-      }
-    }
-  };
-
-  // New state: every vertex carrying a dirty core contributes its
-  // neighbourhood co-occurrence pairs (its position sits in the
-  // intersection of both members' lines under that core, so f_e and/or
-  // line changes reach the pair's gain).
-  for (CoreId c : dirty_cores) {
-    // Single-value-coreset mode: core id c is attribute value c.
-    for (VertexId v : new_graph.VerticesWithAttribute(AttrId(c.value()))) {
-      if (vertex_done[v.index()]) continue;
-      vertex_done[v.index()] = 1;
-      GatherDistinctNeighbourAttrs(new_graph, v, &attrs);
-      mark_pairs();
-    }
-  }
-  // Old state: only dirty vertices' contributions differ from the new
-  // state (clean vertices have identical lines), so their pre-delta
-  // neighbourhoods complete the set.
-  const VertexId n_old = old_graph.num_vertices();
-  for (VertexId u : dirty_vertices) {
-    if (u >= n_old) continue;
-    GatherDistinctNeighbourAttrs(old_graph, u, &attrs);
-    mark_pairs();
-  }
-
-  std::vector<uint64_t> keys;
-  if (dense) {
-    // Word-skip scan: cost proportional to marked pairs, not m^2 bits.
-    for (size_t w = 0; w < bits.size(); ++w) {
-      uint64_t word = bits[w];
-      while (word != 0) {
-        const size_t idx = w * 64 + static_cast<size_t>(std::countr_zero(word));
-        word &= word - 1;
-        keys.push_back(
-            CandidatePairKey(LeafsetId(static_cast<uint32_t>(idx / m)),
-                             LeafsetId(static_cast<uint32_t>(idx % m))));
-      }
-    }
-  } else {
-    keys.assign(sparse.begin(), sparse.end());
-    std::sort(keys.begin(), keys.end());
-  }
-  return keys;
-}
 
 StatusOr<CspmModel> CspmMiner::Mine(const graph::AttributedGraph& g) const {
   CSPM_ASSIGN_OR_RETURN(MineArtifacts artifacts, MineWithArtifacts(g));
@@ -506,7 +396,7 @@ StatusOr<CspmMiner::MineArtifacts> CspmMiner::MineWithWarmState(
 
 StatusOr<CspmMiner::MineArtifacts> CspmMiner::ResumeWarm(
     const graph::AttributedGraph& g, WarmState* warm,
-    const DirtyCandidates& dirty, uint64_t* reseed_computations) const {
+    uint64_t* reseed_computations) const {
   if (options_.multi_value_coresets) {
     return Status::FailedPrecondition(
         "ResumeWarm needs single-value coresets");
@@ -515,8 +405,7 @@ StatusOr<CspmMiner::MineArtifacts> CspmMiner::ResumeWarm(
   // The pristine patched database stays in `warm` for the next update;
   // the search mutates a clone.
   InvertedDatabase idb = warm->initial_db.Clone();
-  return SearchAndExtract(g, std::move(idb), warm, &dirty,
-                          reseed_computations, timer);
+  return SearchAndExtract(g, std::move(idb), warm, reseed_computations, timer);
 }
 
 StatusOr<CspmMiner::MineArtifacts> CspmMiner::ResumeFast(
@@ -628,20 +517,15 @@ StatusOr<CspmMiner::MineArtifacts> CspmMiner::ResumeFast(
   // the gain drift a handful of moved positions (or an f_e total)
   // causes them is the imprecision the DL-ε contract absorbs — the CI
   // gate holds the resulting model to within 1% of a cold mine's DL.
-  // Sources ascend and partners are sorted, so tie-breaking in the store
-  // stays deterministic.
+  // The both-source pairs are exactly the pairs of one sweep over the
+  // sources, delivered in ascending (x, y) order, so tie-breaking in the
+  // store stays deterministic.
   CandidateStore store;
   RelatedDict rdict;
   {
     obs::TraceSpan reseed_span("reseed");
     const std::vector<LeafsetId>& actives = idb.active_leafsets();
-    const size_t m = actives.size();
-    const size_t num_leafsets = idb.leafsets().size();
-    std::vector<std::vector<LeafsetId>> under(num_cores);
-    for (LeafsetId l : actives) {
-      for (CoreId e : idb.CoresOf(l)) under[e.index()].push_back(l);
-    }
-    std::vector<char> is_source(num_leafsets, 0);
+    std::vector<char> is_source(idb.leafsets().size(), 0);
     std::vector<LeafsetId> sources;
     auto add_source = [&](LeafsetId l) {
       if (is_source[l.index()] || idb.CoresOf(l).empty()) return;
@@ -672,36 +556,19 @@ StatusOr<CspmMiner::MineArtifacts> CspmMiner::ResumeFast(
       for (LeafsetId l : split_fed) add_source(l);
     }
     std::sort(sources.begin(), sources.end());
-    std::vector<uint32_t> seen(num_leafsets, 0);
-    uint32_t epoch = 0;
-    std::vector<LeafsetId> partners;
-    for (LeafsetId t : sources) {
-      ++epoch;
-      partners.clear();
-      for (CoreId e : idb.CoresOf(t)) {
-        for (LeafsetId b : under[e.index()]) {
-          if (seen[b.index()] == epoch) continue;
-          seen[b.index()] = epoch;
-          // Both-source pairs only, judged once from their smaller member.
-          if (!is_source[b.index()] || b <= t) continue;
-          partners.push_back(b);
-        }
+    const auto seed = [&](LeafsetId t, std::span<const PairGain> partners) {
+      for (const PairGain& p : partners) {
+        if (!p.gain.feasible) continue;
+        const double total = p.gain.Total(options_.gain_policy);
+        if (total <= options_.min_gain_bits) continue;
+        store.Set(t, p.y, total);
+        rdict.Link(t, p.y);
+        if (fast_stats != nullptr) ++fast_stats->seeded_pairs;
       }
-      std::sort(partners.begin(), partners.end());
-      for (LeafsetId b : partners) {
-        GainResult gr = ComputeMergeGain(idb, cm, t, b);
-        ++computations;
-        if (!gr.feasible) continue;
-        const double total = gr.Total(options_.gain_policy);
-        if (total > options_.min_gain_bits) {
-          store.Set(t, b, total);
-          rdict.Link(t, b);
-          if (fast_stats != nullptr) ++fast_stats->seeded_pairs;
-        }
-      }
-    }
-    RecordIteration(ctx, /*iteration=*/0, computations, PossiblePairs(m),
-                    /*accepted_gain=*/0.0);
+    };
+    computations += SweepMergeGains(idb, cm, sources, /*pool=*/nullptr, seed);
+    RecordIteration(ctx, /*iteration=*/0, computations,
+                    PossiblePairs(actives.size()), /*accepted_gain=*/0.0);
   }
   RunPartialLoop(ctx, store, rdict);
 
@@ -718,38 +585,37 @@ StatusOr<CspmMiner::MineArtifacts> CspmMiner::ResumeFast(
   return artifacts;
 }
 
+StatusOr<InvertedDatabase> BuildInitialDatabase(
+    const graph::AttributedGraph& g, const CspmOptions& options) {
+  if (!options.multi_value_coresets) return InvertedDatabase::FromGraph(g);
+  std::vector<std::vector<AttrId>> coreset_values;
+  std::vector<std::vector<CoreId>> vertex_coresets;
+  CSPM_RETURN_IF_ERROR(BuildSlimCoresets(g, options.slim, &coreset_values,
+                                         &vertex_coresets));
+  return InvertedDatabase::FromGraphWithCoresets(
+      g, std::move(coreset_values), vertex_coresets);
+}
+
 StatusOr<CspmMiner::MineArtifacts> CspmMiner::MineImpl(
     const graph::AttributedGraph& g, WarmState* warm) const {
   WallTimer timer;
   obs::TraceSpan mine_span("mine");
   obs::GetCounter("mine.runs")->Add(1);
 
-  StatusOr<InvertedDatabase> idb_or = [&]() -> StatusOr<InvertedDatabase> {
+  StatusOr<InvertedDatabase> idb_or = [&] {
     obs::TraceSpan db_build_span("db_build");
-    if (!options_.multi_value_coresets) {
-      return InvertedDatabase::FromGraph(g);
-    }
-    std::vector<std::vector<AttrId>> coreset_values;
-    std::vector<std::vector<CoreId>> vertex_coresets;
-    CSPM_RETURN_IF_ERROR(BuildSlimCoresets(g, options_.slim, &coreset_values,
-                                           &vertex_coresets));
-    return InvertedDatabase::FromGraphWithCoresets(
-        g, std::move(coreset_values), vertex_coresets);
+    return BuildInitialDatabase(g, options_);
   }();
   if (!idb_or.ok()) return idb_or.status();
   InvertedDatabase idb = std::move(idb_or).value();
-  if (warm != nullptr) {
-    warm->initial_db = idb.Clone();
-    warm->initial_gains.clear();
-  }
-  return SearchAndExtract(g, std::move(idb), warm, /*dirty=*/nullptr,
+  if (warm != nullptr) warm->initial_db = idb.Clone();
+  return SearchAndExtract(g, std::move(idb), warm,
                           /*reseed_computations=*/nullptr, timer);
 }
 
 StatusOr<CspmMiner::MineArtifacts> CspmMiner::SearchAndExtract(
     const graph::AttributedGraph& g, InvertedDatabase idb, WarmState* warm,
-    const DirtyCandidates* dirty, uint64_t* reseed_computations,
-    const WallTimer& timer) const {
+    uint64_t* reseed_computations, const WallTimer& timer) const {
   const CodeModel cm(g, idb);
 
   CspmModel model;
@@ -771,17 +637,11 @@ StatusOr<CspmMiner::MineArtifacts> CspmMiner::SearchAndExtract(
     CandidateStore store;
     RelatedDict rdict;
     const uint64_t possible = PossiblePairs(idb.num_active_leafsets());
-    std::unordered_map<uint64_t, double> next_gains;
     const uint64_t computations = [&] {
       obs::TraceSpan candidate_gen_span("candidate_gen");
-      return GenerateCandidates(
-          ctx, dirty != nullptr ? &warm->initial_gains : nullptr, dirty,
-          &store, &rdict, warm != nullptr ? &next_gains : nullptr);
+      return GenerateCandidates(ctx, &store, &rdict);
     }();
-    if (warm != nullptr) warm->initial_gains = std::move(next_gains);
-    if (dirty != nullptr && reseed_computations != nullptr) {
-      *reseed_computations = computations;
-    }
+    if (reseed_computations != nullptr) *reseed_computations = computations;
     RecordIteration(ctx, /*iteration=*/0, computations, possible,
                     /*accepted_gain=*/0.0);
     RunPartialLoop(ctx, store, rdict);

@@ -7,8 +7,6 @@
 #ifndef CSPM_CSPM_MINER_H_
 #define CSPM_CSPM_MINER_H_
 
-#include <unordered_map>
-
 #include "cspm/gain.h"
 #include "cspm/inverted_database.h"
 #include "cspm/model.h"
@@ -19,19 +17,16 @@
 namespace cspm::core {
 
 /// Warm-start state captured by MineWithWarmState and consumed (and
-/// refreshed) by ResumeWarm: the pristine pre-merge inverted database plus
-/// the initial candidate gains of the last run. After a graph delta, patch
-/// `initial_db` with InvertedDatabase::ApplyDelta and hand the state back
-/// to ResumeWarm — only pairs involving dirty leafsets are recomputed.
+/// refreshed) by the resume paths. After a graph delta, patch
+/// `initial_db` with InvertedDatabase::ApplyDelta and hand the state to
+/// ResumeWarm, or patch `final_db` with ApplyDeltaMerged and hand it to
+/// ResumeFast.
 struct WarmState {
+  /// The pristine pre-merge inverted database of the last exact mine.
   InvertedDatabase initial_db;
-  /// CandidatePairKey(x, y) -> total gain for every feasible
-  /// above-threshold initial pair (exactly the CandidateStore seed).
-  std::unordered_map<uint64_t, double> initial_gains;
   /// The *final* (post-merge) inverted database of the last mine — the
-  /// starting point of the fast re-mine path. Patch it with
-  /// InvertedDatabase::ApplyDeltaMerged and hand it to ResumeFast, which
-  /// repairs it in place (it stays current for the next fast update).
+  /// starting point of the fast re-mine path. ResumeFast repairs it in
+  /// place (it stays current for the next fast update).
   InvertedDatabase final_db;
 };
 
@@ -44,31 +39,6 @@ struct FastResumeStats {
   /// whose lines the delta or the unmerge pass actually changed).
   uint64_t seeded_pairs = 0;
 };
-
-/// Which cached initial gains are stale after a delta patch.
-struct DirtyCandidates {
-  /// Sorted CandidatePairKeys of the pairs to recompute; ignored when
-  /// all_dirty (see CollectDirtyCandidatePairs).
-  std::vector<uint64_t> pair_keys;
-  /// Set when the code model moved (any attribute-frequency change):
-  /// every ST / coreset code length shifts, so no cached gain survives
-  /// and the full seed is regenerated (the patched database is still
-  /// reused).
-  bool all_dirty = false;
-};
-
-/// The exact initial-candidate invalidation set of an edge-only delta:
-/// pairs of leaf values co-occurring in the neighbourhood of a vertex that
-/// carries a dirty core — in the new state, or (for dirty vertices, whose
-/// lines moved) the old one. Any other pair keeps identical position
-/// lists and f_e totals under every shared core with overlap, so its seed
-/// gain is bit-identical and the cache can stand. Single-value-coreset
-/// databases only (leafset id == core id == attr id).
-std::vector<uint64_t> CollectDirtyCandidatePairs(
-    const graph::AttributedGraph& old_graph,
-    const graph::AttributedGraph& new_graph,
-    std::span<const graph::VertexId> dirty_vertices,
-    std::span<const CoreId> dirty_cores);
 
 enum class SearchStrategy { kBasic, kPartial };
 
@@ -104,14 +74,19 @@ struct CspmOptions {
   /// the code table; disabling returns only merged patterns.
   bool include_singleton_leafsets = true;
 
-  /// Threads for the gain-evaluation fan-outs (the kBasic regenerate-all
-  /// scan and the kPartial full candidate generation). 1 = serial (the
-  /// default), 0 = one thread per hardware core. The parallel path is
-  /// bit-identical to the serial one: every gain is computed from the same
-  /// inputs and the reduction follows the serial pair order (see DESIGN.md
-  /// §4).
+  /// Threads for the gain sweeps (the kBasic regenerate-all scan and the
+  /// kPartial full candidate generation). 1 = serial (the default), 0 =
+  /// one thread per hardware core. The parallel path is bit-identical to
+  /// the serial one: every gain is computed from the same inputs and the
+  /// reduction follows the serial pair order (see DESIGN.md §4).
   uint32_t num_threads = 1;
 };
+
+/// The pre-merge inverted database a mine starts from: single-value
+/// coresets, or SLIM's multi-value coresets under
+/// options.multi_value_coresets (Section IV-F Step 1).
+StatusOr<InvertedDatabase> BuildInitialDatabase(
+    const graph::AttributedGraph& g, const CspmOptions& options);
 
 /// Runs CSPM on an attributed graph.
 class CspmMiner {
@@ -136,18 +111,15 @@ class CspmMiner {
   StatusOr<MineArtifacts> MineWithWarmState(const graph::AttributedGraph& g,
                                             WarmState* warm) const;
 
-  /// Re-mines after `warm->initial_db` was patched to match `g`: re-seeds
-  /// candidate gains only for pairs involving a dirty leafset (cached
-  /// gains cover clean pairs — sound because a clean pair shares no dirty
-  /// core, so its position lists and f_e totals are unchanged), then runs
-  /// the merge loop from that seed. The model is bit-identical to a cold
-  /// Mine(g): the seeded store matches the cold store entry for entry and
-  /// insertion order is replayed, so even gain ties break the same way.
-  /// `warm` is refreshed for the next update; `reseed_computations` (may
-  /// be null) receives the number of gains recomputed during the seed.
+  /// Re-mines after `warm->initial_db` was patched to match `g`: the
+  /// search runs on a clone of it (the patched database stays in `warm`
+  /// for the next update) and re-sweeps every candidate pair, so the
+  /// model is bit-identical to a cold Mine(g) by construction; the patch
+  /// only saves the database build. `warm` is refreshed for the next
+  /// update; `reseed_computations` (may be null) receives the number of
+  /// pairs the seed sweep evaluated.
   StatusOr<MineArtifacts> ResumeWarm(const graph::AttributedGraph& g,
                                      WarmState* warm,
-                                     const DirtyCandidates& dirty,
                                      uint64_t* reseed_computations) const;
 
   /// Continue-from-final-model re-mine (DESIGN.md §9): `warm->final_db`
@@ -180,7 +152,6 @@ class CspmMiner {
   StatusOr<MineArtifacts> SearchAndExtract(const graph::AttributedGraph& g,
                                            InvertedDatabase idb,
                                            WarmState* warm,
-                                           const DirtyCandidates* dirty,
                                            uint64_t* reseed_computations,
                                            const WallTimer& timer) const;
 

@@ -29,7 +29,9 @@ struct AStar {
 /// Per-iteration instrumentation (drives the Fig. 5 reproduction).
 struct IterationStats {
   uint64_t iteration = 0;
-  /// Gain computations performed during this iteration.
+  /// Pair gains evaluated during this iteration: single-pair
+  /// ComputeMergeGain calls plus the pairs a gain sweep evaluated (the
+  /// pairs that co-occur; a sweep skips the rest at no cost).
   uint64_t gain_computations = 0;
   /// C(#active leafsets, 2) at the start of the iteration.
   uint64_t possible_pairs = 0;
@@ -51,6 +53,10 @@ struct MiningStats {
   double initial_dl_bits = 0.0;
   double final_dl_bits = 0.0;
   uint64_t iterations = 0;           ///< accepted merges
+  /// Sum of IterationStats::gain_computations over the run, including
+  /// the seed (iteration 0): the pairs actually evaluated. Serial and
+  /// thread-pooled runs evaluate the same pairs, so they report the same
+  /// count.
   uint64_t total_gain_computations = 0;
   uint64_t initial_leafsets = 0;
   uint64_t final_leafsets = 0;

@@ -58,8 +58,7 @@ struct MiningSession::Impl {
   std::unique_ptr<core::WarmState> warm;
   /// Set when a kFast update skipped patching warm->initial_db (the fast
   /// path touches only final_db). The next kExact update rebuilds the
-  /// pristine initial database from the graph and re-seeds everything,
-  /// which keeps the exact path's bit-identity contract intact.
+  /// pristine initial database from the graph instead of patching it.
   bool exact_warm_stale = false;
 
   /// Installs `m` as the current model and compiles its plan.
@@ -244,14 +243,11 @@ Status MiningSession::ApplyUpdates(const graph::GraphDelta& delta,
     return Status::OK();
   }
 
-  core::DirtyCandidates dirty;
   {
     obs::TraceSpan db_patch_span("db_patch");
     if (impl_->exact_warm_stale) {
-      // Fast updates left initial_db describing an older graph. Rebuild it
-      // pristine for the new graph and re-seed every candidate: the exact
-      // path is then in exactly the state a cold MineWithWarmState would
-      // produce, so its bit-identity contract holds unconditionally.
+      // Fast updates left initial_db describing an older graph: rebuild it
+      // pristine for the new graph instead of patching.
       auto rebuilt_or = core::InvertedDatabase::FromGraph(*new_graph);
       if (!rebuilt_or.ok()) {
         impl_->warm.reset();
@@ -259,28 +255,18 @@ Status MiningSession::ApplyUpdates(const graph::GraphDelta& delta,
         return rebuilt_or.status();
       }
       impl_->warm->initial_db = std::move(rebuilt_or).value();
-      impl_->warm->initial_gains.clear();
       impl_->exact_warm_stale = false;
-      dirty.all_dirty = true;
     } else {
       core::DeltaPatchStats patch;
       CSPM_RETURN_IF_ERROR(impl_->warm->initial_db.ApplyDelta(
           *impl_->graph, *new_graph, applied.dirty_vertices, &patch));
-      dirty.all_dirty = applied.attributes_changed;
-      if (!dirty.all_dirty) {
-        dirty.pair_keys = core::CollectDirtyCandidatePairs(
-            *impl_->graph, *new_graph, applied.dirty_vertices,
-            patch.dirty_cores);
-        out.dirty_pairs = dirty.pair_keys.size();
-        obs::GetCounter("update.dirty_pairs")->Add(dirty.pair_keys.size());
-      }
     }
   }
 
   uint64_t reseeded = 0;
   auto artifacts_or = [&] {
     obs::TraceSpan resume_span("resume");
-    return miner.ResumeWarm(*new_graph, impl_->warm.get(), dirty, &reseeded);
+    return miner.ResumeWarm(*new_graph, impl_->warm.get(), &reseeded);
   }();
   if (!artifacts_or.ok()) {
     // The warm database was already patched; drop it so a later

@@ -104,11 +104,11 @@ struct MiningOptions {
   /// default: the database can dwarf the model.
   bool keep_database = false;
 
-  /// Retain warm-start state (the pre-merge inverted database plus the
-  /// initial candidate gains) so ApplyUpdates can re-mine incrementally
-  /// instead of cold. Costs roughly one extra copy of the initial
-  /// database. Ignored under multi_value_coresets (SLIM covers are not
-  /// incrementally maintainable — updates fall back to a cold re-mine).
+  /// Retain warm-start state (the pre-merge and final inverted
+  /// databases) so ApplyUpdates can re-mine incrementally instead of
+  /// cold. Costs one extra copy of each database. Ignored under
+  /// multi_value_coresets (SLIM covers are not incrementally
+  /// maintainable — updates fall back to a cold re-mine).
   bool enable_updates = false;
 };
 
@@ -131,11 +131,9 @@ enum class UpdateMode {
 struct UpdateStats {
   /// Vertices whose inverted-database contribution was recomputed.
   size_t dirty_vertices = 0;
-  /// Candidate pairs invalidated by the delta (0 when every pair was —
-  /// an attribute delta moves the whole code model).
-  size_t dirty_pairs = 0;
-  /// Gain computations spent on the warm re-seed (vs ~m²/2 cold); under
-  /// kFast, the dirty-core pairs seeded into the candidate store.
+  /// Under kExact, the pairs the re-seed sweep evaluated (every
+  /// co-occurring pair, as in a cold mine); under kFast, the repair-scope
+  /// pairs seeded into the candidate store.
   uint64_t reseeded_pairs = 0;
   /// False when the update fell back to a cold re-mine (warm state
   /// disabled, or multi-value coresets).

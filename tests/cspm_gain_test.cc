@@ -1,15 +1,24 @@
 // Gain-engine tests: the three merge cases of Eqs. 12-15, the worked
-// example of Section IV-E, and consistency between predicted gain and the
-// actual description-length change after a merge.
+// example of Section IV-E, consistency between predicted gain and the
+// actual description-length change after a merge, and the co-occurrence
+// sweep checked bit for bit against the single-pair gain.
 #include "cspm/gain.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <iterator>
+#include <unordered_map>
 
+#include "cspm/candidates.h"
 #include "cspm/miner.h"
+#include "datasets/synthetic.h"
 #include "graph/generators.h"
+#include "graph/graph_delta.h"
 #include "testing_util.h"
+#include "util/thread_pool.h"
 
 namespace cspm::core {
 namespace {
@@ -135,6 +144,190 @@ TEST(GainProperty, PredictedEqualsRealizedDataGain) {
     }
     ASSERT_GT(merges_done, 0) << "seed " << seed;
   }
+}
+
+// --- the co-occurrence sweep against the single-pair oracle ---------------
+
+/// What an oracle pass saw, so each case can assert the shapes it covers.
+struct SweepCoverage {
+  uint64_t evaluated = 0;   ///< pairs the sweep delivered
+  uint64_t feasible = 0;    ///< pairs ComputeMergeGain finds feasible
+  uint64_t with_union = 0;  ///< pairs with ze > 0 under an overlap core
+  uint64_t subset = 0;      ///< pairs whose union is one of the pair
+};
+
+bool SameBits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+/// True if the union leafset u has a line under some coreset where the
+/// lines of x and y overlap (the ze > 0 case of the gain formula).
+bool HasUnionLineUnderOverlap(const InvertedDatabase& idb, LeafsetId x,
+                              LeafsetId y, LeafsetId u) {
+  bool found = false;
+  idb.ForEachSharedCore(x, y, [&](CoreId e, PosListView px, PosListView py) {
+    std::vector<VertexId> both;
+    std::set_intersection(px.begin(), px.end(), py.begin(), py.end(),
+                          std::back_inserter(both));
+    found = found || (!both.empty() && !idb.FindLine(e, u).empty());
+  });
+  return found;
+}
+
+/// Sweeps `rows` (serially, or on `pool`) and compares every pair x < y of
+/// them with ComputeMergeGain(x, y): a delivered pair must match it bit
+/// for bit under both policies, and a pair the sweep skips must be
+/// infeasible. Fills `coverage`.
+void ExpectSweepMatchesOracle(const InvertedDatabase& idb, const CodeModel& cm,
+                              const std::vector<LeafsetId>& rows,
+                              util::ThreadPool* pool, SweepCoverage* coverage) {
+  std::unordered_map<uint64_t, GainResult> swept;
+  LeafsetId last_row{};
+  bool any_row = false;
+  const auto collect = [&](LeafsetId x, std::span<const PairGain> partners) {
+    EXPECT_TRUE(!any_row || last_row < x) << "rows out of order";
+    any_row = true;
+    last_row = x;
+    LeafsetId previous = x;
+    for (const PairGain& p : partners) {
+      EXPECT_LT(previous, p.y) << "partners out of order";
+      previous = p.y;
+      swept.emplace(CandidatePairKey(x, p.y), p.gain);
+    }
+  };
+  coverage->evaluated = SweepMergeGains(idb, cm, rows, pool, collect);
+  EXPECT_EQ(coverage->evaluated, swept.size());
+
+  for (size_t i = 0; i < rows.size(); ++i) {
+    for (size_t j = i + 1; j < rows.size(); ++j) {
+      const LeafsetId x = rows[i];
+      const LeafsetId y = rows[j];
+      const GainResult oracle = ComputeMergeGain(idb, cm, x, y);
+      const LeafsetId u = idb.leafsets().Find(idb.leafsets().UnionValues(x, y));
+      if (u == x || u == y) ++coverage->subset;
+      if (oracle.feasible) {
+        ++coverage->feasible;
+        if (u != LeafsetRegistry::kNotFound &&
+            HasUnionLineUnderOverlap(idb, x, y, u)) {
+          ++coverage->with_union;
+        }
+      }
+      auto it = swept.find(CandidatePairKey(x, y));
+      if (it == swept.end()) {
+        ASSERT_FALSE(oracle.feasible) << "sweep skipped " << x << "," << y;
+        continue;
+      }
+      const GainResult& got = it->second;
+      ASSERT_EQ(got.feasible, oracle.feasible) << x << "," << y;
+      for (GainPolicy policy :
+           {GainPolicy::kDataOnly, GainPolicy::kDataPlusModel}) {
+        ASSERT_TRUE(SameBits(got.Total(policy), oracle.Total(policy)))
+            << x << "," << y << ": " << got.Total(policy) << " vs "
+            << oracle.Total(policy);
+      }
+      EXPECT_EQ(got.cores_with_overlap, oracle.cores_with_overlap);
+      EXPECT_EQ(got.total_overlap, oracle.total_overlap);
+    }
+  }
+}
+
+/// The oracle pass serially and on a 4-thread pool.
+SweepCoverage ExpectSweepMatchesOracleSerialAndPooled(
+    const InvertedDatabase& idb, const CodeModel& cm,
+    const std::vector<LeafsetId>& rows) {
+  util::ThreadPool pool(4);
+  SweepCoverage pooled;
+  ExpectSweepMatchesOracle(idb, cm, rows, &pool, &pooled);
+  SweepCoverage serial;
+  ExpectSweepMatchesOracle(idb, cm, rows, /*pool=*/nullptr, &serial);
+  EXPECT_EQ(serial.evaluated, pooled.evaluated);
+  EXPECT_GT(serial.feasible, 0u);
+  return serial;
+}
+
+TEST(GainSweepOracle, PokecSeedDatabase) {
+  const auto g = datasets::MakePokecLike(/*seed=*/5, 500).value();
+  const InvertedDatabase idb = InvertedDatabase::FromGraph(g).value();
+  const CodeModel cm(g, idb);
+  ExpectSweepMatchesOracleSerialAndPooled(idb, cm, idb.active_leafsets());
+}
+
+TEST(GainSweepOracle, MultiValueCoresetSeedDatabase) {
+  const auto g = datasets::MakeDblpLike(/*seed=*/4, 300).value();
+  CspmOptions options;
+  options.multi_value_coresets = true;
+  const InvertedDatabase idb = BuildInitialDatabase(g, options).value();
+  const CodeModel cm(g, idb);
+  // SLIM must have produced at least one multi-value coreset.
+  bool multi = false;
+  for (CoreId c(0); c.index() < idb.num_coresets(); ++c) {
+    multi = multi || idb.CoresetValues(c).size() > 1;
+  }
+  ASSERT_TRUE(multi);
+  ExpectSweepMatchesOracleSerialAndPooled(idb, cm, idb.active_leafsets());
+}
+
+TEST(GainSweepOracle, DeltaPatchedSeedDatabase) {
+  const auto g = datasets::MakePokecLike(/*seed=*/6, 500).value();
+  const auto delta = graph::MakeRandomEdgeRewires(g, 12, 77).value();
+  const auto applied = graph::ApplyDelta(g, delta).value();
+  InvertedDatabase idb = InvertedDatabase::FromGraph(g).value();
+  DeltaPatchStats patch;
+  ASSERT_TRUE(
+      idb.ApplyDelta(g, applied.graph, applied.dirty_vertices, &patch).ok());
+  const CodeModel cm(applied.graph, idb);
+  ExpectSweepMatchesOracleSerialAndPooled(idb, cm, idb.active_leafsets());
+}
+
+TEST(GainSweepOracle, RepairedFinalDatabaseOverSourceSubset) {
+  // A mined database repaired by a fast update holds merged leafsets next
+  // to their members: pairs whose union is already a leafset, some with a
+  // line under a coreset where the pair overlaps (ze > 0), and pairs with
+  // y ⊆ x. The fast re-seed sweeps such a database over a subset.
+  auto g = datasets::MakePokecLike(/*seed=*/3, 2000).value();
+  const CspmMiner miner{CspmOptions{}};
+  WarmState warm;
+  ASSERT_TRUE(miner.MineWithWarmState(g, &warm).ok());
+  for (uint64_t round : {1u, 2u}) {
+    const auto delta = graph::MakeRandomEdgeRewires(g, 20, round).value();
+    auto applied = graph::ApplyDelta(g, delta).value();
+    DeltaPatchStats patch;
+    Status st = warm.final_db.ApplyDeltaMerged(g, applied.graph,
+                                               applied.dirty_vertices, &patch);
+    ASSERT_TRUE(st.ok()) << st.ToString();
+    g = std::move(applied.graph);
+    if (round == 1) {
+      // An edge-only delta (not all dirty); no database copy wanted.
+      FastResumeStats fast;
+      ASSERT_TRUE(miner.ResumeFast(g, &warm, patch, false, false, &fast).ok());
+    }
+  }
+  const InvertedDatabase& idb = warm.final_db;
+  const CodeModel cm(g, idb);
+
+  // Sources: every 16th active leafset, plus both members and the union
+  // of every pair whose union is already an active leafset.
+  const std::vector<LeafsetId>& actives = idb.active_leafsets();
+  std::vector<LeafsetId> sources;
+  for (size_t i = 0; i < actives.size(); i += 16) sources.push_back(actives[i]);
+  const auto add_unions = [&](LeafsetId x, std::span<const PairGain> partners) {
+    for (const PairGain& p : partners) {
+      const LeafsetId u =
+          idb.leafsets().Find(idb.leafsets().UnionValues(x, p.y));
+      if (u == LeafsetRegistry::kNotFound) continue;
+      sources.insert(sources.end(), {x, p.y});
+      if (!idb.CoresOf(u).empty()) sources.push_back(u);
+    }
+  };
+  SweepMergeGains(idb, cm, actives, /*pool=*/nullptr, add_unions);
+  std::sort(sources.begin(), sources.end());
+  sources.erase(std::unique(sources.begin(), sources.end()), sources.end());
+  ASSERT_LT(sources.size(), actives.size() / 2);
+
+  const SweepCoverage coverage =
+      ExpectSweepMatchesOracleSerialAndPooled(idb, cm, sources);
+  EXPECT_GT(coverage.with_union, 0u);
+  EXPECT_GT(coverage.subset, 0u);
 }
 
 }  // namespace

@@ -66,6 +66,32 @@ TEST(CspmMinerTest, OutputSortedByCodeLength) {
   }
 }
 
+TEST(CspmMinerTest, OutputSortedByCodeLengthThenCoreThenLeafValues) {
+  // The extraction sorts flat rank keys; the published order must be the
+  // full (code length, core values, leaf values) order, strictly.
+  const auto by_code_core_leaf = [](const AStar& a, const AStar& b) {
+    if (a.code_length_bits != b.code_length_bits) {
+      return a.code_length_bits < b.code_length_bits;
+    }
+    if (a.core_values != b.core_values) return a.core_values < b.core_values;
+    return a.leaf_values < b.leaf_values;
+  };
+  CspmOptions multi;
+  multi.multi_value_coresets = true;
+  const auto pokec = datasets::MakePokecLike(/*seed=*/2, 600).value();
+  const auto planted = PlantedGraph(12);
+  for (const auto& [g, options] :
+       {std::pair(&pokec, CspmOptions{}), std::pair(&planted, multi)}) {
+    const CspmModel model = CspmMiner(options).Mine(*g).value();
+    ASSERT_GT(model.stats.iterations, 0u);
+    EXPECT_TRUE(std::is_sorted(model.astars.begin(), model.astars.end(),
+                               by_code_core_leaf));
+    for (size_t i = 1; i < model.astars.size(); ++i) {
+      EXPECT_TRUE(by_code_core_leaf(model.astars[i - 1], model.astars[i]));
+    }
+  }
+}
+
 TEST(CspmMinerTest, FinalStateIsLossless) {
   auto g = PlantedGraph(4);
   for (auto strategy : {SearchStrategy::kBasic, SearchStrategy::kPartial}) {

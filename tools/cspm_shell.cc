@@ -300,10 +300,9 @@ Status CmdUpdate(Shell& sh, const std::vector<std::string>& args) {
                          : stats.warm_path ? "exact warm"
                                            : "cold";
   std::printf(
-      "updated '%s' with %zu edge op(s): %zu dirty vertices, %zu dirty "
-      "pairs, %llu reseeded, %llu split undo(s), %s re-mine in %.3fs%s\n",
+      "updated '%s' with %zu edge op(s): %zu dirty vertices, %llu "
+      "reseeded, %llu split undo(s), %s re-mine in %.3fs%s\n",
       sh.session_name.c_str(), delta.num_ops(), stats.dirty_vertices,
-      stats.dirty_pairs,
       static_cast<unsigned long long>(stats.reseeded_pairs),
       static_cast<unsigned long long>(stats.split_undos), mode_ran,
       stats.apply_seconds, logged ? "; delta appended to WAL" : "");
