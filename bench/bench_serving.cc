@@ -74,7 +74,7 @@ void BM_PlanBatchSerial(benchmark::State& state) {
   const ServingFixture& f = ServingFixture::Get();
   auto engine = engine::ServingEngine::Create(f.graph, f.model).value();
   state.counters["plan_bytes"] =
-      static_cast<double>(engine.plan().memory_bytes());
+      static_cast<double>(engine.plan().ApproxBytes());
   for (auto _ : state) {
     auto batch = engine.ScoreBatch(f.all_vertices);
     CSPM_CHECK(batch.ok());
@@ -109,7 +109,7 @@ void BM_PlanCompile(benchmark::State& state) {
   for (auto _ : state) {
     core::ScoringPlan plan =
         core::ScoringPlan::Compile(f.model, f.graph.num_attribute_values());
-    benchmark::DoNotOptimize(plan.num_stars());
+    benchmark::DoNotOptimize(plan.num_units());
   }
 }
 BENCHMARK(BM_PlanCompile)->Unit(benchmark::kMicrosecond);

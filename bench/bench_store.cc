@@ -128,7 +128,8 @@ const std::vector<graph::AttrId>& FirstVertexNeighbourhood() {
   static const std::vector<graph::AttrId>* attrs = [] {
     const StoreFixture& f = StoreFixture::Get();
     const auto plan = core::CompileSharedPlan(f.model, f.graph.dict().size());
-    const auto& offsets = plan->slabs().posting_offsets;
+    const auto& singles = plan->slabs().singleton_offsets;
+    const auto& multis = plan->slabs().multi_offsets;
     size_t best_vertex = 0;
     size_t best_cost = ~size_t{0};
     std::vector<graph::AttrId> nb;
@@ -138,7 +139,8 @@ const std::vector<graph::AttrId>& FirstVertexNeighbourhood() {
       if (nb.empty()) continue;
       size_t cost = 0;
       for (graph::AttrId a : nb) {
-        cost += offsets[a.index() + 1] - offsets[a.index()];
+        cost += singles[a.index() + 1] - singles[a.index()] +
+                multis[a.index() + 1] - multis[a.index()];
       }
       if (cost < best_cost) {
         best_cost = cost;

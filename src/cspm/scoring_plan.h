@@ -1,17 +1,26 @@
 // Compiled execution form of Algorithm 5: a CspmModel is compiled once
 // into a ScoringPlan and applied to many vertices (Krimp/SLIM-style "code
 // table compiled once, applied per transaction"). The MDL model itself is
-// untouched — only the execution layout changes:
+// untouched — only the execution layout changes.
 //
-//  - leafsets are flattened into one slab of sorted AttrIds (no per-star
-//    heap vectors on the hot path),
-//  - an attribute -> leafset inverted posting list turns the per-leafset
-//    similarity scan into intersection counting: only leafsets that share
-//    at least one attribute with the neighbourhood are ever touched,
-//  - the Scode / |SL| terms of every star are precomputed,
-//  - ScoreInto() writes into caller-provided buffers (AttributeScores is
-//    reused across calls; per-call scratch lives in a ScoringScratch that
-//    each serving thread owns).
+// The layout is built from scoring units, one per (star, in-range core):
+//
+//  - a singleton star (|SL| = 1) scores similarity 1 whenever its leaf is
+//    in the neighbourhood, so each of its units is inlined as a
+//    (core, code length) posting under that leaf attribute and raises
+//    raw[core] straight from the posting walk — no counter, no division;
+//  - a multi-leaf star gets one unit per core; each in-range leaf holds a
+//    (unit, core, code length) posting, and a per-unit leaf-size slab
+//    supplies the similarity denominator.
+//
+// ScoreInto runs three passes: dedup the neighbourhood while applying the
+// singleton postings, count multi-leaf units, score the counted units. The
+// count pass skips any posting whose unit cannot beat the core's score so
+// far: its code length CL is >= 0 and w = 1/similarity >= 1, so its score
+// -w*CL is at most -CL, and a unit with -CL <= raw[core] never raises
+// raw[core] (DESIGN.md §7). All writes go to caller-provided buffers
+// (AttributeScores is reused across calls; per-call scratch lives in a
+// ScoringScratch that each serving thread owns).
 //
 // Contract: for every neighbourhood and every ScoringOptions, ScoreInto
 // produces bit-identical raw and normalized scores to
@@ -19,8 +28,8 @@
 // value). The plan is immutable after Compile and safe to share across
 // threads; only the scratch is per-thread.
 //
-// View/owner split (store format v3, DESIGN.md §12): the execution state
-// is six flat slabs accessed through spans. Compile() materialises owned
+// View/owner split (plan section, DESIGN.md §12): the execution state is
+// eight flat slabs accessed through spans. Compile() materialises owned
 // slabs on the heap; FromSlabs() wraps externally owned memory — in
 // particular an mmap'd plan section, where the bytes on disk are exactly
 // the bytes ScoreInto reads (zero decode, zero allocation). Either way a
@@ -45,10 +54,13 @@ namespace cspm::core {
 /// restored to zero before ScoreInto returns, so one scratch serves any
 /// number of sequential calls without re-clearing.
 struct ScoringScratch {
-  /// Per-star intersection counters (|SL ∩ N_attrs| accumulation).
+  /// Per-unit intersection counters (|SL ∩ N_attrs| accumulation).
   std::vector<uint32_t> matched;
-  /// Stars with matched > 0 in the current call.
-  std::vector<uint32_t> touched_stars;
+  /// For each unit counted in the current call, the index of its first
+  /// counted multi-leaf posting (which names its core and code length).
+  /// Sized num_units() + 1 by PrepareScratch: the count pass writes one
+  /// candidate slot past the last counted unit.
+  std::vector<uint32_t> touched_postings;
   /// Per-attribute dedup flags for the neighbourhood set.
   std::vector<uint8_t> attr_seen;
   /// Attrs flagged in the current call.
@@ -59,22 +71,28 @@ struct ScoringScratch {
 
 class ScoringPlan {
  public:
-  /// The six flat slabs of the compiled layout, in the order the v3 plan
-  /// section lays them out on disk (DESIGN.md §12).
+  /// The eight flat slabs of the compiled layout, in the order the plan
+  /// section lays them out on disk (DESIGN.md §12). Each attribute owns
+  /// one singleton and one multi-leaf posting range; the per-posting
+  /// slabs of a kind are parallel arrays.
   struct Slabs {
-    std::span<const uint32_t> leaf_size;       ///< |SL| per star
-    std::span<const double> code_length_bits;  ///< L(S_code) per star
-    std::span<const uint32_t> core_offsets;    ///< num_stars + 1
-    std::span<const AttrId> cores;             ///< flat in-range core values
-    std::span<const uint32_t> posting_offsets;  ///< num_attrs + 1
-    std::span<const uint32_t> postings;         ///< attr -> star ids
+    std::span<const uint32_t> singleton_offsets;     ///< num_attrs + 1
+    std::span<const AttrId> singleton_cores;         ///< core of the unit
+    std::span<const double> singleton_code_lengths;  ///< L(S_code) >= 0
+    std::span<const uint32_t> multi_offsets;         ///< num_attrs + 1
+    std::span<const uint32_t> multi_units;           ///< unit id
+    std::span<const AttrId> multi_cores;             ///< core of the unit
+    std::span<const double> multi_code_lengths;      ///< L(S_code) >= 0
+    std::span<const uint32_t> unit_leaf_size;        ///< |SL| per unit
   };
 
   ScoringPlan() = default;
 
   /// Compiles the model against a dictionary of `num_attribute_values`
-  /// attribute values. Stars with empty leafsets are dropped (they can
-  /// never contribute evidence); everything else is laid out flat.
+  /// attribute values in one counting-scatter pass. Stars with an empty
+  /// leafset are dropped (they can never contribute evidence), and so are
+  /// cores outside the attribute space; every remaining (star, core) pair
+  /// becomes a unit laid out flat.
   static ScoringPlan Compile(const CspmModel& model,
                              size_t num_attribute_values);
 
@@ -89,14 +107,12 @@ class ScoringPlan {
                                          std::shared_ptr<const void> storage);
 
   size_t num_attribute_values() const { return num_attrs_; }
-  /// Stars carried by the plan (empty-leafset stars are compiled out).
-  size_t num_stars() const { return slabs_.leaf_size.size(); }
+  /// Multi-leaf scoring units (singleton stars are inlined as postings).
+  size_t num_units() const { return slabs_.unit_leaf_size.size(); }
   /// Resident bytes of the slab layout. For a compiled plan this is the
   /// heap footprint; for an mmap view it is the mapped section's working
   /// set — the same value either way, so cache accounting is uniform.
   size_t ApproxBytes() const;
-  /// Back-compat alias for ApproxBytes.
-  size_t memory_bytes() const { return ApproxBytes(); }
 
   /// Read access to the slab layout (the plan-section encoder and the
   /// store's fsck cross-check read the plan exactly as ScoreInto does).
@@ -121,8 +137,10 @@ class ScoringPlan {
                         const ScoringOptions& options = {}) const;
 
   /// Deep structural validation of the compiled layout: monotone offset
-  /// tables, in-range star/core/posting ids, finite non-negative code
-  /// lengths, and posting lists consistent with the per-star leaf sizes.
+  /// tables, in-range unit and core ids, finite non-negative code lengths
+  /// (the pruning bound relies on them), multi-leaf units of leaf size
+  /// >= 2 whose postings agree on core and code length, and no unit
+  /// referenced more often than its leaf size.
   /// Run under CSPM_DCHECK after Compile and by `cspm_shell fsck`.
   Status CheckInvariants() const;
 

@@ -212,9 +212,9 @@ StatusOr<std::shared_ptr<const core::ScoringPlan>> ModelRegistry::OpenPlan(
   if (mapped.ok()) {
     plan = *std::move(mapped);
   } else if (mapped.status().code() == StatusCode::kNotFound) {
-    // Either the model does not exist (then Get fails the same way) or the
-    // entry predates v3 — decode + compile, and cache the result so the
-    // fallback also pays once.
+    // Either the model does not exist (then Get fails the same way), the
+    // entry predates v3, or its section is a legacy version — decode +
+    // compile, and cache the result so the fallback also pays once.
     CSPM_ASSIGN_OR_RETURN(store::StoredModel stored, store.Get(name));
     plan = core::CompileSharedPlan(stored.model, stored.dict.size());
   } else {

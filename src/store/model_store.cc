@@ -965,27 +965,32 @@ Status ModelStore::Fsck() {
       const std::string_view section(extent.data(), entry.plan_bytes);
       Status section_ok =
           ValidatePlanSection(section, /*verify_slab_crcs=*/true);
-      if (!section_ok.ok()) {
+      // A legacy-version section (NotFound) is well-formed but never read
+      // by this build — serving compiles from the record instead — so it
+      // has no slabs to cross-check.
+      if (!section_ok.ok() && section_ok.code() != StatusCode::kNotFound) {
         return Status::Internal(
             StrFormat("plan section of '%s': %s", name.c_str(),
                       section_ok.message().c_str()));
       }
-      CSPM_ASSIGN_OR_RETURN(
-          auto plan, PlanFromSectionBytes(section.data(), section.size(),
-                                          /*storage=*/nullptr));
-      Status plan_ok = plan->CheckInvariants();
-      if (!plan_ok.ok()) {
-        return Status::Internal(
-            StrFormat("plan section of '%s' fails plan validation: %s",
-                      name.c_str(), plan_ok.message().c_str()));
-      }
-      const std::string recompiled = EncodePlanSection(
-          core::ScoringPlan::Compile(stored.model, stored.dict.size()));
-      if (recompiled != section) {
-        return Status::Internal(StrFormat(
-            "plan section of '%s' does not match a recompile of its record "
-            "(stale or corrupt section)",
-            name.c_str()));
+      if (section_ok.ok()) {
+        CSPM_ASSIGN_OR_RETURN(
+            auto plan, PlanFromSectionBytes(section.data(), section.size(),
+                                            /*storage=*/nullptr));
+        Status plan_ok = plan->CheckInvariants();
+        if (!plan_ok.ok()) {
+          return Status::Internal(
+              StrFormat("plan section of '%s' fails plan validation: %s",
+                        name.c_str(), plan_ok.message().c_str()));
+        }
+        const std::string recompiled = EncodePlanSection(
+            core::ScoringPlan::Compile(stored.model, stored.dict.size()));
+        if (recompiled != section) {
+          return Status::Internal(StrFormat(
+              "plan section of '%s' does not match a recompile of its "
+              "record (stale or corrupt section)",
+              name.c_str()));
+        }
       }
       // The extent's tail padding is written as zeros; anything else means
       // the extent was scribbled on (slab CRCs cannot see past the

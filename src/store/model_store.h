@@ -105,8 +105,9 @@ class ModelStore {
   /// Opens the model's plan section as a ready-to-serve mmap view: zero
   /// decode, zero allocation beyond the mapping itself, scores
   /// bit-identical to a freshly compiled plan. NotFound when the entry
-  /// predates v3 (record saved by a v2 binary and not yet re-Put) — the
-  /// caller falls back to Get + Compile.
+  /// has no section this build can view — saved by a v2 binary, or its
+  /// section is a legacy version (DESIGN.md §12) — and has not been
+  /// re-Put since; the caller falls back to Get + Compile.
   StatusOr<std::shared_ptr<const core::ScoringPlan>> OpenPlan(
       const std::string& name);
 

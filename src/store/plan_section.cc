@@ -6,7 +6,9 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <cstddef>
 #include <cstring>
+#include <span>
 #include <type_traits>
 
 #include "obs/metrics.h"
@@ -26,13 +28,15 @@ static_assert(std::is_trivially_copyable_v<AttrId> && sizeof(AttrId) == 4,
               "mmap-viewed");
 static_assert(sizeof(double) == 8, "plan section assumes 8-byte doubles");
 
-constexpr size_t kNumSlabs = 6;
-constexpr size_t kSlabTableOffset = 32;
-constexpr size_t kHeaderCrcOffset = 104;
+/// Version 1 sections (the six-slab per-star layout) sealed their
+/// header with a CRC of bytes [0, 104) stored at 104.
+constexpr uint32_t kLegacyPlanSectionVersion = 1;
+constexpr size_t kLegacyHeaderCrcOffset = 104;
 
-const char* const kSlabNames[kNumSlabs] = {
-    "leaf_size",       "code_length_bits", "core_offsets",
-    "cores",           "posting_offsets",  "postings"};
+const char* const kSlabNames[kPlanSlabCount] = {
+    "singleton_offsets",  "singleton_cores", "singleton_code_lengths",
+    "multi_offsets",      "multi_units",     "multi_cores",
+    "multi_code_lengths", "unit_leaf_size"};
 
 void PutU32(char* dst, uint32_t v) {
   dst[0] = static_cast<char>(v & 0xFF);
@@ -52,19 +56,50 @@ size_t AlignUp(size_t n) {
   return (n + kPlanSlabAlignment - 1) & ~(kPlanSlabAlignment - 1);
 }
 
-/// Byte length of slab `i` implied by the header counts — the geometry
+/// The header counts every slab length derives from.
+struct SectionCounts {
+  uint32_t num_attrs;
+  uint32_t num_singletons;
+  uint32_t num_multis;
+  uint32_t num_units;
+};
+
+SectionCounts ReadCounts(const char* base) {
+  return {GetU32(base + 12), GetU32(base + 16), GetU32(base + 20),
+          GetU32(base + 24)};
+}
+
+/// Element count of slab `i` implied by the header counts — the geometry
 /// the validator enforces and the encoder produces.
-size_t ExpectedSlabBytes(size_t i, uint32_t num_attrs, uint32_t num_stars,
-                         uint32_t num_cores, uint32_t num_postings) {
+size_t SlabElements(size_t i, const SectionCounts& c) {
   switch (i) {
-    case 0: return static_cast<size_t>(num_stars) * 4;
-    case 1: return static_cast<size_t>(num_stars) * 8;
-    case 2: return (static_cast<size_t>(num_stars) + 1) * 4;
-    case 3: return static_cast<size_t>(num_cores) * 4;
-    case 4: return (static_cast<size_t>(num_attrs) + 1) * 4;
-    case 5: return static_cast<size_t>(num_postings) * 4;
+    case 0:
+    case 3: return static_cast<size_t>(c.num_attrs) + 1;
+    case 1:
+    case 2: return c.num_singletons;
+    case 4:
+    case 5:
+    case 6: return c.num_multis;
+    case 7: return c.num_units;
     default: return 0;
   }
+}
+
+/// Element width of each slab: the code-length slabs hold doubles, every
+/// other slab u32 values.
+constexpr size_t kSlabElementBytes[kPlanSlabCount] = {4, 4, 8, 4, 4, 4, 8, 4};
+
+size_t ExpectedSlabBytes(size_t i, const SectionCounts& c) {
+  return SlabElements(i, c) * kSlabElementBytes[i];
+}
+
+/// Slab `i` of a validated section, viewed in place.
+template <typename T>
+std::span<const T> SlabSpan(const char* base, size_t i,
+                            const SectionCounts& counts) {
+  const char* row = base + kPlanSlabTableOffset + i * kPlanSlabTableRowBytes;
+  return {reinterpret_cast<const T*>(base + GetU32(row)),
+          SlabElements(i, counts)};
 }
 
 /// POSIX mapping owner: unmaps on destruction. Held behind the plan's
@@ -85,20 +120,21 @@ class MappedRegion {
 
 std::string EncodePlanSection(const ScoringPlan& plan) {
   const ScoringPlan::Slabs& sb = plan.slabs();
-  const void* slab_data[kNumSlabs] = {
-      sb.leaf_size.data(),       sb.code_length_bits.data(),
-      sb.core_offsets.data(),    sb.cores.data(),
-      sb.posting_offsets.data(), sb.postings.data()};
-  size_t slab_bytes[kNumSlabs] = {
-      sb.leaf_size.size_bytes(),       sb.code_length_bits.size_bytes(),
-      sb.core_offsets.size_bytes(),    sb.cores.size_bytes(),
-      sb.posting_offsets.size_bytes(), sb.postings.size_bytes()};
+  std::span<const std::byte> slabs[kPlanSlabCount];
+  slabs[0] = std::as_bytes(sb.singleton_offsets);
+  slabs[1] = std::as_bytes(sb.singleton_cores);
+  slabs[2] = std::as_bytes(sb.singleton_code_lengths);
+  slabs[3] = std::as_bytes(sb.multi_offsets);
+  slabs[4] = std::as_bytes(sb.multi_units);
+  slabs[5] = std::as_bytes(sb.multi_cores);
+  slabs[6] = std::as_bytes(sb.multi_code_lengths);
+  slabs[7] = std::as_bytes(sb.unit_leaf_size);
 
-  size_t slab_offset[kNumSlabs];
+  size_t slab_offset[kPlanSlabCount];
   size_t end = kPlanSectionHeaderBytes;
-  for (size_t i = 0; i < kNumSlabs; ++i) {
+  for (size_t i = 0; i < kPlanSlabCount; ++i) {
     slab_offset[i] = AlignUp(end);
-    end = slab_offset[i] + slab_bytes[i];
+    end = slab_offset[i] + slabs[i].size();
   }
 
   std::string section(end, '\0');
@@ -106,50 +142,62 @@ std::string EncodePlanSection(const ScoringPlan& plan) {
   std::memcpy(base, kPlanSectionMagic.data(), kPlanSectionMagic.size());
   PutU32(base + 8, kPlanSectionVersion);
   PutU32(base + 12, static_cast<uint32_t>(plan.num_attribute_values()));
-  PutU32(base + 16, static_cast<uint32_t>(plan.num_stars()));
-  PutU32(base + 20, static_cast<uint32_t>(sb.cores.size()));
-  PutU32(base + 24, static_cast<uint32_t>(sb.postings.size()));
+  PutU32(base + 16, static_cast<uint32_t>(sb.singleton_cores.size()));
+  PutU32(base + 20, static_cast<uint32_t>(sb.multi_units.size()));
+  PutU32(base + 24, static_cast<uint32_t>(plan.num_units()));
   PutU32(base + 28, static_cast<uint32_t>(end));
-  for (size_t i = 0; i < kNumSlabs; ++i) {
-    if (slab_bytes[i] != 0) {
-      std::memcpy(base + slab_offset[i], slab_data[i], slab_bytes[i]);
+  for (size_t i = 0; i < kPlanSlabCount; ++i) {
+    if (!slabs[i].empty()) {
+      std::memcpy(base + slab_offset[i], slabs[i].data(), slabs[i].size());
     }
-    char* row = base + kSlabTableOffset + i * 12;
+    char* row = base + kPlanSlabTableOffset + i * kPlanSlabTableRowBytes;
     PutU32(row, static_cast<uint32_t>(slab_offset[i]));
-    PutU32(row + 4, static_cast<uint32_t>(slab_bytes[i]));
-    PutU32(row + 8, Crc32(base + slab_offset[i], slab_bytes[i]));
+    PutU32(row + 4, static_cast<uint32_t>(slabs[i].size()));
+    PutU32(row + 8, Crc32(base + slab_offset[i], slabs[i].size()));
   }
-  PutU32(base + kHeaderCrcOffset, Crc32(base, kHeaderCrcOffset));
+  PutU32(base + kPlanHeaderCrcOffset, Crc32(base, kPlanHeaderCrcOffset));
   return section;
 }
 
 Status ValidatePlanSection(std::string_view section, bool verify_slab_crcs) {
+  const char* base = section.data();
+  if (section.size() < kPlanSectionMagic.size() + 4) {
+    return Status::IOError(StrFormat(
+        "plan section truncated: %zu bytes hold no magic and version",
+        section.size()));
+  }
+  if (std::string_view(base, kPlanSectionMagic.size()) != kPlanSectionMagic) {
+    return Status::IOError("plan section has bad magic");
+  }
+  const uint32_t version = GetU32(base + 8);
+  if (version == kLegacyPlanSectionVersion &&
+      section.size() >= kLegacyHeaderCrcOffset + 4 &&
+      GetU32(base + kLegacyHeaderCrcOffset) ==
+          Crc32(base, kLegacyHeaderCrcOffset)) {
+    return Status::NotFound(StrFormat(
+        "legacy plan section (version %u, the per-star layout); this build "
+        "compiles the model from its record until a re-save rewrites it",
+        version));
+  }
+  if (version != kPlanSectionVersion) {
+    return Status::IOError(
+        StrFormat("plan section version %u, this build reads exactly %u",
+                  version, kPlanSectionVersion));
+  }
   if (section.size() < kPlanSectionHeaderBytes) {
     return Status::IOError(
         StrFormat("plan section truncated: %zu bytes, the header alone is "
                   "%zu",
                   section.size(), kPlanSectionHeaderBytes));
   }
-  const char* base = section.data();
-  if (std::string_view(base, kPlanSectionMagic.size()) != kPlanSectionMagic) {
-    return Status::IOError("plan section has bad magic");
-  }
-  const uint32_t version = GetU32(base + 8);
-  if (version != kPlanSectionVersion) {
-    return Status::IOError(
-        StrFormat("plan section version %u, this build reads exactly %u",
-                  version, kPlanSectionVersion));
-  }
-  if (GetU32(base + kHeaderCrcOffset) != Crc32(base, kHeaderCrcOffset)) {
+  if (GetU32(base + kPlanHeaderCrcOffset) !=
+      Crc32(base, kPlanHeaderCrcOffset)) {
     return Status::IOError("plan section header checksum mismatch");
   }
   // Header CRC now vouches for the counts and the slab table; geometry
   // checks below defend against a header that is internally inconsistent
   // (which a CRC over corrupt-at-write bytes would not catch).
-  const uint32_t num_attrs = GetU32(base + 12);
-  const uint32_t num_stars = GetU32(base + 16);
-  const uint32_t num_cores = GetU32(base + 20);
-  const uint32_t num_postings = GetU32(base + 24);
+  const SectionCounts counts = ReadCounts(base);
   const uint32_t section_bytes = GetU32(base + 28);
   if (section_bytes > section.size()) {
     return Status::IOError(
@@ -158,12 +206,11 @@ Status ValidatePlanSection(std::string_view section, bool verify_slab_crcs) {
                   section_bytes, section.size()));
   }
   size_t prev_end = kPlanSectionHeaderBytes;
-  for (size_t i = 0; i < kNumSlabs; ++i) {
-    const char* row = base + kSlabTableOffset + i * 12;
+  for (size_t i = 0; i < kPlanSlabCount; ++i) {
+    const char* row = base + kPlanSlabTableOffset + i * kPlanSlabTableRowBytes;
     const uint32_t offset = GetU32(row);
     const uint32_t length = GetU32(row + 4);
-    const size_t expected =
-        ExpectedSlabBytes(i, num_attrs, num_stars, num_cores, num_postings);
+    const size_t expected = ExpectedSlabBytes(i, counts);
     if (length != expected) {
       return Status::IOError(StrFormat(
           "plan section slab %s is %u bytes, counts imply %zu",
@@ -200,26 +247,19 @@ StatusOr<std::shared_ptr<const ScoringPlan>> PlanFromSectionBytes(
   const char* base = static_cast<const char*>(data);
   CSPM_RETURN_IF_ERROR(ValidatePlanSection({base, size},
                                            /*verify_slab_crcs=*/false));
-  const uint32_t num_attrs = GetU32(base + 12);
-  const uint32_t num_stars = GetU32(base + 16);
-  const uint32_t num_cores = GetU32(base + 20);
-  const uint32_t num_postings = GetU32(base + 24);
-  auto slab = [&](size_t i) {
-    return base + GetU32(base + kSlabTableOffset + i * 12);
-  };
+  const SectionCounts counts = ReadCounts(base);
   ScoringPlan::Slabs slabs;
-  slabs.leaf_size = {reinterpret_cast<const uint32_t*>(slab(0)), num_stars};
-  slabs.code_length_bits = {reinterpret_cast<const double*>(slab(1)),
-                            num_stars};
-  slabs.core_offsets = {reinterpret_cast<const uint32_t*>(slab(2)),
-                        static_cast<size_t>(num_stars) + 1};
-  slabs.cores = {reinterpret_cast<const AttrId*>(slab(3)), num_cores};
-  slabs.posting_offsets = {reinterpret_cast<const uint32_t*>(slab(4)),
-                           static_cast<size_t>(num_attrs) + 1};
-  slabs.postings = {reinterpret_cast<const uint32_t*>(slab(5)), num_postings};
+  slabs.singleton_offsets = SlabSpan<uint32_t>(base, 0, counts);
+  slabs.singleton_cores = SlabSpan<AttrId>(base, 1, counts);
+  slabs.singleton_code_lengths = SlabSpan<double>(base, 2, counts);
+  slabs.multi_offsets = SlabSpan<uint32_t>(base, 3, counts);
+  slabs.multi_units = SlabSpan<uint32_t>(base, 4, counts);
+  slabs.multi_cores = SlabSpan<AttrId>(base, 5, counts);
+  slabs.multi_code_lengths = SlabSpan<double>(base, 6, counts);
+  slabs.unit_leaf_size = SlabSpan<uint32_t>(base, 7, counts);
   CSPM_ASSIGN_OR_RETURN(
       ScoringPlan plan,
-      ScoringPlan::FromSlabs(num_attrs, slabs, std::move(storage)));
+      ScoringPlan::FromSlabs(counts.num_attrs, slabs, std::move(storage)));
   return std::make_shared<const ScoringPlan>(std::move(plan));
 }
 
@@ -264,9 +304,11 @@ StatusOr<std::shared_ptr<const ScoringPlan>> MmapPlanView::Open(
                            std::strerror(errno));
   }
   auto region = std::make_shared<MappedRegion>(mapped, map_length);
+  CSPM_ASSIGN_OR_RETURN(
+      auto plan, PlanFromSectionBytes(static_cast<const char*>(mapped) + delta,
+                                      section_bytes, std::move(region)));
   mmap_opens->Add(1);
-  return PlanFromSectionBytes(static_cast<const char*>(mapped) + delta,
-                              section_bytes, std::move(region));
+  return plan;
 }
 
 }  // namespace cspm::store

@@ -1,28 +1,34 @@
-// The mmap-native plan section (store format v3, DESIGN.md §12): a
-// ScoringPlan's six slabs written fixed-width, little-endian, 64-byte
-// aligned and offset-based, so the bytes on disk are exactly the bytes
-// ScoreInto reads. Opening a model for serving is then mmap + O(1)
-// header validation — no LEB128 decode, no plan compile, no allocation —
-// and the scores are bit-identical to a compiled plan because they *are*
-// the compiled plan's bytes (Put encodes the freshly compiled slabs).
+// The mmap-native plan section (DESIGN.md §12): a ScoringPlan's eight
+// slabs written fixed-width, little-endian, 64-byte aligned and
+// offset-based, so the bytes on disk are exactly the bytes ScoreInto
+// reads. Opening a model for serving is then mmap + O(1) header
+// validation — no LEB128 decode, no plan compile, no allocation — and the
+// scores are bit-identical to a compiled plan because they *are* the
+// compiled plan's bytes (Put encodes the freshly compiled slabs).
 //
-// Section layout (all integers u32 LE unless noted):
+// Section layout, version 2 (all integers u32 LE unless noted):
 //
 //   [0..8)     magic "CSPMPLN3"
-//   [8..12)    section format version (1)
+//   [8..12)    section format version (2)
 //   [12..16)   num_attribute_values
-//   [16..20)   num_stars
-//   [20..24)   num_cores          (flat core-value slab length)
-//   [24..28)   num_postings       (flat posting slab length)
+//   [16..20)   num_singleton_postings
+//   [20..24)   num_multi_postings
+//   [24..28)   num_units          (multi-leaf scoring units)
 //   [28..32)   section_bytes      (header + padding + slabs)
-//   [32..104)  slab table: 6 x { offset, length_bytes, crc32 } in Slabs
-//              order (leaf_size, code_length_bits, core_offsets, cores,
-//              posting_offsets, postings)
-//   [104..108) CRC-32 of bytes [0, 104)
-//   [108..128) zero padding
-//   [128..)    slabs; every offset is 64-byte aligned (covers the
-//              8-byte doubles of code_length_bits with room for wider
-//              vector loads later)
+//   [32..128)  slab table: 8 x { offset, length_bytes, crc32 } in Slabs
+//              order (singleton_offsets, singleton_cores,
+//              singleton_code_lengths, multi_offsets, multi_units,
+//              multi_cores, multi_code_lengths, unit_leaf_size)
+//   [128..132) CRC-32 of bytes [0, 128)
+//   [132..192) zero padding
+//   [192..)    slabs; every offset is 64-byte aligned (covers the
+//              8-byte doubles of the code-length slabs with room for
+//              wider vector loads later)
+//
+// Version 1 (the six-slab per-star layout) is legacy: the validator
+// recognises a well-formed v1 header and answers NotFound, so the store
+// treats the section as absent and serving falls back to decoding and
+// compiling the record until a re-Put rewrites it.
 //
 // Validation is two-tier by design: ValidatePlanSection's default mode
 // checks the header CRC and the slab geometry only — O(1), cheap enough
@@ -43,9 +49,16 @@
 namespace cspm::store {
 
 /// Fixed prologue-plus-table size; slabs start here.
-inline constexpr size_t kPlanSectionHeaderBytes = 128;
+inline constexpr size_t kPlanSectionHeaderBytes = 192;
 inline constexpr std::string_view kPlanSectionMagic = "CSPMPLN3";  // 8 bytes
-inline constexpr uint32_t kPlanSectionVersion = 1;
+inline constexpr uint32_t kPlanSectionVersion = 2;
+/// Slab table geometry: kPlanSlabCount rows of {offset, length, crc32}
+/// starting at kPlanSlabTableOffset, sealed by the header CRC stored at
+/// kPlanHeaderCrcOffset (over every byte before it).
+inline constexpr size_t kPlanSlabCount = 8;
+inline constexpr size_t kPlanSlabTableOffset = 32;
+inline constexpr size_t kPlanSlabTableRowBytes = 12;
+inline constexpr size_t kPlanHeaderCrcOffset = 128;
 /// Alignment of every slab offset (and of the section itself in the
 /// store file, where extents start on 4 KiB page boundaries).
 inline constexpr size_t kPlanSlabAlignment = 64;
@@ -59,7 +72,9 @@ std::string EncodePlanSection(const core::ScoringPlan& plan);
 /// and the slab geometry (expected lengths from the counts, 64-byte
 /// alignment, ascending non-overlapping offsets, containment in
 /// `section.size()`); with `verify_slab_crcs` it additionally sweeps all
-/// six slab CRCs (the fsck tier — deliberately not paid on open).
+/// eight slab CRCs (the fsck tier — deliberately not paid on open).
+/// A well-formed legacy (version 1) section returns NotFound: it is not
+/// corrupt, but this build cannot view it.
 Status ValidatePlanSection(std::string_view section, bool verify_slab_crcs);
 
 /// Wraps a validated section image as a ScoringPlan view. `data` must

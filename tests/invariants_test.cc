@@ -1,13 +1,16 @@
 // Tests for the deep invariant validators: the graph / inverted-database /
-// scoring-plan checkers must accept everything the library builds, and the
-// store auditor (ModelStore::CheckInvariants / Fsck, `cspm_shell fsck`)
-// must catch pointer-level corruption that the per-page CRCs cannot see —
-// pages with valid checksums whose chain links were truncated, spliced
-// into another chain, or bent into a cycle.
+// scoring-plan checkers must accept everything the library builds, the
+// plan checker must refuse corrupted slabs, and the store auditor
+// (ModelStore::CheckInvariants / Fsck, `cspm_shell fsck`) must catch
+// pointer-level corruption that the per-page CRCs cannot see — pages with
+// valid checksums whose chain links were truncated, spliced into another
+// chain, or bent into a cycle.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <fstream>
+#include <functional>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -83,6 +86,129 @@ TEST(ScoringPlanInvariants, AcceptCompiledModel) {
   const core::ScoringPlan plan =
       core::ScoringPlan::Compile(*model, g.num_attribute_values());
   EXPECT_TRUE(plan.CheckInvariants().ok());
+}
+
+/// Owned, mutable copy of a plan's slabs, re-viewable through FromSlabs
+/// (which checks only the O(1) geometry, so every element-level
+/// corruption below reaches CheckInvariants).
+struct MutableSlabs {
+  std::vector<uint32_t> singleton_offsets;
+  std::vector<graph::AttrId> singleton_cores;
+  std::vector<double> singleton_code_lengths;
+  std::vector<uint32_t> multi_offsets;
+  std::vector<uint32_t> multi_units;
+  std::vector<graph::AttrId> multi_cores;
+  std::vector<double> multi_code_lengths;
+  std::vector<uint32_t> unit_leaf_size;
+
+  explicit MutableSlabs(const core::ScoringPlan::Slabs& sb)
+      : singleton_offsets(sb.singleton_offsets.begin(),
+                          sb.singleton_offsets.end()),
+        singleton_cores(sb.singleton_cores.begin(), sb.singleton_cores.end()),
+        singleton_code_lengths(sb.singleton_code_lengths.begin(),
+                               sb.singleton_code_lengths.end()),
+        multi_offsets(sb.multi_offsets.begin(), sb.multi_offsets.end()),
+        multi_units(sb.multi_units.begin(), sb.multi_units.end()),
+        multi_cores(sb.multi_cores.begin(), sb.multi_cores.end()),
+        multi_code_lengths(sb.multi_code_lengths.begin(),
+                           sb.multi_code_lengths.end()),
+        unit_leaf_size(sb.unit_leaf_size.begin(), sb.unit_leaf_size.end()) {}
+
+  Status Check(size_t num_attrs) const {
+    core::ScoringPlan::Slabs view;
+    view.singleton_offsets = singleton_offsets;
+    view.singleton_cores = singleton_cores;
+    view.singleton_code_lengths = singleton_code_lengths;
+    view.multi_offsets = multi_offsets;
+    view.multi_units = multi_units;
+    view.multi_cores = multi_cores;
+    view.multi_code_lengths = multi_code_lengths;
+    view.unit_leaf_size = unit_leaf_size;
+    CSPM_ASSIGN_OR_RETURN(core::ScoringPlan plan,
+                          core::ScoringPlan::FromSlabs(num_attrs, view,
+                                                       /*storage=*/nullptr));
+    return plan.CheckInvariants();
+  }
+};
+
+/// Applies `mutate` to a copy of `healthy` and expects CheckInvariants to
+/// refuse the result with a message containing `expected`.
+void ExpectDetected(const MutableSlabs& healthy, size_t num_attrs,
+                    const char* expected,
+                    const std::function<void(MutableSlabs*)>& mutate) {
+  MutableSlabs bent = healthy;
+  mutate(&bent);
+  const Status status = bent.Check(num_attrs);
+  ASSERT_FALSE(status.ok()) << "expected: " << expected;
+  EXPECT_NE(status.message().find(expected), std::string::npos)
+      << status.ToString();
+}
+
+TEST(ScoringPlanInvariants, DetectCorruptSlabs) {
+  const graph::AttributedGraph g = MediumGraph();
+  auto model = engine::MineModel(g);
+  ASSERT_TRUE(model.ok());
+  const size_t m = g.num_attribute_values();
+  const core::ScoringPlan plan = core::ScoringPlan::Compile(*model, m);
+  const MutableSlabs healthy(plan.slabs());
+  ASSERT_TRUE(healthy.Check(m).ok());
+  ASSERT_GE(m, 3u);
+  ASSERT_FALSE(healthy.singleton_cores.empty());
+  ASSERT_FALSE(healthy.multi_units.empty());
+
+  // Postings per unit, the first posting that repeats a unit (a sibling
+  // of an earlier posting), and a unit with at least three postings.
+  std::vector<uint32_t> postings(healthy.unit_leaf_size.size(), 0);
+  uint32_t sibling = ~uint32_t{0};
+  for (uint32_t i = 0; i < healthy.multi_units.size(); ++i) {
+    if (postings[healthy.multi_units[i]]++ > 0 && sibling == ~uint32_t{0}) {
+      sibling = i;
+    }
+  }
+  ASSERT_NE(sibling, ~uint32_t{0});
+  size_t busy = 0;
+  while (busy < postings.size() && postings[busy] < 3) ++busy;
+  ASSERT_LT(busy, postings.size());
+  const uint32_t too_small = postings[busy] - 1;
+  const auto out_of_range = graph::AttrId(static_cast<uint32_t>(m));
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  // Any interior offset is neither the checked front nor the checked back.
+  const size_t mid = m / 2;
+
+  ExpectDetected(healthy, m, "unknown unit", [](MutableSlabs* s) {
+    s->multi_units[0] = static_cast<uint32_t>(s->unit_leaf_size.size());
+  });
+  ExpectDetected(healthy, m, "outside the attribute", [&](MutableSlabs* s) {
+    s->singleton_cores[0] = out_of_range;
+  });
+  ExpectDetected(healthy, m, "outside the attribute", [&](MutableSlabs* s) {
+    s->multi_cores[0] = out_of_range;
+  });
+  ExpectDetected(healthy, m, "invalid code length", [](MutableSlabs* s) {
+    s->singleton_code_lengths[0] = -1.0;
+  });
+  ExpectDetected(healthy, m, "invalid code length", [&](MutableSlabs* s) {
+    s->multi_code_lengths[0] = nan;
+  });
+  ExpectDetected(healthy, m, "invalid code length", [&](MutableSlabs* s) {
+    s->singleton_code_lengths[0] = inf;
+  });
+  ExpectDetected(healthy, m, "singleton offsets", [&](MutableSlabs* s) {
+    s->singleton_offsets[mid] = s->singleton_offsets[mid + 1] + 1;
+  });
+  ExpectDetected(healthy, m, "multi-leaf offsets", [&](MutableSlabs* s) {
+    s->multi_offsets[mid] = s->multi_offsets[mid + 1] + 1;
+  });
+  ExpectDetected(healthy, m, "must be inlined", [](MutableSlabs* s) {
+    s->unit_leaf_size[0] = 1;
+  });
+  ExpectDetected(healthy, m, "referenced by", [&](MutableSlabs* s) {
+    s->unit_leaf_size[busy] = too_small;
+  });
+  ExpectDetected(healthy, m, "disagree", [&](MutableSlabs* s) {
+    s->multi_code_lengths[sibling] += 1.0;
+  });
 }
 
 // --- store audit ----------------------------------------------------------
@@ -168,6 +294,13 @@ uint32_t FirstChainPage(const std::string& path) {
 /// thing Put allocates on a fresh store, so it starts at page 1.
 constexpr size_t kPlanSectionOffset = Pager::kPageSize;
 
+/// Row `slab` of a plan section's slab table: {offset, length, crc32}.
+template <typename Char>
+Char* SlabTableRow(Char* section, size_t slab) {
+  return section + store::kPlanSlabTableOffset +
+         slab * store::kPlanSlabTableRowBytes;
+}
+
 /// Rewrites field `field` (0 = offset, 1 = length, 2 = crc) of slab
 /// table entry `slab` and re-seals the section header CRC — the
 /// corruption survives the header checksum and must be caught by the
@@ -176,8 +309,9 @@ void BendSlabTable(const std::string& path, size_t slab, size_t field,
                    uint32_t value) {
   std::string bytes = ReadFileBytes(path);
   char* section = bytes.data() + kPlanSectionOffset;
-  PutU32(section + 32 + slab * 12 + field * 4, value);
-  PutU32(section + 104, Crc32(section, 104));
+  PutU32(SlabTableRow(section, slab) + field * 4, value);
+  PutU32(section + store::kPlanHeaderCrcOffset,
+         Crc32(section, store::kPlanHeaderCrcOffset));
   WriteFileBytes(path, bytes);
 }
 
@@ -252,21 +386,32 @@ TEST(StoreInvariants, DetectChainCycle) {
 TEST(StoreInvariants, PlanSlabByteFlipPassesOpenButFailsFsck) {
   const std::string path = TempPath("fsck_slab_flip.cspm");
   BuildStore(path);
-  // Flip one bit inside the first slab (slabs start at the fixed header
-  // size). The two-tier contract: the O(1) serving open does not sweep
-  // slab CRCs, fsck does.
-  std::string bytes = ReadFileBytes(path);
-  bytes[kPlanSectionOffset + store::kPlanSectionHeaderBytes + 7] ^= 0x20;
-  WriteFileBytes(path, bytes);
+  const std::string healthy = ReadFileBytes(path);
+  // Flip one bit in the middle of each slab in turn. The two-tier
+  // contract: the O(1) serving open does not sweep slab CRCs, fsck does,
+  // and names the slab. (The middle element of an offset table is neither
+  // its first nor its last entry, which the open does check.)
+  for (size_t slab = 0; slab < store::kPlanSlabCount; ++slab) {
+    SCOPED_TRACE(::testing::Message() << "slab " << slab);
+    const char* row = SlabTableRow(healthy.data() + kPlanSectionOffset, slab);
+    const uint32_t offset = GetU32(row);
+    const uint32_t length = GetU32(row + 4);
+    ASSERT_GT(length, 8u);
+    std::string bytes = healthy;
+    bytes[kPlanSectionOffset + offset + (length / 8) * 4 + 1] ^= 0x20;
+    WriteFileBytes(path, bytes);
 
-  auto store = ModelStore::Open(path);
-  ASSERT_TRUE(store.ok());
-  EXPECT_TRUE(store->OpenPlan("planted").ok());
-  const Status fsck = store->Fsck();
-  ASSERT_FALSE(fsck.ok());
-  EXPECT_NE(fsck.message().find("plan section of 'planted'"),
-            std::string::npos)
-      << fsck.ToString();
+    auto store = ModelStore::Open(path);
+    ASSERT_TRUE(store.ok());
+    EXPECT_TRUE(store->OpenPlan("planted").ok());
+    const Status fsck = store->Fsck();
+    ASSERT_FALSE(fsck.ok());
+    EXPECT_NE(fsck.message().find("plan section of 'planted'"),
+              std::string::npos)
+        << fsck.ToString();
+    EXPECT_NE(fsck.message().find("checksum mismatch"), std::string::npos)
+        << fsck.ToString();
+  }
 }
 
 TEST(StoreInvariants, DetectPlanSectionMisalignedSlabOffset) {
@@ -299,13 +444,14 @@ TEST(StoreInvariants, DetectPlanSectionOverlappingSlabs) {
 TEST(StoreInvariants, DetectPlanSectionTruncatedSlab) {
   const std::string path = TempPath("fsck_trunc_slab.cspm");
   BuildStore(path);
-  // Shrink the postings slab's recorded length below what the header
-  // counts promise.
+  // Shrink the multi-leaf unit slab's recorded length below what the
+  // header counts promise.
+  constexpr size_t kMultiUnits = 4;
   const std::string bytes = ReadFileBytes(path);
   const uint32_t len =
-      GetU32(bytes.data() + kPlanSectionOffset + 32 + 5 * 12 + 4);
+      GetU32(SlabTableRow(bytes.data() + kPlanSectionOffset, kMultiUnits) + 4);
   ASSERT_GT(len, 0u);
-  BendSlabTable(path, /*slab=*/5, /*field=*/1, len - 4);
+  BendSlabTable(path, kMultiUnits, /*field=*/1, len - 4);
   auto store = ModelStore::Open(path);
   ASSERT_TRUE(store.ok());
   EXPECT_FALSE(store->OpenPlan("planted").ok());

@@ -2,11 +2,13 @@
 // encode/validate round trip, bit-identity of mmap-view scores against a
 // freshly compiled plan on the n=8000 serving stand-in, the registry's
 // LRU plan cache (hits, misses, evictions, eviction-while-serving), and
-// read-compatibility with a committed v2 store file produced by an older
-// binary.
+// read-compatibility with committed store files produced by older
+// binaries: a v2 store (no plan sections) and a v3 store whose plan
+// section is the legacy version 1 layout.
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <memory>
 #include <string>
@@ -22,6 +24,7 @@
 #include "store/model_store.h"
 #include "store/plan_section.h"
 #include "util/check.h"
+#include "util/crc32.h"
 #include "util/rng.h"
 #include "util/string_util.h"
 
@@ -99,9 +102,28 @@ TEST(PlanSection, EncodeValidateRoundTrip) {
   const core::ScoringPlan& view = **view_or;
   EXPECT_TRUE(view.is_view());
   EXPECT_FALSE(plan.is_view());
-  EXPECT_EQ(view.num_stars(), plan.num_stars());
+  EXPECT_EQ(view.num_units(), plan.num_units());
   EXPECT_TRUE(view.CheckInvariants().ok());
   ExpectBitIdenticalScores(g, plan, view);
+}
+
+/// Row `slab` of a section's slab table: {offset, length, crc32}.
+char* SlabTableRow(std::string* section, size_t slab) {
+  return section->data() + store::kPlanSlabTableOffset +
+         slab * store::kPlanSlabTableRowBytes;
+}
+
+uint32_t GetU32(const char* p) {
+  uint32_t v;
+  std::memcpy(&v, p, 4);
+  return v;
+}
+
+void PutU32(char* p, uint32_t v) { std::memcpy(p, &v, 4); }
+
+void ResealHeader(std::string* section) {
+  PutU32(section->data() + store::kPlanHeaderCrcOffset,
+         Crc32(section->data(), store::kPlanHeaderCrcOffset));
 }
 
 TEST(PlanSection, ValidateRejectsTamperedBytes) {
@@ -116,13 +138,38 @@ TEST(PlanSection, ValidateRejectsTamperedBytes) {
   EXPECT_FALSE(
       store::ValidatePlanSection(bad, /*verify_slab_crcs=*/false).ok());
 
-  // Slab flip: the O(1) tier accepts, the fsck tier refuses.
+  // Bad header CRC over an intact header: both tiers refuse.
   bad = section;
-  bad[store::kPlanSectionHeaderBytes + 3] ^= 0x01;
-  EXPECT_TRUE(
-      store::ValidatePlanSection(bad, /*verify_slab_crcs=*/false).ok());
+  bad[store::kPlanHeaderCrcOffset] ^= 0x01;
   EXPECT_FALSE(
-      store::ValidatePlanSection(bad, /*verify_slab_crcs=*/true).ok());
+      store::ValidatePlanSection(bad, /*verify_slab_crcs=*/false).ok());
+
+  // One bit flipped in each slab: the O(1) tier accepts, the fsck tier
+  // refuses and names the slab's checksum.
+  for (size_t slab = 0; slab < store::kPlanSlabCount; ++slab) {
+    SCOPED_TRACE(::testing::Message() << "slab " << slab);
+    bad = section;
+    const char* row = SlabTableRow(&bad, slab);
+    const uint32_t offset = GetU32(row);
+    const uint32_t length = GetU32(row + 4);
+    ASSERT_GT(length, 0u);
+    bad[offset + length / 2] ^= 0x01;
+    EXPECT_TRUE(
+        store::ValidatePlanSection(bad, /*verify_slab_crcs=*/false).ok());
+    const Status fsck_tier =
+        store::ValidatePlanSection(bad, /*verify_slab_crcs=*/true);
+    ASSERT_FALSE(fsck_tier.ok());
+    EXPECT_NE(fsck_tier.message().find("checksum mismatch"), std::string::npos)
+        << fsck_tier.ToString();
+  }
+
+  // Overlapping slabs (header re-sealed, so only the geometry check sees
+  // it): the second slab claims the first slab's offset.
+  bad = section;
+  PutU32(SlabTableRow(&bad, 1), GetU32(SlabTableRow(&bad, 0)));
+  ResealHeader(&bad);
+  EXPECT_FALSE(
+      store::ValidatePlanSection(bad, /*verify_slab_crcs=*/false).ok());
 
   // Truncation: the O(1) tier refuses (geometry escapes the section).
   bad = section.substr(0, section.size() - 1);
@@ -242,10 +289,9 @@ TEST(PlanCache, HitsMissesEvictionsAndReopen) {
 
 // --- v2 read-compatibility -------------------------------------------------
 
-/// Copies the committed v2 fixture (written by a pre-v3 binary: linear
-/// catalog chain, no plan sections) into the temp dir.
-std::string CopyV2Fixture(const std::string& name) {
-  const std::string src = std::string(CSPM_TEST_DATA_DIR) + "/v2_store.cspm";
+/// Copies a committed store fixture into the temp dir.
+std::string CopyFixture(const std::string& fixture, const std::string& name) {
+  const std::string src = std::string(CSPM_TEST_DATA_DIR) + "/" + fixture;
   const std::string dst = TempPath(name);
   std::ifstream in(src, std::ios::binary);
   CSPM_CHECK(in.good());
@@ -253,6 +299,12 @@ std::string CopyV2Fixture(const std::string& name) {
   out << in.rdbuf();
   CSPM_CHECK(out.good());
   return dst;
+}
+
+/// The v2 fixture was written by a pre-v3 binary: linear catalog chain,
+/// no plan sections.
+std::string CopyV2Fixture(const std::string& name) {
+  return CopyFixture("v2_store.cspm", name);
 }
 
 TEST(V2Compat, OpensReadsAndServesWithoutPlanSection) {
@@ -321,6 +373,102 @@ TEST(V2Compat, FirstMutationUpgradesToV3InPlace) {
   const core::ScoringPlan compiled =
       core::ScoringPlan::Compile(model, g.num_attribute_values());
   ExpectBitIdenticalScores(g, compiled, **plan_or);
+  std::remove(path.c_str());
+}
+
+// --- legacy plan-section read-compatibility --------------------------------
+
+/// The plan_v1 fixture was written by a binary that laid plans out per
+/// star (section magic CSPMPLN3, version 1): one model "planv1" with its
+/// graph snapshot, its plan section at the first extent.
+std::string CopyPlanV1Fixture(const std::string& name) {
+  return CopyFixture("plan_v1_store.cspm", name);
+}
+
+/// Bitwise (memcmp) equality of two score vectors.
+bool SameBits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+/// Scores every vertex of `g` through `served` and through a fresh
+/// compile of `model`, bitwise.
+void ExpectServesLikeFreshCompile(const graph::AttributedGraph& g,
+                                  const core::CspmModel& model,
+                                  const core::ScoringPlan& served) {
+  const core::ScoringPlan compiled =
+      core::ScoringPlan::Compile(model, g.num_attribute_values());
+  std::vector<graph::AttrId> neighbourhood;
+  for (graph::VertexId v(0); v < g.num_vertices(); ++v) {
+    core::GatherNeighbourhoodAttrs(g, v, &neighbourhood);
+    const core::AttributeScores a = served.Score(neighbourhood);
+    const core::AttributeScores b = compiled.Score(neighbourhood);
+    ASSERT_TRUE(SameBits(a.raw, b.raw)) << "raw, vertex " << v.value();
+    ASSERT_TRUE(SameBits(a.normalized, b.normalized))
+        << "normalized, vertex " << v.value();
+  }
+}
+
+TEST(PlanV1Compat, OpensThroughCompileFallbackAndServesBitIdentically) {
+  const std::string path = CopyPlanV1Fixture("plan_v1_read.cspm");
+  {
+    // The fixture really holds a version-1 section.
+    std::ifstream in(path, std::ios::binary);
+    std::string header(12, '\0');
+    in.seekg(4096);
+    in.read(header.data(), 12);
+    ASSERT_TRUE(in.good());
+    EXPECT_EQ(header.compare(0, 8, store::kPlanSectionMagic), 0);
+    EXPECT_EQ(GetU32(header.data() + 8), 1u);
+  }
+  auto store = ModelStore::Open(path);
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  ASSERT_TRUE(store->Contains("planv1"));
+  EXPECT_GT(store->List()[0].plan_bytes, 0u);
+  // Legacy is not corrupt: the audit passes.
+  const Status fsck = store->Fsck();
+  EXPECT_TRUE(fsck.ok()) << fsck.ToString();
+
+  // The direct open treats the old section as absent...
+  auto direct = store->OpenPlan("planv1");
+  ASSERT_FALSE(direct.ok());
+  EXPECT_EQ(direct.status().code(), StatusCode::kNotFound);
+  EXPECT_NE(direct.status().message().find("legacy plan section"),
+            std::string::npos)
+      << direct.status().ToString();
+  // ...and the registry falls back to decode + compile.
+  engine::ModelRegistry registry;
+  auto fallback = registry.OpenPlan(*store, "planv1");
+  ASSERT_TRUE(fallback.ok()) << fallback.status().ToString();
+  EXPECT_FALSE((*fallback)->is_view());
+
+  auto stored = store->Get("planv1");
+  ASSERT_TRUE(stored.ok());
+  ASSERT_TRUE(stored->graph.has_value());
+  ExpectServesLikeFreshCompile(*stored->graph, stored->model, **fallback);
+  std::remove(path.c_str());
+}
+
+TEST(PlanV1Compat, RePutWritesCurrentSectionOpenedAsMmapView) {
+  const std::string path = CopyPlanV1Fixture("plan_v1_upgrade.cspm");
+  StoredModel stored = [&] {
+    auto store = ModelStore::Open(path);
+    CSPM_CHECK(store.ok());
+    auto record = store->Get("planv1");
+    CSPM_CHECK(record.ok());
+    CSPM_CHECK(store->Put("planv1", *record).ok());
+    return *std::move(record);
+  }();
+
+  auto upgraded = ModelStore::Open(path);
+  ASSERT_TRUE(upgraded.ok()) << upgraded.status().ToString();
+  const Status fsck = upgraded->Fsck();
+  EXPECT_TRUE(fsck.ok()) << fsck.ToString();
+  auto plan_or = upgraded->OpenPlan("planv1");
+  ASSERT_TRUE(plan_or.ok()) << plan_or.status().ToString();
+  EXPECT_TRUE((*plan_or)->is_view());
+  ASSERT_TRUE(stored.graph.has_value());
+  ExpectServesLikeFreshCompile(*stored.graph, stored.model, **plan_or);
   std::remove(path.c_str());
 }
 

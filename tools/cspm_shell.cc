@@ -567,7 +567,7 @@ Status CmdStats(Shell& sh, const std::vector<std::string>& args) {
         static_cast<unsigned long long>(s.final_leafsets),
         static_cast<unsigned long long>(s.initial_lines),
         static_cast<unsigned long long>(s.final_lines), s.runtime_seconds);
-    // Resident plan footprint of the current model: bytes the plan's six
+    // Resident plan footprint of the current model: bytes the plan's
     // slabs occupy, and whether they are an mmap view of the store file
     // (zero-copy) or a heap compile.
     const auto& plan = sh.current->plan;
@@ -601,9 +601,12 @@ Status CmdStats(Shell& sh, const std::vector<std::string>& args) {
               static_cast<unsigned long long>(s.final_lines));
   std::printf("  runtime     %.3fs\n", s.runtime_seconds);
   if (sh.current->plan != nullptr) {
-    std::printf("  plan        %zu bytes resident (%s)\n",
-                sh.current->plan->ApproxBytes(),
-                sh.current->plan->is_view() ? "mmap view" : "compiled");
+    const core::ScoringPlan& plan = *sh.current->plan;
+    std::printf("  plan        %zu bytes resident (%s)\n", plan.ApproxBytes(),
+                plan.is_view() ? "mmap view" : "compiled");
+    std::printf("  postings    %zu singleton, %zu multi-leaf over %zu units\n",
+                plan.slabs().singleton_cores.size(),
+                plan.slabs().multi_units.size(), plan.num_units());
   }
   return Status::OK();
 }
