@@ -1,35 +1,23 @@
-// Live-update benchmark: the delta engine vs cold rebuilds across update
-// ratios on the n=8000 pokec stand-in (CSPM_BENCH_UPDATE_VERTICES
-// overrides). Update ratio is expressed in edge rewires; one op dirties
-// two vertices, so 4 / 40 / 200 ops = 0.1% / 1% / 5% dirty vertices.
+// Live-update benchmark: end-to-end MiningSession::ApplyUpdates against
+// a cold re-mine of the mutated graph on the n=8000 pokec stand-in
+// (CSPM_BENCH_UPDATE_VERTICES overrides). Update ratio is expressed in
+// edge rewires; one op dirties two vertices, so 4 / 40 ops = 0.1% / 1%
+// dirty vertices.
 //
-// Two layers are measured:
-//
-//  - BM_DeltaApply/<ops> vs BM_FullRebuild: the data-structure delta path
-//    (transactional CSR graph patch + InvertedDatabase::ApplyDelta over
-//    the dirty vertices only) against the cold equivalent (rebuild the
-//    graph from scratch, 3-pass FromGraph). This is the Fig. 5 update
-//    story at the storage layer and the ratio the CI gate holds to >= 5x
-//    at <= 1% dirty vertices.
-//
-//  - BM_WarmRemine/<ops> (exact) and BM_FastRemine/<ops> vs
-//    BM_ColdRemine/<ops>: end-to-end MiningSession::ApplyUpdates against
-//    a cold session re-mine of the mutated graph. The exact mode must
-//    stay bit-identical to cold: it re-sweeps every seed pair and replays
-//    the merge loop, saving only the database build — honest numbers:
-//    ~1.0x (see DESIGN.md §9). The fast mode continues from the final
-//    mined model (patch the merged database, undo flipped merges,
-//    re-evaluate only pairs of stale leafsets), trading bit-identity for
-//    a DL-within-ε contract — this is the ratio the CI gate holds to
-//    >= 5x at 1% dirty, alongside the dl_ratio_vs_cold quality counter it
-//    holds to <= 1.01.
+//  - BM_WarmRemine/<ops> (kExact) splices the graph and mines it cold, so
+//    it is bit-identical to BM_ColdRemine by construction and runs at
+//    about the cold time (DESIGN.md §9); it is reported, not gated.
+//  - BM_FastRemine/<ops> continues from the final mined model (patch the
+//    merged database, undo flipped merges, re-evaluate only pairs of
+//    stale leafsets), trading bit-identity for a DL-within-ε contract —
+//    this is the ratio the CI gate holds to >= 5x at 1% dirty, alongside
+//    the dl_ratio_vs_cold quality counter it holds to <= 1.01.
 #include <benchmark/benchmark.h>
 
 #include <cstdlib>
 #include <utility>
 
 #include "bench_common.h"
-#include "cspm/inverted_database.h"
 #include "engine/session.h"
 #include "graph/graph_delta.h"
 #include "util/check.h"
@@ -56,76 +44,18 @@ graph::GraphDelta MakeEdgeDelta(const graph::AttributedGraph& g, uint32_t ops,
 
 struct UpdateFixture {
   graph::AttributedGraph base;
-  core::InvertedDatabase initial_db;
 
   static const UpdateFixture& Get() {
     static UpdateFixture* fixture = [] {
-      // Leaky singleton: benches share one mined fixture and never
+      // Leaky singleton: benches share one fixture graph and never
       // destroy it (destruction order vs static bench registration).
       auto* f = new UpdateFixture();  // lint:allow naked-new
       f->base = datasets::MakePokecLike(1, UpdateBenchVertices()).value();
-      f->initial_db = core::InvertedDatabase::FromGraph(f->base).value();
       return f;
     }();
     return *fixture;
   }
 };
-
-/// Delta path: transactional graph patch + inverted-database patch over
-/// the dirty vertices only.
-void BM_DeltaApply(benchmark::State& state) {
-  const UpdateFixture& f = UpdateFixture::Get();
-  const auto ops = static_cast<uint32_t>(state.range(0));
-  const graph::GraphDelta delta = MakeEdgeDelta(f.base, ops, 1234 + ops);
-  size_t dirty_vertices = 0;
-  for (auto _ : state) {
-    state.PauseTiming();
-    core::InvertedDatabase idb = f.initial_db.Clone();
-    state.ResumeTiming();
-    auto applied = graph::ApplyDelta(f.base, delta);
-    CSPM_CHECK(applied.ok());
-    core::DeltaPatchStats patch;
-    CSPM_CHECK(idb.ApplyDelta(f.base, applied->graph,
-                              applied->dirty_vertices, &patch)
-                   .ok());
-    dirty_vertices = applied->dirty_vertices.size();
-    benchmark::DoNotOptimize(idb.num_lines());
-  }
-  state.counters["dirty_vertices"] = static_cast<double>(dirty_vertices);
-}
-BENCHMARK(BM_DeltaApply)->Arg(4)->Arg(40)->Arg(200)
-    ->Unit(benchmark::kMillisecond)->UseRealTime();
-
-/// Cold equivalent of the delta path: rebuild the CSR graph from scratch
-/// and run the 3-pass inverted-database construction.
-void BM_FullRebuild(benchmark::State& state) {
-  const UpdateFixture& f = UpdateFixture::Get();
-  // The mutated graph's raw data, as a loader would re-read it.
-  const graph::GraphDelta delta = MakeEdgeDelta(f.base, 40, 1234 + 40);
-  const graph::AttributedGraph mutated =
-      std::move(graph::ApplyDelta(f.base, delta).value().graph);
-  for (auto _ : state) {
-    graph::GraphBuilder builder;
-    for (graph::AttrId a(0); a.index() < mutated.num_attribute_values(); ++a) {
-      builder.InternAttribute(mutated.dict().Name(a));
-    }
-    for (graph::VertexId v(0); v < mutated.num_vertices(); ++v) {
-      auto attrs = mutated.Attributes(v);
-      builder.AddVertexWithIds({attrs.begin(), attrs.end()});
-    }
-    for (graph::VertexId v(0); v < mutated.num_vertices(); ++v) {
-      for (graph::VertexId w : mutated.Neighbors(v)) {
-        if (v < w) CSPM_CHECK(builder.AddEdge(v, w).ok());
-      }
-    }
-    auto rebuilt = std::move(builder).Build();
-    CSPM_CHECK(rebuilt.ok());
-    auto idb = core::InvertedDatabase::FromGraph(*rebuilt);
-    CSPM_CHECK(idb.ok());
-    benchmark::DoNotOptimize(idb->num_lines());
-  }
-}
-BENCHMARK(BM_FullRebuild)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 engine::MiningOptions UpdateMiningOptions() {
   engine::MiningOptions opts;
@@ -134,7 +64,7 @@ engine::MiningOptions UpdateMiningOptions() {
   return opts;
 }
 
-/// End-to-end incremental update: ApplyUpdates on a warm session.
+/// End-to-end exact update: ApplyUpdates(kExact) on a live session.
 void BM_WarmRemine(benchmark::State& state) {
   const UpdateFixture& f = UpdateFixture::Get();
   const auto ops = static_cast<uint32_t>(state.range(0));
@@ -150,14 +80,13 @@ void BM_WarmRemine(benchmark::State& state) {
     CSPM_CHECK(session.ApplyUpdates(delta, &stats).ok());
     benchmark::DoNotOptimize(session.stats().final_dl_bits);
   }
-  CSPM_CHECK(stats.warm_path);
-  state.counters["reseeded"] = static_cast<double>(stats.reseeded_pairs);
+  CSPM_CHECK(!stats.fast_path);
 }
 BENCHMARK(BM_WarmRemine)->Arg(4)->Arg(40)
     ->Unit(benchmark::kMillisecond)->UseRealTime();
 
 /// End-to-end continue-from-final-model update: ApplyUpdates(kFast) on a
-/// warm session. The dl_ratio_vs_cold counter is the quality side of the
+/// live session. The dl_ratio_vs_cold counter is the quality side of the
 /// fast contract (fast model DL / cold model DL on the same mutated
 /// graph); splits and seeded expose what the repair actually did.
 void BM_FastRemine(benchmark::State& state) {
@@ -196,7 +125,7 @@ BENCHMARK(BM_FastRemine)->Arg(4)->Arg(40)
     ->Unit(benchmark::kMillisecond)->UseRealTime();
 
 /// Cold counterpart: re-mine the mutated graph from scratch (same options,
-/// so the warm path above is bit-identical to this model).
+/// so the exact path above is bit-identical to this model).
 void BM_ColdRemine(benchmark::State& state) {
   const UpdateFixture& f = UpdateFixture::Get();
   const auto ops = static_cast<uint32_t>(state.range(0));

@@ -10,19 +10,15 @@ the consolidated BENCH_PR.json artifact, and exits non-zero when:
     run on the same machine, so runner-speed differences cancel; the
     absolute vertices/s are reported alongside for humans.
 
-  * the delta-apply path (transactional graph patch + inverted-database
-    patch) is less than baseline `min_delta_apply_speedup` (5x) faster
-    than a full rebuild at <= 1% dirty vertices.
-
-  * the fast (continue-from-final-model) warm re-mine is less than
+  * the fast (continue-from-final-model) re-mine is less than
     baseline `min_warm_remine_speedup` (5x) faster end-to-end than a
     cold re-mine at 1% dirty vertices, or its model quality slips: the
     dl_ratio_vs_cold counter (fast model DL / cold model DL on the same
     mutated graph) exceeds `max_fast_dl_ratio` (1.01, the DL-epsilon
     contract). Both sides of the speedup come from one run on one
-    machine, so runner speed cancels; the exact-mode warm ratio is
-    reported alongside but not gated (bit-identity bounds it, see
-    DESIGN.md section 9).
+    machine, so runner speed cancels; the exact-mode ratio is reported
+    alongside but not gated (exact updates re-mine cold, see DESIGN.md
+    section 9).
 
   * (with --obs) the observability instrumentation costs more than
     baseline `max_obs_overhead` on the serving hot path: bench_obs runs
@@ -107,30 +103,19 @@ def main():
     legacy_per_sec = legacy["items_per_second"]
     plan_vs_legacy = plan_per_sec / legacy_per_sec
 
-    apply_0p1 = require(updates, "BM_DeltaApply/4/real_time")
-    apply_1 = require(updates, "BM_DeltaApply/40/real_time")
-    rebuild = require(updates, "BM_FullRebuild/real_time")
-    # real_time is in the benchmark's own unit (ms for these benches).
-    delta_apply_speedup = rebuild["real_time"] / apply_1["real_time"]
-
     report = {
         "serving_vertices_per_sec": round(plan_per_sec, 1),
         "legacy_vertices_per_sec": round(legacy_per_sec, 1),
         "plan_vs_legacy": round(plan_vs_legacy, 3),
-        "delta_apply_ms_0p1pct_dirty": round(apply_0p1["real_time"], 3),
-        "delta_apply_ms_1pct_dirty": round(apply_1["real_time"], 3),
-        "full_rebuild_ms": round(rebuild["real_time"], 3),
-        "delta_apply_speedup_1pct_dirty": round(delta_apply_speedup, 2),
         "baseline_plan_vs_legacy": baseline["plan_vs_legacy"],
-        "min_delta_apply_speedup": baseline["min_delta_apply_speedup"],
         "min_warm_remine_speedup": baseline["min_warm_remine_speedup"],
         "max_fast_dl_ratio": baseline["max_fast_dl_ratio"],
         "max_serving_regression": args.max_serving_regression,
     }
     # End-to-end re-mine ratios, both modes, vs one cold re-mine of the
-    # same mutated graph. The exact-mode ratio is reported but not gated
-    # (bit-identity bounds the achievable win on co-occurrence-dense
-    # graphs, see DESIGN.md section 9); the fast-mode ratio and its DL
+    # same mutated graph (real_time is in ms for these benches). The
+    # exact-mode ratio is reported but not gated (exact updates re-mine
+    # cold, see DESIGN.md section 9); the fast-mode ratio and its DL
     # quality counter are gated below.
     for ops, label in ((4, "0p1pct"), (40, "1pct")):
         cold = updates.get(f"BM_ColdRemine/{ops}/real_time")
@@ -160,11 +145,6 @@ def main():
             f"{plan_vs_legacy:.2f}x is below {floor:.2f}x "
             f"(baseline {baseline['plan_vs_legacy']:.2f}x minus "
             f"{args.max_serving_regression:.0%} tolerance)")
-    if delta_apply_speedup < baseline["min_delta_apply_speedup"]:
-        failures.append(
-            f"delta-apply speedup {delta_apply_speedup:.1f}x at 1% dirty "
-            f"vertices is below the required "
-            f"{baseline['min_delta_apply_speedup']:.1f}x")
     if args.obs:
         obs = load_benchmarks(args.obs)
         obs_on = require(obs, "BM_ScoreBatchObsOn/real_time")
@@ -251,12 +231,12 @@ def main():
     fast_dl_ratio = fast_1["dl_ratio_vs_cold"]
     if fast_speedup < baseline["min_warm_remine_speedup"]:
         failures.append(
-            f"fast warm re-mine speedup {fast_speedup:.1f}x at 1% dirty "
+            f"fast re-mine speedup {fast_speedup:.1f}x at 1% dirty "
             f"vertices is below the required "
             f"{baseline['min_warm_remine_speedup']:.1f}x")
     if fast_dl_ratio > baseline["max_fast_dl_ratio"]:
         failures.append(
-            f"fast warm re-mine DL ratio vs cold {fast_dl_ratio:.4f} at 1% "
+            f"fast re-mine DL ratio vs cold {fast_dl_ratio:.4f} at 1% "
             f"dirty vertices exceeds the allowed "
             f"{baseline['max_fast_dl_ratio']:.4f} (DL-epsilon contract)")
     report["failures"] = failures

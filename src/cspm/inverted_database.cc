@@ -25,7 +25,7 @@ void IntersectInto(PosListView a, PosListView b, PosList* out) {
 }
 
 /// Distinct sorted attribute values over the neighbours of v — the leaf
-/// values v contributes lines for. Shared by the two delta patches.
+/// values v contributes lines for.
 void GatherDistinctNeighbourAttrs(const graph::AttributedGraph& g, VertexId v,
                                   std::vector<AttrId>* out) {
   // One definition of "neighbourhood" across the library (scoring_plan),
@@ -229,209 +229,6 @@ StatusOr<InvertedDatabase> InvertedDatabase::FromGraphWithCoresets(
   return idb;
 }
 
-InvertedDatabase InvertedDatabase::Clone() const {
-  InvertedDatabase c;
-  c.leafsets_ = leafsets_;
-  c.coreset_values_ = coreset_values_;
-  c.coreset_freq_ = coreset_freq_;
-  c.total_coreset_freq_ = total_coreset_freq_;
-  c.core_line_total_ = core_line_total_;
-  c.vertex_coresets_ = vertex_coresets_;
-  c.active_leafsets_ = active_leafsets_;
-  c.num_lines_ = num_lines_;
-  c.lines_of_.resize(lines_of_.size());
-  for (size_t l = 0; l < lines_of_.size(); ++l) {
-    const LeafsetLines& src = lines_of_[l];
-    LeafsetLines& dst = c.lines_of_[l];
-    dst.cores = src.cores;
-    dst.refs.reserve(src.refs.size());
-    for (util::PosListPool::Ref ref : src.refs) {
-      dst.refs.push_back(c.pool_.Allocate(pool_.View(ref)));
-    }
-  }
-  return c;
-}
-
-Status InvertedDatabase::ApplyDelta(const graph::AttributedGraph& old_graph,
-                                    const graph::AttributedGraph& new_graph,
-                                    std::span<const VertexId> dirty_vertices,
-                                    DeltaPatchStats* stats) {
-  // Pre-merge single-value-coreset state only: one singleton leafset and
-  // one singleton coreset per attribute value, ids coinciding.
-  if (leafsets_.size() != coreset_values_.size()) {
-    return Status::FailedPrecondition(
-        "ApplyDelta needs the pre-merge database (leafsets were merged)");
-  }
-  for (CoreId c(0); c.index() < coreset_values_.size(); ++c) {
-    if (coreset_values_[c.index()].size() != 1 ||
-        coreset_values_[c.index()][0].value() != c.value()) {
-      return Status::FailedPrecondition(
-          "ApplyDelta needs a single-value-coreset database");
-    }
-  }
-  const VertexId n_old = old_graph.num_vertices();
-  const VertexId n_new = new_graph.num_vertices();
-  if (n_new < n_old || vertex_coresets_.size() != n_old.index()) {
-    return Status::InvalidArgument(
-        "ApplyDelta: graphs do not bracket this database");
-  }
-
-  // Append singleton coresets + leafsets for attribute values new to the
-  // patched graph, in id order (keeps leafset id == attr id).
-  const size_t num_attrs_new = new_graph.num_attribute_values();
-  for (AttrId a(static_cast<uint32_t>(coreset_values_.size()));
-       a.index() < num_attrs_new; ++a) {
-    coreset_values_.push_back({a});
-    coreset_freq_.push_back(0);
-    core_line_total_.push_back(0);
-    const LeafsetId l = leafsets_.Intern({a});
-    CSPM_CHECK(l.value() == a.value());
-  }
-  lines_of_.resize(num_attrs_new);
-  vertex_coresets_.resize(n_new.index());
-
-  std::vector<char> core_dirty(num_attrs_new, 0);
-  std::vector<char> leafset_touched(num_attrs_new, 0);
-  PosList scratch;
-
-  // Removes u from line (c, y); the line must hold it.
-  auto remove_position = [&](CoreId c, LeafsetId y, VertexId u) {
-    LeafsetLines& lines = lines_of_[y.index()];
-    const size_t i = LowerBoundCore(lines, c);
-    CSPM_CHECK(i < lines.cores.size() && lines.cores[i] == c);
-    PosListView view = pool_.View(lines.refs[i]);
-    if (view.size() == 1) {
-      CSPM_CHECK(view[0] == u);
-      EraseLineAt(y, i);
-    } else {
-      scratch.clear();
-      auto it = std::lower_bound(view.begin(), view.end(), u);
-      CSPM_CHECK(it != view.end() && *it == u);
-      scratch.insert(scratch.end(), view.begin(), it);
-      scratch.insert(scratch.end(), it + 1, view.end());
-      pool_.Assign(lines.refs[i], scratch);
-    }
-    --core_line_total_[c.index()];
-    core_dirty[c.index()] = 1;
-    leafset_touched[y.index()] = 1;
-    ++stats->positions_removed;
-  };
-  // Adds u to line (c, y), creating the line if needed.
-  auto insert_position = [&](CoreId c, LeafsetId y, VertexId u) {
-    LeafsetLines& lines = lines_of_[y.index()];
-    const size_t i = LowerBoundCore(lines, c);
-    if (i == lines.cores.size() || lines.cores[i] != c) {
-      if (lines.cores.empty()) ActivateLeafset(y);
-      lines.cores.insert(lines.cores.begin() + i, c);
-      const VertexId one[] = {u};
-      lines.refs.insert(lines.refs.begin() + i, pool_.Allocate(one));
-      ++num_lines_;
-    } else {
-      PosListView view = pool_.View(lines.refs[i]);
-      auto it = std::lower_bound(view.begin(), view.end(), u);
-      CSPM_CHECK(it == view.end() || *it != u);
-      scratch.clear();
-      scratch.insert(scratch.end(), view.begin(), it);
-      scratch.push_back(u);
-      scratch.insert(scratch.end(), it, view.end());
-      pool_.Assign(lines.refs[i], scratch);
-    }
-    ++core_line_total_[c.index()];
-    core_dirty[c.index()] = 1;
-    leafset_touched[y.index()] = 1;
-    ++stats->positions_added;
-  };
-
-  std::vector<AttrId> nbr_old;
-  std::vector<AttrId> nbr_new;
-  std::vector<CoreId> cores_new;
-  for (VertexId u : dirty_vertices) {
-    if (u >= n_new) {
-      return Status::InvalidArgument("ApplyDelta: dirty vertex out of range");
-    }
-    // Old contribution comes from this database's own coreset assignment
-    // and the old graph; the new one from the patched graph (single-core
-    // mode: coresets == own attributes).
-    const std::vector<CoreId>& cores_old = vertex_coresets_[u.index()];
-    if (u < n_old) {
-      GatherDistinctNeighbourAttrs(old_graph, u, &nbr_old);
-    } else {
-      nbr_old.clear();
-    }
-    GatherDistinctNeighbourAttrs(new_graph, u, &nbr_new);
-    cores_new.clear();
-    for (AttrId a : new_graph.Attributes(u)) {
-      cores_new.push_back(CoreId(a.value()));
-    }
-
-    // Per leaf value y, diff the contributing core sets.
-    size_t oi = 0;
-    size_t ni = 0;
-    auto patch_leaf = [&](AttrId y_attr, bool in_old, bool in_new) {
-      const LeafsetId y(y_attr.value());
-      size_t a = 0;
-      size_t b = 0;
-      const size_t na = in_old ? cores_old.size() : 0;
-      const size_t nb = in_new ? cores_new.size() : 0;
-      while (a < na || b < nb) {
-        if (b >= nb || (a < na && cores_old[a] < cores_new[b])) {
-          remove_position(cores_old[a], y, u);
-          ++a;
-        } else if (a >= na || cores_new[b] < cores_old[a]) {
-          insert_position(cores_new[b], y, u);
-          ++b;
-        } else {
-          ++a;
-          ++b;
-        }
-      }
-    };
-    while (oi < nbr_old.size() || ni < nbr_new.size()) {
-      if (ni >= nbr_new.size() ||
-          (oi < nbr_old.size() && nbr_old[oi] < nbr_new[ni])) {
-        patch_leaf(nbr_old[oi], /*in_old=*/true, /*in_new=*/false);
-        ++oi;
-      } else if (oi >= nbr_old.size() || nbr_new[ni] < nbr_old[oi]) {
-        patch_leaf(nbr_new[ni], /*in_old=*/false, /*in_new=*/true);
-        ++ni;
-      } else {
-        patch_leaf(nbr_old[oi], /*in_old=*/true, /*in_new=*/true);
-        ++oi;
-        ++ni;
-      }
-    }
-
-    // Static coreset frequencies follow the vertex's own attribute set.
-    size_t a = 0;
-    size_t b = 0;
-    while (a < cores_old.size() || b < cores_new.size()) {
-      if (b >= cores_new.size() ||
-          (a < cores_old.size() && cores_old[a] < cores_new[b])) {
-        --coreset_freq_[cores_old[a].index()];
-        --total_coreset_freq_;
-        ++a;
-      } else if (a >= cores_old.size() || cores_new[b] < cores_old[a]) {
-        ++coreset_freq_[cores_new[b].index()];
-        ++total_coreset_freq_;
-        ++b;
-      } else {
-        ++a;
-        ++b;
-      }
-    }
-    vertex_coresets_[u.index()] = cores_new;
-  }
-
-  for (CoreId c(0); c.index() < num_attrs_new; ++c) {
-    if (core_dirty[c.index()]) stats->dirty_cores.push_back(c);
-  }
-  for (LeafsetId l(0); l.index() < num_attrs_new; ++l) {
-    if (leafset_touched[l.index()]) stats->touched_leafsets.push_back(l);
-  }
-  CSPM_DCHECK_OK(CheckInvariants(*this));
-  return Status::OK();
-}
-
 Status InvertedDatabase::ApplyDeltaMerged(
     const graph::AttributedGraph& old_graph,
     const graph::AttributedGraph& new_graph,
@@ -454,9 +251,9 @@ Status InvertedDatabase::ApplyDeltaMerged(
   }
 
   // Append singleton coresets for attribute values new to the patched
-  // graph. Unlike the pre-merge patch, no leafset is interned here — the
-  // greedy re-cover interns singletons lazily, and in a merged registry
-  // their ids need not coincide with attribute ids.
+  // graph. No leafset is interned here: the greedy re-cover interns
+  // singletons lazily, and in a merged registry their ids need not
+  // coincide with attribute ids.
   const size_t num_attrs_new = new_graph.num_attribute_values();
   for (AttrId a(static_cast<uint32_t>(coreset_values_.size()));
        a.index() < num_attrs_new; ++a) {

@@ -28,7 +28,7 @@
 
 namespace cspm::core {
 
-/// What an ApplyDelta patch touched — the facts the incremental re-seed
+/// What an ApplyDeltaMerged patch touched — the facts the fast re-seed
 /// consumes (DESIGN.md §9). A core is dirty when any line under it was
 /// created, erased, or resized (its f_e and/or line composition moved);
 /// a leafset is touched when one of its own lines changed.
@@ -36,9 +36,8 @@ struct DeltaPatchStats {
   std::vector<CoreId> dirty_cores;          ///< sorted, deduplicated
   std::vector<LeafsetId> touched_leafsets;  ///< sorted, deduplicated
   /// Parallel to touched_leafsets: how many of that leafset's positions
-  /// the patch moved (adds + removes). Filled by ApplyDeltaMerged only
-  /// (the fast re-mine scales a leafset's staleness by it); ApplyDelta
-  /// leaves it empty.
+  /// the patch moved (adds + removes); the fast re-mine scales a
+  /// leafset's staleness by it.
   std::vector<uint32_t> touched_position_moves;
   uint64_t positions_added = 0;
   uint64_t positions_removed = 0;
@@ -85,18 +84,12 @@ class InvertedDatabase {
       std::vector<std::vector<AttrId>> coreset_values,
       const std::vector<std::vector<CoreId>>& vertex_coresets);
 
-  /// An empty database (no coresets, no lines) — the value-member /
-  /// WarmState default before a FromGraph result or Clone is assigned in.
+  /// An empty database (no coresets, no lines) — the value-member
+  /// default before a FromGraph result is assigned in.
   InvertedDatabase() = default;
 
   InvertedDatabase(InvertedDatabase&&) = default;
   InvertedDatabase& operator=(InvertedDatabase&&) = default;
-
-  /// Deep copy (position lists re-pooled; pool refs differ, views are
-  /// equal). The warm-start machinery clones the pre-merge database so
-  /// the search can mutate one copy while the pristine one is kept for
-  /// the next incremental update.
-  InvertedDatabase Clone() const;
 
   // --- structure access ---------------------------------------------------
 
@@ -195,21 +188,6 @@ class InvertedDatabase {
   /// (e, x ∪ y) and shrinks the x / y lines by I. Updates f_e totals and
   /// active-leafset bookkeeping.
   MergeOutcome MergeLeafsets(LeafsetId x, LeafsetId y);
-
-  /// Patches this database from `old_graph` to `new_graph`, recomputing
-  /// line membership only for `dirty_vertices` (the set reported by
-  /// graph::ApplyDelta) instead of the 3-pass full rebuild. The result is
-  /// observably identical to FromGraph(new_graph): same lines, positions,
-  /// f_e totals and active leafsets.
-  ///
-  /// Only valid on a single-value-coreset database in its initial
-  /// (pre-merge) state — every leafset a singleton. New attribute values
-  /// of `new_graph` get their singleton coresets and leafsets appended in
-  /// id order, preserving the leafset-id == attr-id correspondence.
-  Status ApplyDelta(const graph::AttributedGraph& old_graph,
-                    const graph::AttributedGraph& new_graph,
-                    std::span<const VertexId> dirty_vertices,
-                    DeltaPatchStats* stats);
 
   /// Patches a *merged* single-value-coreset database (the final state of
   /// a mine) from `old_graph` to `new_graph`. Merges only ever touch

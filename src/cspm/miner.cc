@@ -379,38 +379,9 @@ StatusOr<CspmModel> CspmMiner::Mine(const graph::AttributedGraph& g) const {
   return std::move(artifacts.model);
 }
 
-StatusOr<CspmMiner::MineArtifacts> CspmMiner::MineWithArtifacts(
-    const graph::AttributedGraph& g) const {
-  return MineImpl(g, nullptr);
-}
-
-StatusOr<CspmMiner::MineArtifacts> CspmMiner::MineWithWarmState(
-    const graph::AttributedGraph& g, WarmState* warm) const {
-  if (options_.multi_value_coresets) {
-    return Status::FailedPrecondition(
-        "warm-start state needs single-value coresets (SLIM covers are "
-        "not incrementally maintainable)");
-  }
-  return MineImpl(g, warm);
-}
-
-StatusOr<CspmMiner::MineArtifacts> CspmMiner::ResumeWarm(
-    const graph::AttributedGraph& g, WarmState* warm,
-    uint64_t* reseed_computations) const {
-  if (options_.multi_value_coresets) {
-    return Status::FailedPrecondition(
-        "ResumeWarm needs single-value coresets");
-  }
-  WallTimer timer;
-  // The pristine patched database stays in `warm` for the next update;
-  // the search mutates a clone.
-  InvertedDatabase idb = warm->initial_db.Clone();
-  return SearchAndExtract(g, std::move(idb), warm, reseed_computations, timer);
-}
-
 StatusOr<CspmMiner::MineArtifacts> CspmMiner::ResumeFast(
-    const graph::AttributedGraph& g, WarmState* warm,
-    const DeltaPatchStats& patch, bool all_dirty, bool want_database,
+    const graph::AttributedGraph& g, InvertedDatabase final_db,
+    const DeltaPatchStats& patch, bool all_dirty,
     FastResumeStats* fast_stats) const {
   if (options_.multi_value_coresets) {
     return Status::FailedPrecondition(
@@ -421,15 +392,15 @@ StatusOr<CspmMiner::MineArtifacts> CspmMiner::ResumeFast(
         "ResumeFast needs the kPartial strategy (its convergence argument "
         "relies on the drained candidate store)");
   }
-  if (warm->final_db.num_coresets() == 0) {
+  if (final_db.num_coresets() == 0) {
     return Status::FailedPrecondition(
-        "ResumeFast needs a captured final-model database (mine warm first)");
+        "ResumeFast needs a mined final-model database");
   }
   WallTimer timer;
-  // Repaired in place: the post-search state IS the next update's warm
-  // final model, so no pristine copy is kept (that is what buys the
-  // fast path its speed; on error the caller discards the warm state).
-  InvertedDatabase& idb = warm->final_db;
+  // Repaired in place: the post-search state IS the next update's final
+  // model, so no pristine copy is kept (that is what buys the fast path
+  // its speed).
+  InvertedDatabase& idb = final_db;
   const CodeModel cm(g, idb);
 
   CspmModel model;
@@ -579,10 +550,7 @@ StatusOr<CspmMiner::MineArtifacts> CspmMiner::ResumeFast(
   ExtractAStars(options_, idb, cm, &model);
 
   model.stats.runtime_seconds = timer.ElapsedSeconds();
-  MineArtifacts artifacts;
-  artifacts.model = std::move(model);
-  if (want_database) artifacts.inverted_db = idb.Clone();
-  return artifacts;
+  return MineArtifacts{std::move(model), std::move(idb)};
 }
 
 StatusOr<InvertedDatabase> BuildInitialDatabase(
@@ -596,8 +564,8 @@ StatusOr<InvertedDatabase> BuildInitialDatabase(
       g, std::move(coreset_values), vertex_coresets);
 }
 
-StatusOr<CspmMiner::MineArtifacts> CspmMiner::MineImpl(
-    const graph::AttributedGraph& g, WarmState* warm) const {
+StatusOr<CspmMiner::MineArtifacts> CspmMiner::MineWithArtifacts(
+    const graph::AttributedGraph& g) const {
   WallTimer timer;
   obs::TraceSpan mine_span("mine");
   obs::GetCounter("mine.runs")->Add(1);
@@ -608,14 +576,6 @@ StatusOr<CspmMiner::MineArtifacts> CspmMiner::MineImpl(
   }();
   if (!idb_or.ok()) return idb_or.status();
   InvertedDatabase idb = std::move(idb_or).value();
-  if (warm != nullptr) warm->initial_db = idb.Clone();
-  return SearchAndExtract(g, std::move(idb), warm,
-                          /*reseed_computations=*/nullptr, timer);
-}
-
-StatusOr<CspmMiner::MineArtifacts> CspmMiner::SearchAndExtract(
-    const graph::AttributedGraph& g, InvertedDatabase idb, WarmState* warm,
-    uint64_t* reseed_computations, const WallTimer& timer) const {
   const CodeModel cm(g, idb);
 
   CspmModel model;
@@ -641,7 +601,6 @@ StatusOr<CspmMiner::MineArtifacts> CspmMiner::SearchAndExtract(
       obs::TraceSpan candidate_gen_span("candidate_gen");
       return GenerateCandidates(ctx, &store, &rdict);
     }();
-    if (reseed_computations != nullptr) *reseed_computations = computations;
     RecordIteration(ctx, /*iteration=*/0, computations, possible,
                     /*accepted_gain=*/0.0);
     RunPartialLoop(ctx, store, rdict);
@@ -650,9 +609,6 @@ StatusOr<CspmMiner::MineArtifacts> CspmMiner::SearchAndExtract(
   model.stats.final_dl_bits = cm.TotalDescriptionLengthBits(idb);
   model.stats.final_leafsets = idb.num_active_leafsets();
   model.stats.final_lines = idb.num_lines();
-
-  // The post-merge database is the fast re-mine's starting point.
-  if (warm != nullptr) warm->final_db = idb.Clone();
 
   ExtractAStars(options_, idb, cm, &model);
 

@@ -12,23 +12,8 @@
 #include "cspm/model.h"
 #include "itemset/slim.h"
 #include "util/status.h"
-#include "util/timer.h"
 
 namespace cspm::core {
-
-/// Warm-start state captured by MineWithWarmState and consumed (and
-/// refreshed) by the resume paths. After a graph delta, patch
-/// `initial_db` with InvertedDatabase::ApplyDelta and hand the state to
-/// ResumeWarm, or patch `final_db` with ApplyDeltaMerged and hand it to
-/// ResumeFast.
-struct WarmState {
-  /// The pristine pre-merge inverted database of the last exact mine.
-  InvertedDatabase initial_db;
-  /// The *final* (post-merge) inverted database of the last mine — the
-  /// starting point of the fast re-mine path. ResumeFast repairs it in
-  /// place (it stays current for the next fast update).
-  InvertedDatabase final_db;
-};
 
 /// What the fast resume did beyond the ordinary merge loop.
 struct FastResumeStats {
@@ -96,8 +81,9 @@ class CspmMiner {
   /// Mines a model. The graph must outlive the call (not the result).
   StatusOr<CspmModel> Mine(const graph::AttributedGraph& g) const;
 
-  /// Mines and also exposes the final inverted database + code model
-  /// (used by tests and the losslessness verifier).
+  /// Mines and also exposes the final inverted database (the
+  /// losslessness verifier's input and the fast re-mine's starting
+  /// point).
   struct MineArtifacts {
     CspmModel model;
     InvertedDatabase inverted_db;
@@ -105,56 +91,30 @@ class CspmMiner {
   StatusOr<MineArtifacts> MineWithArtifacts(
       const graph::AttributedGraph& g) const;
 
-  /// Mines like MineWithArtifacts and additionally captures warm-start
-  /// state for later incremental re-mines. Single-value coresets only
-  /// (SLIM covers are not incrementally maintainable).
-  StatusOr<MineArtifacts> MineWithWarmState(const graph::AttributedGraph& g,
-                                            WarmState* warm) const;
-
-  /// Re-mines after `warm->initial_db` was patched to match `g`: the
-  /// search runs on a clone of it (the patched database stays in `warm`
-  /// for the next update) and re-sweeps every candidate pair, so the
-  /// model is bit-identical to a cold Mine(g) by construction; the patch
-  /// only saves the database build. `warm` is refreshed for the next
-  /// update; `reseed_computations` (may be null) receives the number of
-  /// pairs the seed sweep evaluated.
-  StatusOr<MineArtifacts> ResumeWarm(const graph::AttributedGraph& g,
-                                     WarmState* warm,
-                                     uint64_t* reseed_computations) const;
-
-  /// Continue-from-final-model re-mine (DESIGN.md §9): `warm->final_db`
-  /// must already be patched to `g` via ApplyDeltaMerged, whose
-  /// DeltaPatchStats is `patch`. Unmerges leafsets (under dirty cores)
-  /// whose global gain went negative under the delta (to a fixpoint),
-  /// then seeds the candidate store with repair-scope pairs — both
-  /// members stale, i.e. a meaningful share of their positions moved
-  /// (patch.touched_leafsets weighted by touched_position_moves) or the
-  /// unmerge pass fed them — and runs the ordinary partial merge loop.
-  /// Pairs with an up-to-date member are NOT re-evaluated even when a
-  /// shared core's totals drifted: those second-order shifts are exactly
-  /// what the DL-ε contract absorbs (anything broader degenerates into a
-  /// near-cold seed, because dirty cores are popular attributes). The
-  /// result is path-dependent: its description length tracks a cold mine
-  /// within a small ε but the model need not be bit-identical. The
-  /// database is repaired in place; on error it is left partially patched
-  /// and the caller must discard the warm state. `artifacts.inverted_db`
-  /// is only populated when `want_database` is set (the clone is pure
-  /// overhead otherwise). kPartial + single-value coresets only.
+  /// Continue-from-final-model re-mine (DESIGN.md §9): `final_db` is the
+  /// final database of the last mine or fast re-mine, already patched to
+  /// `g` via ApplyDeltaMerged, whose DeltaPatchStats is `patch`. Unmerges
+  /// leafsets (under dirty cores) whose global gain went negative under
+  /// the delta (to a fixpoint), then seeds the candidate store with
+  /// repair-scope pairs — both members stale, i.e. a meaningful share of
+  /// their positions moved (patch.touched_leafsets weighted by
+  /// touched_position_moves) or the unmerge pass fed them — and runs the
+  /// ordinary partial merge loop. Pairs with an up-to-date member are NOT
+  /// re-evaluated even when a shared core's totals drifted: those
+  /// second-order shifts are exactly what the DL-ε contract absorbs
+  /// (anything broader degenerates into a near-cold seed, because dirty
+  /// cores are popular attributes). The result is path-dependent: its
+  /// description length tracks a cold mine within a small ε but the model
+  /// need not be bit-identical. The database is repaired and returned as
+  /// `artifacts.inverted_db` — the next fast update's starting point; on
+  /// error it is discarded. kPartial + single-value coresets only.
   StatusOr<MineArtifacts> ResumeFast(const graph::AttributedGraph& g,
-                                     WarmState* warm,
+                                     InvertedDatabase final_db,
                                      const DeltaPatchStats& patch,
-                                     bool all_dirty, bool want_database,
+                                     bool all_dirty,
                                      FastResumeStats* fast_stats) const;
 
  private:
-  StatusOr<MineArtifacts> MineImpl(const graph::AttributedGraph& g,
-                                   WarmState* warm) const;
-  StatusOr<MineArtifacts> SearchAndExtract(const graph::AttributedGraph& g,
-                                           InvertedDatabase idb,
-                                           WarmState* warm,
-                                           uint64_t* reseed_computations,
-                                           const WallTimer& timer) const;
-
   CspmOptions options_;
 };
 

@@ -52,14 +52,10 @@ struct MiningSession::Impl {
   /// Compiled scoring plan of `model`; rebuilt whenever the model changes.
   /// Shared so ServingEngines and registry handles can outlive a re-mine.
   std::shared_ptr<const core::ScoringPlan> plan;
-  /// Final inverted database, kept only under options.keep_database.
+  /// Final inverted database of the last mine or fast re-mine, kept under
+  /// options.keep_database (VerifyLossless) and options.enable_updates
+  /// (the kFast starting point).
   std::optional<core::InvertedDatabase> database;
-  /// Warm-start state for ApplyUpdates, under options.enable_updates.
-  std::unique_ptr<core::WarmState> warm;
-  /// Set when a kFast update skipped patching warm->initial_db (the fast
-  /// path touches only final_db). The next kExact update rebuilds the
-  /// pristine initial database from the graph instead of patching it.
-  bool exact_warm_stale = false;
 
   /// Installs `m` as the current model and compiles its plan.
   void SetModel(CspmModel m) {
@@ -76,14 +72,16 @@ struct MiningSession::Impl {
     database.reset();
   }
 
-  bool wants_warm_state() const {
+  /// kFast needs the final database, which SLIM covers cannot patch.
+  bool supports_fast_updates() const {
     return options.enable_updates && !options.multi_value_coresets;
   }
 
-  /// Installs a full mining result (model + optional database artifacts).
+  /// Installs a full mining result, keeping its database when an option
+  /// asks for it.
   void SetArtifacts(core::CspmMiner::MineArtifacts artifacts) {
     SetModel(std::move(artifacts.model));
-    if (options.keep_database) {
+    if (options.keep_database || supports_fast_updates()) {
       database.emplace(std::move(artifacts.inverted_db));
     }
   }
@@ -116,27 +114,11 @@ StatusOr<MiningSession> MiningSession::Create(
 }
 
 Status MiningSession::Mine() {
-  core::CspmMiner miner(ToCoreOptions(impl_->options));
-  if (impl_->wants_warm_state()) {
-    if (impl_->warm == nullptr) {
-      impl_->warm = std::make_unique<core::WarmState>();
-    }
-    auto artifacts_or = miner.MineWithWarmState(*impl_->graph,
-                                                impl_->warm.get());
-    if (!artifacts_or.ok()) return artifacts_or.status();
-    impl_->exact_warm_stale = false;  // freshly captured from this graph
-    impl_->SetArtifacts(std::move(artifacts_or).value());
-  } else if (impl_->options.keep_database) {
-    impl_->warm.reset();
-    auto artifacts_or = miner.MineWithArtifacts(*impl_->graph);
-    if (!artifacts_or.ok()) return artifacts_or.status();
-    impl_->SetArtifacts(std::move(artifacts_or).value());
-  } else {
-    impl_->warm.reset();
-    auto model_or = miner.Mine(*impl_->graph);
-    if (!model_or.ok()) return model_or.status();
-    impl_->SetModel(std::move(model_or).value());
-  }
+  auto artifacts_or =
+      core::CspmMiner(ToCoreOptions(impl_->options))
+          .MineWithArtifacts(*impl_->graph);
+  if (!artifacts_or.ok()) return artifacts_or.status();
+  impl_->SetArtifacts(std::move(artifacts_or).value());
   return Status::OK();
 }
 
@@ -150,12 +132,6 @@ Status MiningSession::ApplyUpdates(const graph::GraphDelta& delta,
   WallTimer timer;
   obs::TraceSpan update_span("update");
   obs::GetCounter("update.deltas")->Add(1);
-  // DL delta per update: the drift signal the streaming ROADMAP item
-  // watches (encoded-length trajectory under live deltas).
-  const auto record_dl_delta = [](const UpdateStats& s) {
-    obs::GetGauge("mdl.last_update_dl_delta_bits")
-        ->Set(s.dl_after_bits - s.dl_before_bits);
-  };
   UpdateStats local;
   UpdateStats& out = stats != nullptr ? *stats : local;
   out = {};
@@ -175,117 +151,57 @@ Status MiningSession::ApplyUpdates(const graph::GraphDelta& delta,
   auto new_graph = std::make_shared<const graph::AttributedGraph>(
       std::move(applied.graph));
 
-  const bool warm = impl_->warm != nullptr && impl_->wants_warm_state();
-  if (!warm) {
-    // Cold fallback: swap the graph and re-mine from scratch. Serving
-    // engines built earlier hold the old shared graph + plan.
-    std::shared_ptr<const graph::AttributedGraph> old_graph = impl_->graph;
-    impl_->graph = std::move(new_graph);
-    Status mined = Mine();
-    if (!mined.ok()) {
-      impl_->graph = std::move(old_graph);
-      return mined;
-    }
-    out.dl_after_bits = impl_->model.stats.final_dl_bits;
-    out.apply_seconds = timer.ElapsedSeconds();
-    record_dl_delta(out);
-    return Status::OK();
-  }
-
+  // kFast continues from the final database (DESIGN.md §9); its
+  // contract only covers kPartial (the convergence argument needs the
+  // drained store). Everything else, kExact included, re-mines the
+  // spliced graph cold: bit-identical to a cold mine by construction.
+  const bool fast = mode == UpdateMode::kFast &&
+                    impl_->supports_fast_updates() &&
+                    impl_->options.strategy == Search::kPartial &&
+                    impl_->database.has_value() &&
+                    impl_->database->num_coresets() > 0;
   core::CspmMiner miner(ToCoreOptions(impl_->options));
-
-  // The continue-from-final-model path (DESIGN.md §9). Eligibility is
-  // checked before any state is mutated: the fast contract only covers
-  // kPartial (its convergence argument needs the drained store).
-  if (mode == UpdateMode::kFast &&
-      impl_->options.strategy == Search::kPartial &&
-      impl_->warm->final_db.num_coresets() > 0) {
-    core::DeltaPatchStats patch;
-    Status patched = [&] {
-      obs::TraceSpan db_patch_span("db_patch");
-      return impl_->warm->final_db.ApplyDeltaMerged(
-          *impl_->graph, *new_graph, applied.dirty_vertices, &patch);
-    }();
-    if (!patched.ok()) {
-      impl_->warm.reset();
-      return patched;
-    }
-    core::FastResumeStats fast;
-    auto artifacts_or = [&] {
+  core::FastResumeStats fast_stats;
+  auto artifacts_or = [&]() -> StatusOr<core::CspmMiner::MineArtifacts> {
+    if (!fast) {
       obs::TraceSpan resume_span("resume");
-      return miner.ResumeFast(
-          *new_graph, impl_->warm.get(), patch,
-          /*all_dirty=*/applied.attributes_changed,
-          /*want_database=*/impl_->options.keep_database, &fast);
-    }();
-    if (!artifacts_or.ok()) {
-      // final_db was already patched (and possibly half-repaired); drop
-      // the warm state so a later ApplyUpdates takes the cold path.
-      impl_->warm.reset();
-      impl_->exact_warm_stale = false;
-      return artifacts_or.status();
+      return miner.MineWithArtifacts(*new_graph);
     }
-    // initial_db still describes the pre-delta graph: the skipped patch
-    // is most of what the fast path saves. A later kExact update rebuilds
-    // it from scratch (see exact_warm_stale).
-    impl_->exact_warm_stale = true;
-    out.warm_path = true;
-    out.fast_path = true;
-    out.split_undos = fast.splits;
-    out.reseeded_pairs = fast.seeded_pairs;
-    obs::GetCounter("update.unmerge_splits")->Add(fast.splits);
-    obs::GetCounter("update.reseeded_pairs")->Add(fast.seeded_pairs);
-    impl_->graph = std::move(new_graph);
-    impl_->SetArtifacts(std::move(artifacts_or).value());
-    out.dl_after_bits = impl_->model.stats.final_dl_bits;
-    out.apply_seconds = timer.ElapsedSeconds();
-    record_dl_delta(out);
-    return Status::OK();
-  }
-
-  {
-    obs::TraceSpan db_patch_span("db_patch");
-    if (impl_->exact_warm_stale) {
-      // Fast updates left initial_db describing an older graph: rebuild it
-      // pristine for the new graph instead of patching.
-      auto rebuilt_or = core::InvertedDatabase::FromGraph(*new_graph);
-      if (!rebuilt_or.ok()) {
-        impl_->warm.reset();
-        impl_->exact_warm_stale = false;
-        return rebuilt_or.status();
-      }
-      impl_->warm->initial_db = std::move(rebuilt_or).value();
-      impl_->exact_warm_stale = false;
-    } else {
-      core::DeltaPatchStats patch;
-      CSPM_RETURN_IF_ERROR(impl_->warm->initial_db.ApplyDelta(
+    core::DeltaPatchStats patch;
+    {
+      obs::TraceSpan db_patch_span("db_patch");
+      CSPM_RETURN_IF_ERROR(impl_->database->ApplyDeltaMerged(
           *impl_->graph, *new_graph, applied.dirty_vertices, &patch));
     }
-  }
-
-  uint64_t reseeded = 0;
-  auto artifacts_or = [&] {
     obs::TraceSpan resume_span("resume");
-    return miner.ResumeWarm(*new_graph, impl_->warm.get(), &reseeded);
+    return miner.ResumeFast(*new_graph, *std::move(impl_->database), patch,
+                            /*all_dirty=*/applied.attributes_changed,
+                            &fast_stats);
   }();
   if (!artifacts_or.ok()) {
-    // The warm database was already patched; drop it so a later
-    // ApplyUpdates takes the cold path instead of compounding on a state
-    // that no longer matches the session graph.
-    impl_->warm.reset();
-    impl_->exact_warm_stale = false;
+    // A failed fast path leaves the final database half patched (or moved
+    // out): drop it, so later updates re-mine cold.
+    if (fast) impl_->database.reset();
     return artifacts_or.status();
   }
-  out.reseeded_pairs = reseeded;
-  obs::GetCounter("update.reseeded_pairs")->Add(reseeded);
-  out.warm_path = true;
-  // Swap the graph before SetModel: the plan compiles against the new
-  // attribute space.
+  if (fast) {
+    out.fast_path = true;
+    out.split_undos = fast_stats.splits;
+    out.reseeded_pairs = fast_stats.seeded_pairs;
+    obs::GetCounter("update.unmerge_splits")->Add(fast_stats.splits);
+    obs::GetCounter("update.reseeded_pairs")->Add(fast_stats.seeded_pairs);
+  }
+  // Swap the graph before SetArtifacts: the plan compiles against the new
+  // attribute space. Serving engines built earlier hold the old shared
+  // graph + plan.
   impl_->graph = std::move(new_graph);
   impl_->SetArtifacts(std::move(artifacts_or).value());
   out.dl_after_bits = impl_->model.stats.final_dl_bits;
   out.apply_seconds = timer.ElapsedSeconds();
-  record_dl_delta(out);
+  // DL delta per update: the drift signal (encoded-length trajectory
+  // under live deltas).
+  obs::GetGauge("mdl.last_update_dl_delta_bits")
+      ->Set(out.dl_after_bits - out.dl_before_bits);
   return Status::OK();
 }
 

@@ -100,46 +100,44 @@ struct MiningOptions {
   /// 0 = one per hardware core. Parallel runs are bit-identical to serial.
   uint32_t num_threads = 1;
 
-  /// Retain the final inverted database so VerifyLossless() can run. Off by
-  /// default: the database can dwarf the model.
+  /// Retain the final inverted database so VerifyLossless() can run
+  /// (enable_updates retains it too). Off by default: the database can
+  /// dwarf the model.
   bool keep_database = false;
 
-  /// Retain warm-start state (the pre-merge and final inverted
-  /// databases) so ApplyUpdates can re-mine incrementally instead of
-  /// cold. Costs one extra copy of each database. Ignored under
-  /// multi_value_coresets (SLIM covers are not incrementally
-  /// maintainable — updates fall back to a cold re-mine).
+  /// Retain the final inverted database so UpdateMode::kFast can
+  /// continue from the mined model instead of re-mining cold (the same
+  /// database keep_database retains; it is held once). Ignored under
+  /// multi_value_coresets (SLIM covers cannot be patched — every update
+  /// re-mines cold).
   bool enable_updates = false;
 };
 
-/// How ApplyUpdates re-mines after patching the graph.
+/// How ApplyUpdates re-mines after splicing the graph.
 enum class UpdateMode {
-  /// Replay from the pre-merge database: the resulting model is
-  /// bit-identical to a cold re-mine of the mutated graph (the default,
-  /// and the PR 5 contract).
+  /// Mine the spliced graph cold: the model is bit-identical to a cold
+  /// mine of the mutated graph by construction (the default). CSPM is
+  /// parameter-free, so an exact model depends on the graph alone.
   kExact,
   /// Continue from the *final* mined model: patch its merged database,
   /// undo merges whose gain went negative, re-evaluate only dirty-core
   /// pairs, and merge from there. Path-dependent — the description length
   /// tracks a cold mine within a small ε but the bits may differ. Falls
-  /// back to kExact behaviour when warm state is missing or the strategy
-  /// is not kPartial.
+  /// back to kExact when the final database is not kept
+  /// (MiningOptions::enable_updates) or the strategy is not kPartial.
   kFast,
 };
 
 /// What one ApplyUpdates call did (observability for benches / the shell).
 struct UpdateStats {
-  /// Vertices whose inverted-database contribution was recomputed.
+  /// Vertices whose neighbourhood the delta changed (graph::ApplyDelta's
+  /// dirty set).
   size_t dirty_vertices = 0;
-  /// Under kExact, the pairs the re-seed sweep evaluated (every
-  /// co-occurring pair, as in a cold mine); under kFast, the repair-scope
-  /// pairs seeded into the candidate store.
+  /// kFast only: the repair-scope pairs seeded into the candidate store.
+  /// 0 when the update re-mined cold (kExact, or a kFast fallback).
   uint64_t reseeded_pairs = 0;
-  /// False when the update fell back to a cold re-mine (warm state
-  /// disabled, or multi-value coresets).
-  bool warm_path = false;
   /// True when the continue-from-final-model path actually ran (kFast
-  /// requested and eligible).
+  /// requested and eligible); false when the update re-mined cold.
   bool fast_path = false;
   /// kFast only: merged lines undone because the delta flipped their gain.
   uint64_t split_undos = 0;
@@ -147,8 +145,8 @@ struct UpdateStats {
   /// bits (the shell's DL-delta report).
   double dl_before_bits = 0.0;
   double dl_after_bits = 0.0;
-  /// End-to-end wall time of the update: graph patch + database patch +
-  /// re-mine + plan recompile.
+  /// End-to-end wall time of the update: graph splice + (kFast) database
+  /// patch + re-mine + plan recompile.
   double apply_seconds = 0.0;
 };
 
@@ -174,19 +172,17 @@ class MiningSession {
   /// Runs CSPM. Replaces any previously mined or loaded model.
   Status Mine();
 
-  /// Applies a graph delta transactionally and re-mines. With
-  /// MiningOptions::enable_updates the re-mine is warm: under
-  /// UpdateMode::kExact (the default) the pre-merge inverted database is
-  /// patched in place of the 3-pass rebuild and only candidate pairs
-  /// involving dirty leafsets are re-evaluated — the resulting model is
-  /// bit-identical to a cold re-mine of the mutated graph; under
-  /// UpdateMode::kFast the re-mine continues from the final mined model
-  /// instead (see UpdateMode). The session then owns the mutated graph;
-  /// previously built ServingEngines keep scoring the old
-  /// graph+model+plan triple until they are dropped, while new
-  /// Serve()/Score calls see the update (hot swap). On error nothing
-  /// changes (though the warm state may be dropped, downgrading later
-  /// updates to cold re-mines).
+  /// Applies a graph delta transactionally and re-mines. The graph is
+  /// spliced with graph::ApplyDelta; under UpdateMode::kExact (the
+  /// default) the spliced graph is then mined cold, so the model is
+  /// bit-identical to a cold mine of the mutated graph. Under
+  /// UpdateMode::kFast with MiningOptions::enable_updates the re-mine
+  /// continues from the final mined model instead (see UpdateMode). The
+  /// session then owns the mutated graph; previously built ServingEngines
+  /// keep scoring the old graph+model+plan triple until they are dropped,
+  /// while new Serve()/Score calls see the update (hot swap). On error
+  /// nothing changes (though a failed kFast update drops the final
+  /// database, so later updates re-mine cold).
   Status ApplyUpdates(const graph::GraphDelta& delta,
                       UpdateStats* stats = nullptr);
   Status ApplyUpdates(const graph::GraphDelta& delta, UpdateMode mode,

@@ -142,6 +142,7 @@ struct UpdateRequest {
 
 struct UpdateResponse {
   bool fast_path = false;
+  /// Kept for the wire layout; always equals fast_path (PROTOCOL.md §5.4).
   bool warm_path = false;
   uint64_t dirty_vertices = 0;
   double dl_before_bits = 0.0;

@@ -2,6 +2,7 @@
 
 #include <utility>
 
+#include "engine/live_model.h"
 #include "graph/graph_delta.h"
 #include "util/string_util.h"
 
@@ -26,60 +27,26 @@ StatusOr<std::unique_ptr<ModelHost>> ModelHost::Open(
     }
     // Pending deltas: the record alone is stale. Rebuild the acknowledged
     // state exactly as `cspm_shell replay` would.
-    CSPM_RETURN_IF_ERROR(host->ReplayModel(info.name));
+    CSPM_RETURN_IF_ERROR(host->EnsureLive(info.name));
   }
   return host;
 }
 
-Status ModelHost::ReplayModel(const std::string& model) {
-  CSPM_ASSIGN_OR_RETURN(store::StoredModel stored, store_->Get(model));
-  if (!stored.graph.has_value()) {
-    return Status::FailedPrecondition(
-        "model '" + model +
-        "' has pending WAL records but no graph snapshot — cannot replay; "
-        "re-save it with a snapshot (cspm_shell: save " + model + ")");
-  }
-  CSPM_ASSIGN_OR_RETURN(store::ModelStore::WalReplay wal,
-                        store_->ReadWal(model));
-  engine::MiningOptions opts;
-  opts.record_iteration_stats = false;
-  opts.enable_updates = true;
-  CSPM_ASSIGN_OR_RETURN(
-      engine::MiningSession session,
-      engine::MiningSession::Create(
-          std::make_shared<const graph::AttributedGraph>(
-              std::move(*stored.graph)),
-          opts));
-  CSPM_RETURN_IF_ERROR(session.Mine());
-  // Roll each delta forward in the mode it originally ran with: a fast
-  // update's model is path-dependent, so reproducing the acknowledged
-  // state means reproducing its path.
-  for (size_t i = 0; i < wal.deltas.size(); ++i) {
-    const engine::UpdateMode mode = wal.modes[i] == store::WalDeltaMode::kFast
-                                        ? engine::UpdateMode::kFast
-                                        : engine::UpdateMode::kExact;
-    CSPM_RETURN_IF_ERROR(session.ApplyUpdates(wal.deltas[i], mode, nullptr));
-  }
-  if (wal.truncated) {
-    // Checkpoint the salvaged prefix so later updates do not append after
-    // unreadable records (mirrors the shell's replay command).
-    store::StoredModel checkpoint;
-    checkpoint.model = session.model();
-    checkpoint.dict = session.graph().dict();
-    checkpoint.graph = session.graph();
-    CSPM_RETURN_IF_ERROR(store_->Put(model, checkpoint));
-  }
-  CSPM_RETURN_IF_ERROR(session.Publish(registry_, model).status());
-  sessions_.insert_or_assign(model, std::move(session));
-  return Status::OK();
-}
-
 Status ModelHost::EnsureLive(const std::string& model) {
   if (sessions_.find(model) != sessions_.end()) return Status::OK();
-  // First update to a model served straight off its record: mining from
-  // the snapshot is deterministic, so the session's model is bit-identical
-  // to the record the registry is already serving.
-  return ReplayModel(model);
+  // Open() replays models with pending deltas here; Update() the first
+  // time a model served straight off its record is updated. Mining from
+  // the snapshot is deterministic, so the latter session's model is
+  // bit-identical to the record the registry is already serving.
+  CSPM_ASSIGN_OR_RETURN(engine::ReplayedModel replayed,
+                        engine::ReplayModel(*store_, model));
+  if (replayed.truncated) {
+    CSPM_RETURN_IF_ERROR(
+        engine::CheckpointModel(*store_, model, replayed.session));
+  }
+  CSPM_RETURN_IF_ERROR(replayed.session.Publish(registry_, model).status());
+  sessions_.insert_or_assign(model, std::move(replayed.session));
+  return Status::OK();
 }
 
 Status ModelHost::ValidateScore(
@@ -139,25 +106,8 @@ StatusOr<engine::UpdateStats> ModelHost::Update(
     const std::string& model, const graph::GraphDelta& delta,
     engine::UpdateMode mode) {
   CSPM_RETURN_IF_ERROR(EnsureLive(model));
-  engine::MiningSession& session = sessions_.at(model);
-  engine::UpdateStats stats;
-  CSPM_RETURN_IF_ERROR(session.ApplyUpdates(delta, mode, &stats));
-  // Persist before the serving swap (the shell's ordering): if the append
-  // fails, the registry keeps serving the model the store can reproduce.
-  // The WAL records the mode that actually ran — a fast request can fall
-  // back to exact behaviour — so replay reproduces this path.
-  Status appended = store_->AppendDelta(
-      model, delta,
-      stats.fast_path ? store::WalDeltaMode::kFast
-                      : store::WalDeltaMode::kExact);
-  if (!appended.ok()) {
-    return Status::IOError(
-        "update applied to the live session but its delta could not be "
-        "logged (" +
-        appended.ToString() + "); still serving the previous model");
-  }
-  CSPM_RETURN_IF_ERROR(session.Publish(registry_, model).status());
-  return stats;
+  return engine::UpdateAndLog(sessions_.at(model), delta, mode, store_.get(),
+                              registry_, model);
 }
 
 }  // namespace cspm::net

@@ -5,10 +5,11 @@
 //
 // Open() loads every cataloged model. A model with no pending WAL loads
 // through ModelRegistry::LoadModel (mmap plan section, microseconds); a
-// model with pending WAL records is rebuilt the way `cspm_shell replay`
-// does — deterministic Mine() from the snapshot, then each delta rolled
-// forward in its recorded mode — so the served model reflects every
-// update that was acknowledged before a crash (DESIGN.md §9, §13).
+// model with pending WAL records is rebuilt by engine::ReplayModel, as
+// `cspm_shell replay` does — deterministic Mine() from the snapshot, then
+// each delta rolled forward in its recorded mode — so the served model
+// reflects every update that was acknowledged before a crash (DESIGN.md
+// §9, §13).
 //
 // Threading contract (enforced by the server, documented here):
 //  - List() / ValidateScore() are safe from any thread: they only touch
@@ -70,11 +71,12 @@ class ModelHost {
   StatusOr<std::vector<core::AttributeScores>> Score(
       const std::string& model, std::span<const graph::VertexId> vertices);
 
-  /// Applies a graph delta (executor thread only), mirroring the shell's
-  /// update sequence: ApplyUpdates → AppendDelta in the mode that
-  /// actually ran → Publish (hot swap). If the WAL append fails the swap
-  /// does not happen — the registry keeps serving the model the store can
-  /// still reproduce, and the error says so.
+  /// Applies a graph delta (executor thread only) through
+  /// engine::UpdateAndLog, the shell's update sequence: ApplyUpdates →
+  /// AppendDelta in the mode that actually ran → Publish (hot swap). If
+  /// the WAL append fails the swap does not happen — the registry keeps
+  /// serving the model the store can still reproduce, and the error says
+  /// so.
   StatusOr<engine::UpdateStats> Update(const std::string& model,
                                        const graph::GraphDelta& delta,
                                        engine::UpdateMode mode);
@@ -87,12 +89,9 @@ class ModelHost {
       : store_(std::make_unique<store::ModelStore>(std::move(store))),
         options_(options) {}
 
-  /// Mines a live session for `model` from its snapshot and rolls the WAL
-  /// forward (the replay path). Publishes the result.
-  Status ReplayModel(const std::string& model);
-
-  /// Ensures a live MiningSession exists for `model` (first update to a
-  /// model that was served straight off its record).
+  /// Ensures a live MiningSession exists for `model`, replaying it from
+  /// the store (engine::ReplayModel) and publishing it when it does not.
+  /// A salvaged torn WAL tail is checkpointed before the publish.
   Status EnsureLive(const std::string& model);
 
   /// The cached engine for `model`, rebuilt when the registry handle

@@ -619,7 +619,9 @@ void Server::ExecuteUpdate(PendingUpdate update, std::vector<Completion>* out) {
   const engine::UpdateStats& stats = stats_or.value();
   UpdateResponse resp;
   resp.fast_path = stats.fast_path;
-  resp.warm_path = stats.warm_path;
+  // Kept for the wire layout (docs/PROTOCOL.md §5.4): it always equals
+  // fast_path now that kExact re-mines cold.
+  resp.warm_path = stats.fast_path;
   resp.dirty_vertices = stats.dirty_vertices;
   resp.dl_before_bits = stats.dl_before_bits;
   resp.dl_after_bits = stats.dl_after_bits;

@@ -61,11 +61,11 @@ struct StoredModel {
 };
 
 /// How the session re-mined when a WAL delta was appended, so replay can
-/// roll forward the same way (the store cannot see the engine layer; the
-/// shell maps this onto engine::UpdateMode). On-disk values — do not
-/// renumber.
+/// roll forward the same way (the store cannot see the engine layer;
+/// engine/live_model.cc maps this onto engine::UpdateMode). On-disk
+/// values — do not renumber.
 enum class WalDeltaMode : uint8_t {
-  kExact = 0,  ///< bit-identical warm (or cold) re-mine
+  kExact = 0,  ///< cold re-mine, bit-identical to a cold mine
   kFast = 1,   ///< continue-from-final-model re-mine (DL-ε contract)
 };
 

@@ -183,7 +183,7 @@ TEST(ServingStress, ScoreBatchAcrossEnginesDuringHotSwap) {
     });
   }
 
-  // Writer: grow the graph, warm re-mine, hot-swap the published model.
+  // Writer: grow the graph, re-mine, hot-swap the published model.
   for (int update = 0; update < 6; ++update) {
     graph::GraphDelta delta;
     const size_t fresh = delta.AddVertex({"u", "v"});

@@ -1,11 +1,12 @@
-// The live-update suite: transactional graph deltas, the incremental
-// inverted-database patch, warm re-mining through MiningSession::
-// ApplyUpdates (always compared bit-for-bit against a cold re-mine of the
-// mutated graph), serving hot-swap, and WAL crash recovery. Runs under
-// the ASan job in CI.
+// The live-update suite: transactional graph deltas, the merged
+// inverted-database patch, re-mining through MiningSession::ApplyUpdates
+// (kExact compared bit-for-bit against a cold re-mine of the mutated
+// graph, kFast held to the DL-ε contract), serving hot-swap, and WAL
+// crash recovery. Runs under the ASan job in CI.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
 #include <fstream>
 #include <string>
 #include <tuple>
@@ -18,6 +19,8 @@
 #include "cspm/serialization.h"
 #include "cspm/verify.h"
 #include "datasets/synthetic.h"
+#include "engine/live_model.h"
+#include "engine/model_registry.h"
 #include "engine/session.h"
 #include "graph/generators.h"
 #include "graph/graph_delta.h"
@@ -83,52 +86,30 @@ AttributedGraph RebuildFromScratch(const AttributedGraph& g) {
   return std::move(std::move(b).Build()).value();
 }
 
-/// Full observable state of an inverted database: every line keyed by
-/// (coreset values, leafset values) with its positions, plus the dynamic
-/// totals the gain formulas consume.
-std::string IdbFingerprint(const InvertedDatabase& idb) {
-  std::string out;
-  idb.ForEachLine([&](core::CoreId e, core::LeafsetId l,
-                      core::PosListView positions) {
-    out += "e";  // sequential appends: see GraphFingerprint's -Wrestrict note
-    out += std::to_string(e.value());
-    out += "[";
-    for (graph::AttrId a : idb.CoresetValues(e)) {
-      out += std::to_string(a.value()) + ",";
-    }
-    out += "]L[";
-    for (graph::AttrId a : idb.leafsets().Values(l)) {
-      out += std::to_string(a.value()) + ",";
-    }
-    out += "]:";
-    for (VertexId v : positions) out += std::to_string(v.value()) + ",";
-    out += " f_e=" + std::to_string(idb.CoreLineTotal(e));
-    out += " freq=" + std::to_string(idb.CoresetFrequency(e));
-    out += "\n";
-  });
-  out += "lines=" + std::to_string(idb.num_lines());
-  out += " active=" + std::to_string(idb.num_active_leafsets());
-  out += " total_freq=" + std::to_string(idb.total_coreset_frequency());
-  out += " data_bits=" + std::to_string(idb.DataCostBits());
-  return out;
-}
-
-/// Asserts that patching the old graph's initial database yields exactly
-/// the database a cold FromGraph build of the new graph produces.
-void ExpectPatchMatchesColdBuild(const AttributedGraph& g,
-                                 const GraphDelta& delta) {
+/// Asserts that patching the final database of a mine of `g` with
+/// ApplyDeltaMerged leaves a structurally sound, lossless cover of the new
+/// graph (the fast repair pass assumes both).
+void ExpectMergedPatchValidAndLossless(const AttributedGraph& g,
+                                       const GraphDelta& delta) {
   auto applied_or = graph::ApplyDelta(g, delta);
   ASSERT_TRUE(applied_or.ok()) << applied_or.status().ToString();
   const DeltaApplication& applied = applied_or.value();
 
-  InvertedDatabase patched = std::move(InvertedDatabase::FromGraph(g)).value();
+  core::CspmMiner miner{core::CspmOptions{}};
+  auto mined = miner.MineWithArtifacts(g);
+  ASSERT_TRUE(mined.ok());
+  InvertedDatabase& idb = mined->inverted_db;
+  ASSERT_GT(idb.num_coresets(), 0u);
   core::DeltaPatchStats stats;
-  ASSERT_TRUE(patched
-                  .ApplyDelta(g, applied.graph, applied.dirty_vertices, &stats)
-                  .ok());
-  InvertedDatabase cold =
-      std::move(InvertedDatabase::FromGraph(applied.graph)).value();
-  EXPECT_EQ(IdbFingerprint(patched), IdbFingerprint(cold));
+  Status st =
+      idb.ApplyDeltaMerged(g, applied.graph, applied.dirty_vertices, &stats);
+  ASSERT_TRUE(st.ok()) << st.ToString();
+  EXPECT_EQ(stats.touched_leafsets.size(),
+            stats.touched_position_moves.size());
+  Status invariants = core::CheckInvariants(idb);
+  EXPECT_TRUE(invariants.ok()) << invariants.ToString();
+  Status lossless = core::VerifyLossless(applied.graph, idb);
+  EXPECT_TRUE(lossless.ok()) << lossless.ToString();
 }
 
 engine::MiningOptions UpdatableOptions() {
@@ -138,13 +119,12 @@ engine::MiningOptions UpdatableOptions() {
 }
 
 /// Mines `g` under `options`, applies `deltas` one by one through
-/// ApplyUpdates, and asserts the resulting model is bit-identical
+/// ApplyUpdates (kExact), and asserts the resulting model is bit-identical
 /// (serialized text, DL, iteration count) to a cold re-mine of the final
 /// mutated graph.
-void ExpectWarmEqualsColdRemineWith(const AttributedGraph& g,
-                                    const std::vector<GraphDelta>& deltas,
-                                    engine::MiningOptions options,
-                                    bool expect_warm) {
+void ExpectExactEqualsColdRemineWith(const AttributedGraph& g,
+                                     const std::vector<GraphDelta>& deltas,
+                                     engine::MiningOptions options) {
   auto session_or = engine::MiningSession::Create(g, options);
   ASSERT_TRUE(session_or.ok());
   engine::MiningSession session = std::move(session_or).value();
@@ -153,7 +133,6 @@ void ExpectWarmEqualsColdRemineWith(const AttributedGraph& g,
   for (const GraphDelta& delta : deltas) {
     Status st = session.ApplyUpdates(delta, &stats);
     ASSERT_TRUE(st.ok()) << st.ToString();
-    EXPECT_EQ(stats.warm_path, expect_warm);
   }
 
   auto cold_or = engine::MiningSession::Create(session.graph(), options);
@@ -167,10 +146,39 @@ void ExpectWarmEqualsColdRemineWith(const AttributedGraph& g,
   EXPECT_EQ(session.stats().iterations, cold.stats().iterations);
 }
 
-void ExpectWarmEqualsColdRemine(const AttributedGraph& g,
-                                const std::vector<GraphDelta>& deltas) {
-  ExpectWarmEqualsColdRemineWith(g, deltas, UpdatableOptions(),
-                                 /*expect_warm=*/true);
+void ExpectExactEqualsColdRemine(const AttributedGraph& g,
+                                 const std::vector<GraphDelta>& deltas) {
+  ExpectExactEqualsColdRemineWith(g, deltas, UpdatableOptions());
+}
+
+/// Mines, applies `deltas` in fast mode, and asserts the DL-ε
+/// contract: the session's final description length stays within 1% of a
+/// cold mine of the final mutated graph. (It may be *better* — the repair
+/// re-judges neighbourhoods the partial heuristic never revisits — hence
+/// the generous lower bound.)
+void ExpectFastDlWithinEpsilon(const AttributedGraph& g,
+                               const std::vector<GraphDelta>& deltas) {
+  auto session = std::move(engine::MiningSession::Create(g, UpdatableOptions()))
+                     .value();
+  ASSERT_TRUE(session.Mine().ok());
+  engine::UpdateStats stats;
+  for (const GraphDelta& delta : deltas) {
+    Status st = session.ApplyUpdates(delta, engine::UpdateMode::kFast, &stats);
+    ASSERT_TRUE(st.ok()) << st.ToString();
+    EXPECT_TRUE(stats.fast_path);
+    EXPECT_GT(stats.dl_before_bits, 0.0);
+    EXPECT_GT(stats.dl_after_bits, 0.0);
+  }
+
+  auto cold_or = engine::MiningSession::Create(session.graph(),
+                                               UpdatableOptions());
+  ASSERT_TRUE(cold_or.ok());
+  engine::MiningSession cold = std::move(cold_or).value();
+  ASSERT_TRUE(cold.Mine().ok());
+  const double ratio =
+      session.stats().final_dl_bits / cold.stats().final_dl_bits;
+  EXPECT_LE(ratio, 1.01) << "fast model DL drifted above the ε contract";
+  EXPECT_GE(ratio, 0.90) << "fast model DL implausibly low — check gains";
 }
 
 AttributedGraph SmallCommunityGraph(uint64_t seed) {
@@ -261,15 +269,15 @@ TEST(GraphDeltaTest, AttributeOpMarksNeighboursDirty) {
   EXPECT_EQ(applied->dirty_vertices, (std::vector<VertexId>{VertexId(2), VertexId(3), VertexId(4)}));
 }
 
-// --- inverted-database patch tests ----------------------------------------
+// --- merged inverted-database patch tests ---------------------------------
 
-TEST(InvertedDeltaTest, PatchMatchesColdBuildAcrossGraphsAndDeltas) {
+TEST(InvertedDeltaTest, MergedPatchValidAndLosslessAcrossGraphsAndDeltas) {
   for (uint64_t seed : {1u, 2u, 3u}) {
     AttributedGraph g = SmallCommunityGraph(seed);
-    ExpectPatchMatchesColdBuild(g, RandomEdgeDelta(g, 10, seed * 7 + 1));
+    ExpectMergedPatchValidAndLossless(g, RandomEdgeDelta(g, 10, seed * 7 + 1));
   }
   AttributedGraph dblp = std::move(datasets::MakeDblpLike(1, 250)).value();
-  ExpectPatchMatchesColdBuild(dblp, RandomEdgeDelta(dblp, 8, 5));
+  ExpectMergedPatchValidAndLossless(dblp, RandomEdgeDelta(dblp, 8, 5));
 
   // Attribute + vertex ops on the paper example.
   AttributedGraph g = PaperExampleGraph();
@@ -278,7 +286,7 @@ TEST(InvertedDeltaTest, PatchMatchesColdBuildAcrossGraphsAndDeltas) {
   delta.ClearAttribute(VertexId(1), "a");
   delta.AddVertex({"c", "d"});
   delta.AddEdge(VertexId(5), VertexId(0));
-  ExpectPatchMatchesColdBuild(g, delta);
+  ExpectMergedPatchValidAndLossless(g, delta);
 }
 
 TEST(InvertedDeltaTest, RemoveLastEdgeOfStar) {
@@ -295,14 +303,15 @@ TEST(InvertedDeltaTest, RemoveLastEdgeOfStar) {
   AttributedGraph g = std::move(std::move(b).Build()).value();
   GraphDelta delta;
   delta.RemoveEdge(VertexId(0), VertexId(1));
-  ExpectPatchMatchesColdBuild(g, delta);
-  ExpectWarmEqualsColdRemine(g, {delta});
+  ExpectMergedPatchValidAndLossless(g, delta);
+  ExpectExactEqualsColdRemine(g, {delta});
 }
 
 TEST(InvertedDeltaTest, DeltaOnVertexAbsentFromEveryLeafset) {
   // Vertex 2 carries no attributes: it appears in no line's positions
   // under any coreset and in no leafset. Rewiring it must still patch its
-  // neighbours' lines correctly.
+  // neighbours' lines correctly, and both update modes must hold their
+  // contracts.
   graph::GraphBuilder b;
   b.AddVertex({"a"});
   b.AddVertex({"b"});
@@ -315,8 +324,9 @@ TEST(InvertedDeltaTest, DeltaOnVertexAbsentFromEveryLeafset) {
   GraphDelta delta;
   delta.RemoveEdge(VertexId(1), VertexId(2));
   delta.AddEdge(VertexId(0), VertexId(2));
-  ExpectPatchMatchesColdBuild(g, delta);
-  ExpectWarmEqualsColdRemine(g, {delta});
+  ExpectMergedPatchValidAndLossless(g, delta);
+  ExpectFastDlWithinEpsilon(g, {delta});
+  ExpectExactEqualsColdRemine(g, {delta});
 }
 
 // --- end-to-end ApplyUpdates bit-identity ----------------------------------
@@ -324,22 +334,21 @@ TEST(InvertedDeltaTest, DeltaOnVertexAbsentFromEveryLeafset) {
 TEST(ApplyUpdatesTest, EdgeDeltaBitIdenticalToColdRemine) {
   for (uint64_t seed : {1u, 4u}) {
     AttributedGraph g = SmallCommunityGraph(seed);
-    ExpectWarmEqualsColdRemine(g, {RandomEdgeDelta(g, 8, seed + 10)});
+    ExpectExactEqualsColdRemine(g, {RandomEdgeDelta(g, 8, seed + 10)});
   }
   AttributedGraph dblp = std::move(datasets::MakeDblpLike(2, 300)).value();
-  ExpectWarmEqualsColdRemine(dblp, {RandomEdgeDelta(dblp, 6, 11)});
+  ExpectExactEqualsColdRemine(dblp, {RandomEdgeDelta(dblp, 6, 11)});
 }
 
 TEST(ApplyUpdatesTest, AttributeDeltaBitIdenticalToColdRemine) {
   // Any attribute-frequency change invalidates the whole code model; the
-  // warm path regenerates every candidate but still reuses the patched
-  // database — and must stay bit-identical.
+  // exact re-mine must stay bit-identical through it.
   AttributedGraph g = SmallCommunityGraph(2);
   GraphDelta delta;
   delta.SetAttribute(VertexId(3), "brand-new-value");
   delta.ClearAttribute(VertexId(0),
                        g.dict().Name(g.Attributes(VertexId(0))[0]));
-  ExpectWarmEqualsColdRemine(g, {delta});
+  ExpectExactEqualsColdRemine(g, {delta});
 }
 
 TEST(ApplyUpdatesTest, AddVertexWithEdgesBitIdenticalToColdRemine) {
@@ -349,7 +358,7 @@ TEST(ApplyUpdatesTest, AddVertexWithEdgesBitIdenticalToColdRemine) {
       {g.dict().Name(graph::AttrId(0)), g.dict().Name(graph::AttrId(1))});
   delta.AddEdge(g.num_vertices(), VertexId(0));
   delta.AddEdge(g.num_vertices(), VertexId(17));
-  ExpectWarmEqualsColdRemine(g, {delta});
+  ExpectExactEqualsColdRemine(g, {delta});
 }
 
 TEST(ApplyUpdatesTest, SequentialUpdatesStayBitIdentical) {
@@ -368,7 +377,7 @@ TEST(ApplyUpdatesTest, SequentialUpdatesStayBitIdentical) {
     d3.ClearAttribute(VertexId(7), "late-value");
     deltas.push_back(d3);
   }
-  ExpectWarmEqualsColdRemine(g, deltas);
+  ExpectExactEqualsColdRemine(g, deltas);
 }
 
 TEST(ApplyUpdatesTest, AttributeClearedThenReAddedRestoresModel) {
@@ -389,9 +398,8 @@ TEST(ApplyUpdatesTest, AttributeClearedThenReAddedRestoresModel) {
 
 TEST(ApplyUpdatesTest, ColdFallbackWithoutWarmState) {
   AttributedGraph g = SmallCommunityGraph(9);
-  ExpectWarmEqualsColdRemineWith(g, {RandomEdgeDelta(g, 4, 33)},
-                                 engine::MiningOptions{},
-                                 /*expect_warm=*/false);
+  ExpectExactEqualsColdRemineWith(g, {RandomEdgeDelta(g, 4, 33)},
+                                  engine::MiningOptions{});
 }
 
 TEST(ApplyUpdatesTest, RequiresAMinedModel) {
@@ -417,41 +425,9 @@ TEST(ApplyUpdatesTest, InvalidDeltaLeavesSessionUntouched) {
   // The session still updates fine afterwards.
   engine::UpdateStats stats;
   ASSERT_TRUE(session.ApplyUpdates(RandomEdgeDelta(g, 2, 51), &stats).ok());
-  EXPECT_TRUE(stats.warm_path);
 }
 
 // --- fast (continue-from-final-model) updates -------------------------------
-
-/// Mines warm, applies `deltas` in fast mode, and asserts the DL-ε
-/// contract: the session's final description length stays within 1% of a
-/// cold mine of the final mutated graph. (It may be *better* — the repair
-/// re-judges neighbourhoods the partial heuristic never revisits — hence
-/// the generous lower bound.)
-void ExpectFastDlWithinEpsilon(const AttributedGraph& g,
-                               const std::vector<GraphDelta>& deltas) {
-  auto session = std::move(engine::MiningSession::Create(g, UpdatableOptions()))
-                     .value();
-  ASSERT_TRUE(session.Mine().ok());
-  engine::UpdateStats stats;
-  for (const GraphDelta& delta : deltas) {
-    Status st = session.ApplyUpdates(delta, engine::UpdateMode::kFast, &stats);
-    ASSERT_TRUE(st.ok()) << st.ToString();
-    EXPECT_TRUE(stats.fast_path);
-    EXPECT_TRUE(stats.warm_path);
-    EXPECT_GT(stats.dl_before_bits, 0.0);
-    EXPECT_GT(stats.dl_after_bits, 0.0);
-  }
-
-  auto cold_or = engine::MiningSession::Create(session.graph(),
-                                               UpdatableOptions());
-  ASSERT_TRUE(cold_or.ok());
-  engine::MiningSession cold = std::move(cold_or).value();
-  ASSERT_TRUE(cold.Mine().ok());
-  const double ratio =
-      session.stats().final_dl_bits / cold.stats().final_dl_bits;
-  EXPECT_LE(ratio, 1.01) << "fast model DL drifted above the ε contract";
-  EXPECT_GE(ratio, 0.90) << "fast model DL implausibly low — check gains";
-}
 
 TEST(FastUpdateTest, EdgeDeltaDlWithinEpsilon) {
   for (uint64_t seed : {1u, 4u}) {
@@ -520,9 +496,9 @@ TEST(FastUpdateTest, RemoveLastEdgeOfStarDlWithinEpsilon) {
 }
 
 TEST(FastUpdateTest, ExactUpdateAfterFastRebuildsBitIdentity) {
-  // A fast update leaves the exact path's pristine database stale; the
-  // next kExact update must rebuild it and land bit-identical to a cold
-  // mine of the final graph — the two-mode contract's hard edge.
+  // A fast update leaves a path-dependent model behind; the next kExact
+  // update must land bit-identical to a cold mine of the final graph —
+  // the two-mode contract's hard edge.
   AttributedGraph g = SmallCommunityGraph(11);
   auto session = std::move(engine::MiningSession::Create(g, UpdatableOptions()))
                      .value();
@@ -538,7 +514,6 @@ TEST(FastUpdateTest, ExactUpdateAfterFastRebuildsBitIdentity) {
                                 engine::UpdateMode::kExact, &stats)
                   .ok());
   EXPECT_FALSE(stats.fast_path);
-  EXPECT_TRUE(stats.warm_path);
 
   auto cold = std::move(engine::MiningSession::Create(session.graph(),
                                                       UpdatableOptions()))
@@ -550,8 +525,8 @@ TEST(FastUpdateTest, ExactUpdateAfterFastRebuildsBitIdentity) {
 }
 
 TEST(FastUpdateTest, FastModeFallsBackToExactWithoutWarmState) {
-  // Without enable_updates there is no warm state: kFast degrades to the
-  // cold-rebuild behaviour and still reports an honest fast_path=false.
+  // Without enable_updates the final database is not kept: kFast degrades
+  // to a cold re-mine and reports an honest fast_path=false.
   AttributedGraph g = SmallCommunityGraph(9);
   auto session =
       std::move(engine::MiningSession::Create(g, engine::MiningOptions{}))
@@ -563,7 +538,6 @@ TEST(FastUpdateTest, FastModeFallsBackToExactWithoutWarmState) {
                                 engine::UpdateMode::kFast, &stats)
                   .ok());
   EXPECT_FALSE(stats.fast_path);
-  EXPECT_FALSE(stats.warm_path);
 
   auto cold = std::move(engine::MiningSession::Create(session.graph(),
                                                       engine::MiningOptions{}))
@@ -577,23 +551,7 @@ TEST(FastUpdateTest, ApplyDeltaMergedKeepsDbValidAndLossless) {
   // cover of the new graph (the repair pass assumes both).
   for (uint64_t seed : {1u, 2u, 3u}) {
     AttributedGraph g = SmallCommunityGraph(seed);
-    core::CspmMiner miner{core::CspmOptions{}};
-    core::WarmState warm;
-    ASSERT_TRUE(miner.MineWithWarmState(g, &warm).ok());
-    ASSERT_GT(warm.final_db.num_coresets(), 0u);
-
-    GraphDelta delta = RandomEdgeDelta(g, 6, seed * 3 + 2);
-    auto applied = std::move(graph::ApplyDelta(g, delta)).value();
-    core::DeltaPatchStats stats;
-    Status st = warm.final_db.ApplyDeltaMerged(g, applied.graph,
-                                               applied.dirty_vertices, &stats);
-    ASSERT_TRUE(st.ok()) << st.ToString();
-    EXPECT_EQ(stats.touched_leafsets.size(),
-              stats.touched_position_moves.size());
-    Status invariants = core::CheckInvariants(warm.final_db);
-    EXPECT_TRUE(invariants.ok()) << invariants.ToString();
-    Status lossless = core::VerifyLossless(applied.graph, warm.final_db);
-    EXPECT_TRUE(lossless.ok()) << lossless.ToString();
+    ExpectMergedPatchValidAndLossless(g, RandomEdgeDelta(g, 6, seed * 3 + 2));
   }
 }
 
@@ -797,6 +755,96 @@ TEST(WalReplayTest, AppendDeltaRecordsModePerRecord) {
   ASSERT_EQ(replay.modes.size(), 2u);
   EXPECT_EQ(replay.modes[0], store::WalDeltaMode::kExact);
   EXPECT_EQ(replay.modes[1], store::WalDeltaMode::kFast);
+}
+
+TEST(WalReplayTest, MixedModeWalReplaysBitIdenticalToLiveSession) {
+  // One WAL [fast, exact, fast], written by engine::UpdateAndLog as the
+  // shell and the server write it, then replayed by engine::ReplayModel:
+  // model and scores must be bit-identical to the live session that wrote
+  // it. The exact step re-mines after a path-dependent fast model.
+  const std::string path = ::testing::TempDir() + "/cspm_wal_mixed.cspm";
+  std::remove(path.c_str());
+  AttributedGraph g = SmallCommunityGraph(15);
+  auto live = std::move(engine::MiningSession::Create(
+                            g, engine::LiveModelOptions()))
+                  .value();
+  ASSERT_TRUE(live.Mine().ok());
+  engine::SaveModelOptions save;
+  save.include_graph = true;
+  ASSERT_TRUE(live.SaveModel(path, save).ok());
+
+  auto store = std::move(store::ModelStore::Open(path)).value();
+  engine::ModelRegistry registry;
+  const engine::UpdateMode modes[] = {engine::UpdateMode::kFast,
+                                      engine::UpdateMode::kExact,
+                                      engine::UpdateMode::kFast};
+  for (size_t i = 0; i < 3; ++i) {
+    const GraphDelta delta = RandomEdgeDelta(live.graph(), 4, 81 + i);
+    auto stats =
+        engine::UpdateAndLog(live, delta, modes[i], &store, registry, "default");
+    ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+    EXPECT_EQ(stats->fast_path, modes[i] == engine::UpdateMode::kFast);
+  }
+  auto wal = std::move(store.ReadWal("default")).value();
+  ASSERT_EQ(wal.modes.size(), 3u);
+  EXPECT_EQ(wal.modes[0], store::WalDeltaMode::kFast);
+  EXPECT_EQ(wal.modes[1], store::WalDeltaMode::kExact);
+  EXPECT_EQ(wal.modes[2], store::WalDeltaMode::kFast);
+
+  const auto file_bytes = [&] {
+    std::ifstream in(path, std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(in),
+                       std::istreambuf_iterator<char>());
+  };
+  const std::string before = file_bytes();
+  auto replayed = engine::ReplayModel(store, "default");
+  ASSERT_TRUE(replayed.ok()) << replayed.status().ToString();
+  EXPECT_EQ(file_bytes(), before) << "ReplayModel wrote to the store";
+  EXPECT_EQ(replayed->deltas, 3u);
+  EXPECT_FALSE(replayed->truncated);
+
+  const engine::MiningSession& replay = replayed->session;
+  EXPECT_EQ(replay.SerializeModel(), live.SerializeModel());
+  const double live_dl = live.stats().final_dl_bits;
+  const double replay_dl = replay.stats().final_dl_bits;
+  EXPECT_EQ(std::memcmp(&live_dl, &replay_dl, sizeof(double)), 0);
+  std::vector<VertexId> all;
+  for (VertexId v(0); v < live.graph().num_vertices(); ++v) all.push_back(v);
+  auto live_scores = std::move(live.ScoreBatch(all)).value();
+  auto replay_scores = std::move(replay.ScoreBatch(all)).value();
+  ASSERT_EQ(live_scores.size(), replay_scores.size());
+  for (size_t i = 0; i < all.size(); ++i) {
+    const std::vector<double>& a = live_scores[i].raw;
+    const std::vector<double>& b = replay_scores[i].raw;
+    ASSERT_EQ(a.size(), b.size());
+    EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(double)), 0)
+        << "vertex " << i;
+    const std::vector<double>& an = live_scores[i].normalized;
+    const std::vector<double>& bn = replay_scores[i].normalized;
+    ASSERT_EQ(an.size(), bn.size());
+    EXPECT_EQ(std::memcmp(an.data(), bn.data(), an.size() * sizeof(double)), 0)
+        << "vertex " << i;
+  }
+}
+
+TEST(WalReplayTest, UpdateAndLogPublishesOnlyAfterTheAppend) {
+  // The store has no record named "ghost", so the WAL append fails: the
+  // update must not be published, and the error must say so.
+  const std::string path = ::testing::TempDir() + "/cspm_wal_ghost.cspm";
+  std::remove(path.c_str());
+  AttributedGraph g = SmallCommunityGraph(16);
+  auto live = std::move(engine::MiningSession::Create(
+                            g, engine::LiveModelOptions()))
+                  .value();
+  ASSERT_TRUE(live.Mine().ok());
+  auto store = std::move(store::ModelStore::Create(path)).value();
+  engine::ModelRegistry registry;
+  auto stats = engine::UpdateAndLog(live, RandomEdgeDelta(g, 2, 91),
+                                    engine::UpdateMode::kExact, &store,
+                                    registry, "ghost");
+  ASSERT_FALSE(stats.ok());
+  EXPECT_EQ(stats.status().code(), StatusCode::kIOError);
+  EXPECT_EQ(registry.Get("ghost"), nullptr);
 }
 
 }  // namespace

@@ -267,18 +267,6 @@ TEST(GainSweepOracle, MultiValueCoresetSeedDatabase) {
   ExpectSweepMatchesOracleSerialAndPooled(idb, cm, idb.active_leafsets());
 }
 
-TEST(GainSweepOracle, DeltaPatchedSeedDatabase) {
-  const auto g = datasets::MakePokecLike(/*seed=*/6, 500).value();
-  const auto delta = graph::MakeRandomEdgeRewires(g, 12, 77).value();
-  const auto applied = graph::ApplyDelta(g, delta).value();
-  InvertedDatabase idb = InvertedDatabase::FromGraph(g).value();
-  DeltaPatchStats patch;
-  ASSERT_TRUE(
-      idb.ApplyDelta(g, applied.graph, applied.dirty_vertices, &patch).ok());
-  const CodeModel cm(applied.graph, idb);
-  ExpectSweepMatchesOracleSerialAndPooled(idb, cm, idb.active_leafsets());
-}
-
 TEST(GainSweepOracle, RepairedFinalDatabaseOverSourceSubset) {
   // A mined database repaired by a fast update holds merged leafsets next
   // to their members: pairs whose union is already a leafset, some with a
@@ -286,23 +274,25 @@ TEST(GainSweepOracle, RepairedFinalDatabaseOverSourceSubset) {
   // y ⊆ x. The fast re-seed sweeps such a database over a subset.
   auto g = datasets::MakePokecLike(/*seed=*/3, 2000).value();
   const CspmMiner miner{CspmOptions{}};
-  WarmState warm;
-  ASSERT_TRUE(miner.MineWithWarmState(g, &warm).ok());
+  auto mined = miner.MineWithArtifacts(g);
+  ASSERT_TRUE(mined.ok());
+  InvertedDatabase idb = std::move(mined->inverted_db);
   for (uint64_t round : {1u, 2u}) {
     const auto delta = graph::MakeRandomEdgeRewires(g, 20, round).value();
     auto applied = graph::ApplyDelta(g, delta).value();
     DeltaPatchStats patch;
-    Status st = warm.final_db.ApplyDeltaMerged(g, applied.graph,
-                                               applied.dirty_vertices, &patch);
+    Status st =
+        idb.ApplyDeltaMerged(g, applied.graph, applied.dirty_vertices, &patch);
     ASSERT_TRUE(st.ok()) << st.ToString();
     g = std::move(applied.graph);
     if (round == 1) {
-      // An edge-only delta (not all dirty); no database copy wanted.
+      // An edge-only delta (not all dirty).
       FastResumeStats fast;
-      ASSERT_TRUE(miner.ResumeFast(g, &warm, patch, false, false, &fast).ok());
+      auto resumed = miner.ResumeFast(g, std::move(idb), patch, false, &fast);
+      ASSERT_TRUE(resumed.ok());
+      idb = std::move(resumed->inverted_db);
     }
   }
-  const InvertedDatabase& idb = warm.final_db;
   const CodeModel cm(g, idb);
 
   // Sources: every 16th active leafset, plus both members and the union

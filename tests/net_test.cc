@@ -12,12 +12,15 @@
 #include <atomic>
 #include <cstdio>
 #include <cstring>
+#include <fstream>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <thread>
 #include <utility>
 #include <vector>
 
+#include "engine/live_model.h"
 #include "engine/session.h"
 #include "graph/graph_delta.h"
 #include "net/batcher.h"
@@ -390,10 +393,7 @@ std::string MakeServedStore(const std::string& file, const std::string& name) {
   const std::string path = TempPath(file);
   std::remove(path.c_str());
   graph::AttributedGraph g = PaperExampleGraph();
-  engine::MiningOptions opts;
-  opts.record_iteration_stats = false;
-  opts.enable_updates = true;
-  auto session = engine::MiningSession::Create(g, opts);
+  auto session = engine::MiningSession::Create(g, engine::LiveModelOptions());
   CSPM_CHECK(session.ok());
   CSPM_CHECK(session.value().Mine().ok());
   engine::SaveModelOptions save;
@@ -528,10 +528,7 @@ TEST(ServerEndToEnd, UpdateOverWireAppendsWalAndServesNewState) {
     ASSERT_TRUE(response.ok()) << response.status().ToString();
     // The server hot-swapped: scores now reflect the mutated graph. The
     // local reference replays the same path.
-    engine::MiningOptions opts;
-    opts.record_iteration_stats = false;
-    opts.enable_updates = true;
-    auto session = engine::MiningSession::Create(g, opts);
+    auto session = engine::MiningSession::Create(g, engine::LiveModelOptions());
     ASSERT_TRUE(session.ok());
     ASSERT_TRUE(session.value().Mine().ok());
     ASSERT_TRUE(session.value()
@@ -561,6 +558,30 @@ TEST(ServerEndToEnd, UpdateOverWireAppendsWalAndServesNewState) {
   const auto infos = store.value().List();
   ASSERT_EQ(infos.size(), 1u);
   EXPECT_EQ(infos[0].wal_records, 1u);
+}
+
+TEST(ServerEndToEnd, UpdateReplyWarmPathByteEqualsFastPath) {
+  // The reply keeps its warm_path byte for the wire layout; it carries
+  // fast_path in both modes (docs/PROTOCOL.md §5.4).
+  const std::string path = MakeServedStore("net_e2e_warm_byte.cspm", "paper");
+  auto server = StartServer(path);
+  Client client = Dial(*server);
+  graph::AttributedGraph g = PaperExampleGraph();
+  for (uint8_t mode : {uint8_t{0}, uint8_t{1}}) {
+    auto delta = graph::MakeRandomEdgeRewires(g, 1, /*seed=*/5 + mode);
+    ASSERT_TRUE(delta.ok());
+    auto applied = graph::ApplyDelta(g, delta.value());
+    ASSERT_TRUE(applied.ok());
+    g = std::move(applied.value().graph);
+    UpdateRequest request;
+    request.model = "paper";
+    request.mode = mode;
+    request.delta = delta.value();
+    auto response = client.Update(request);
+    ASSERT_TRUE(response.ok()) << response.status().ToString();
+    EXPECT_EQ(response.value().fast_path, mode == 1);
+    EXPECT_EQ(response.value().warm_path, response.value().fast_path);
+  }
 }
 
 TEST(ServerEndToEnd, OverloadedUnderQueueSaturation) {
@@ -641,10 +662,7 @@ TEST(ModelHost, ReplaysPendingWalOnOpen) {
   // Apply + log an update the way a live server (or shell) would, then
   // "crash": the record is stale, the WAL carries the delta.
   graph::AttributedGraph g = PaperExampleGraph();
-  engine::MiningOptions opts;
-  opts.record_iteration_stats = false;
-  opts.enable_updates = true;
-  auto session_or = engine::MiningSession::Create(g, opts);
+  auto session_or = engine::MiningSession::Create(g, engine::LiveModelOptions());
   ASSERT_TRUE(session_or.ok());
   engine::MiningSession& session = session_or.value();
   ASSERT_TRUE(session.Mine().ok());
@@ -678,6 +696,76 @@ TEST(ModelHost, ReplaysPendingWalOnOpen) {
                             sizeof(double)),
                 0);
     }
+  }
+}
+
+TEST(ModelHost, OpenCheckpointsTornWalTail) {
+  const std::string path = MakeServedStore("net_host_torn.cspm", "paper");
+  graph::AttributedGraph g = PaperExampleGraph();
+  auto d1 = graph::MakeRandomEdgeRewires(g, 2, /*seed=*/11);
+  ASSERT_TRUE(d1.ok());
+  // d2 carries a marker attribute name so the test can find its WAL
+  // record's bytes in the file and corrupt them (the torn tail).
+  const std::string marker = "CANARY_ATTRIBUTE_VALUE_FOR_TORN_HOST_TAIL";
+  graph::GraphDelta d2;
+  d2.SetAttribute(graph::VertexId(0), marker);
+  {
+    auto store = store::ModelStore::Open(path);
+    ASSERT_TRUE(store.ok());
+    ASSERT_TRUE(store.value().AppendDelta("paper", d1.value()).ok());
+    ASSERT_TRUE(store.value().AppendDelta("paper", d2).ok());
+  }
+  std::string bytes;
+  {
+    std::ifstream in(path, std::ios::binary);
+    bytes.assign(std::istreambuf_iterator<char>(in),
+                 std::istreambuf_iterator<char>());
+  }
+  const size_t at = bytes.find(marker);
+  ASSERT_NE(at, std::string::npos);
+  bytes[at] ^= 0x5a;
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  }
+
+  // Open replays the valid prefix (d1) and checkpoints it: the WAL is
+  // empty and readable afterwards.
+  auto host = ModelHost::Open(path);
+  ASSERT_TRUE(host.ok()) << host.status().ToString();
+  auto wal = host.value()->store().ReadWal("paper");
+  ASSERT_TRUE(wal.ok());
+  EXPECT_EQ(wal.value().deltas.size(), 0u);
+  EXPECT_FALSE(wal.value().truncated);
+
+  // The next update appends after the checkpoint, not after the torn
+  // record, so a later replay sees it.
+  auto applied = graph::ApplyDelta(g, d1.value());
+  ASSERT_TRUE(applied.ok());
+  auto d3 = graph::MakeRandomEdgeRewires(applied.value().graph, 2,
+                                         /*seed=*/12);
+  ASSERT_TRUE(d3.ok());
+  ASSERT_TRUE(
+      host.value()->Update("paper", d3.value(), engine::UpdateMode::kExact)
+          .ok());
+  wal = host.value()->store().ReadWal("paper");
+  ASSERT_TRUE(wal.ok());
+  ASSERT_EQ(wal.value().deltas.size(), 1u);
+  EXPECT_FALSE(wal.value().truncated);
+  EXPECT_EQ(wal.value().deltas[0].num_ops(), d3.value().num_ops());
+  auto replayed = engine::ReplayModel(host.value()->store(), "paper");
+  ASSERT_TRUE(replayed.ok()) << replayed.status().ToString();
+  std::vector<graph::VertexId> vertices = {graph::VertexId(0),
+                                           graph::VertexId(3)};
+  auto served = host.value()->Score("paper", vertices);
+  ASSERT_TRUE(served.ok());
+  auto expected = replayed.value().session.ScoreBatch(vertices);
+  ASSERT_TRUE(expected.ok());
+  for (size_t i = 0; i < vertices.size(); ++i) {
+    const std::vector<double>& a = served.value()[i].normalized;
+    const std::vector<double>& b = expected.value()[i].normalized;
+    ASSERT_EQ(a.size(), b.size());
+    EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(double)), 0);
   }
 }
 

@@ -24,6 +24,7 @@
 #include <string>
 #include <vector>
 
+#include "engine/live_model.h"
 #include "engine/session.h"
 #include "graph/graph_delta.h"
 #include "net/client.h"
@@ -167,10 +168,8 @@ Status CmdUpdate(cspm::net::Client& client,
       "updated '%s' with %zu edge op(s): %" PRIu64
       " dirty vertices, %s re-mine, DL %.1f -> %.1f bits\n",
       request.model.c_str(), request.delta.num_ops(), response.dirty_vertices,
-      response.fast_path   ? "fast warm"
-      : response.warm_path ? "exact warm"
-                           : "cold",
-      response.dl_before_bits, response.dl_after_bits);
+      response.fast_path ? "fast" : "exact", response.dl_before_bits,
+      response.dl_after_bits);
   return Status::OK();
 }
 
@@ -186,34 +185,15 @@ Status CmdVerifyScores(cspm::net::Client& client,
   if (args.size() > 2 && !ParseUint32(args[2], &count)) {
     return Status::InvalidArgument("bad count '" + args[2] + "'");
   }
-  // Rebuild the state the server serves, the way the server built it:
-  // deterministic mine from the snapshot, then the WAL rolled forward in
-  // its recorded modes.
+  // Rebuild the state the server serves, the way the server built it
+  // (engine::ReplayModel): deterministic mine from the snapshot, then the
+  // WAL rolled forward in its recorded modes. It only reads the store:
+  // the file is the server's.
   CSPM_ASSIGN_OR_RETURN(cspm::store::ModelStore store,
                         cspm::store::ModelStore::Open(store_path));
-  CSPM_ASSIGN_OR_RETURN(cspm::store::StoredModel stored, store.Get(model));
-  if (!stored.graph.has_value()) {
-    return Status::FailedPrecondition("model '" + model +
-                                      "' has no graph snapshot");
-  }
-  CSPM_ASSIGN_OR_RETURN(cspm::store::ModelStore::WalReplay wal,
-                        store.ReadWal(model));
-  cspm::engine::MiningOptions opts;
-  opts.record_iteration_stats = false;
-  opts.enable_updates = true;
-  CSPM_ASSIGN_OR_RETURN(cspm::engine::MiningSession session,
-                        cspm::engine::MiningSession::Create(
-                            std::make_shared<const cspm::graph::AttributedGraph>(
-                                std::move(*stored.graph)),
-                            opts));
-  CSPM_RETURN_IF_ERROR(session.Mine());
-  for (size_t i = 0; i < wal.deltas.size(); ++i) {
-    const cspm::engine::UpdateMode mode =
-        wal.modes[i] == cspm::store::WalDeltaMode::kFast
-            ? cspm::engine::UpdateMode::kFast
-            : cspm::engine::UpdateMode::kExact;
-    CSPM_RETURN_IF_ERROR(session.ApplyUpdates(wal.deltas[i], mode, nullptr));
-  }
+  CSPM_ASSIGN_OR_RETURN(cspm::engine::ReplayedModel replayed,
+                        cspm::engine::ReplayModel(store, model));
+  const cspm::engine::MiningSession& session = replayed.session;
   const uint32_t n = session.graph().num_vertices().value();
   if (n == 0) return Status::FailedPrecondition("empty graph");
   cspm::net::ScoreRequest request;

@@ -32,6 +32,7 @@
 #include <vector>
 
 #include "datasets/synthetic.h"
+#include "engine/live_model.h"
 #include "engine/model_registry.h"
 #include "engine/session.h"
 #include "graph/generators.h"
@@ -55,7 +56,7 @@ struct Shell {
   engine::ModelRegistry::Handle current;
   std::string current_name;
   /// The live mining session behind `update` / `replay`: co-owns the
-  /// mined graph and warm-start state. Scoring still goes through the
+  /// mined graph and its update state. Scoring still goes through the
   /// registry handle, which hot-swaps on every update.
   std::optional<engine::MiningSession> session;
   /// Registry name the live session publishes under.
@@ -85,12 +86,12 @@ void PrintHelp() {
       "                           (vertex, attribute) pairs and throughput\n"
       "  update [--mode=exact|fast] <edge-ops> [seed]\n"
       "                           apply that many random edge rewires to the\n"
-      "                           live graph, re-mine incrementally, hot-swap\n"
-      "                           the served model, and append the delta (and\n"
-      "                           mode) to the store's WAL (when saved).\n"
-      "                           exact (default) = bit-identical to a cold\n"
-      "                           re-mine; fast = continue from the final\n"
-      "                           model, DL within ~epsilon of cold\n"
+      "                           live graph, re-mine, hot-swap the served\n"
+      "                           model, and append the delta (and mode) to\n"
+      "                           the store's WAL (when saved).\n"
+      "                           exact (default) = mine the new graph cold;\n"
+      "                           fast = continue from the final model, DL\n"
+      "                           within ~epsilon of cold\n"
       "  replay <name>            rebuild <name> from its store snapshot and\n"
       "                           re-apply its pending WAL deltas, each in\n"
       "                           the mode it was originally applied with\n"
@@ -180,19 +181,11 @@ Status CmdOpen(Shell& sh, const std::vector<std::string>& args) {
   return Status::OK();
 }
 
-/// (Re)creates the live session over `graph`, mines, and publishes the
-/// result to the registry under `name` (hot-swapping any previous handle).
-Status MineAndPublish(Shell& sh, graph::AttributedGraph graph,
-                      const std::string& name) {
-  sh.session.reset();
-  engine::MiningOptions opts;
-  opts.record_iteration_stats = false;
-  opts.enable_updates = true;
-  auto session_or = engine::MiningSession::Create(
-      std::make_shared<const graph::AttributedGraph>(std::move(graph)), opts);
-  if (!session_or.ok()) return session_or.status();
-  sh.session.emplace(std::move(session_or).value());
-  CSPM_RETURN_IF_ERROR(sh.session->Mine());
+/// Makes `session` the live session and publishes its model to the
+/// registry under `name` (hot-swapping any previous handle).
+Status AdoptSession(Shell& sh, engine::MiningSession session,
+                    const std::string& name) {
+  sh.session.emplace(std::move(session));
   auto handle_or = sh.session->Publish(sh.registry, name);
   if (!handle_or.ok()) return handle_or.status();
   sh.current = std::move(handle_or).value();
@@ -200,6 +193,20 @@ Status MineAndPublish(Shell& sh, graph::AttributedGraph graph,
   sh.current_name = name;
   sh.session_name = name;
   return Status::OK();
+}
+
+/// (Re)creates the live session over `graph`, mines, and publishes the
+/// result under `name`.
+Status MineAndPublish(Shell& sh, graph::AttributedGraph graph,
+                      const std::string& name) {
+  sh.session.reset();
+  CSPM_ASSIGN_OR_RETURN(
+      engine::MiningSession session,
+      engine::MiningSession::Create(
+          std::make_shared<const graph::AttributedGraph>(std::move(graph)),
+          engine::LiveModelOptions()));
+  CSPM_RETURN_IF_ERROR(session.Mine());
+  return AdoptSession(sh, std::move(session), name);
 }
 
 Status CmdMine(Shell& sh, const std::vector<std::string>& args) {
@@ -266,45 +273,28 @@ Status CmdUpdate(Shell& sh, const std::vector<std::string>& args) {
   CSPM_ASSIGN_OR_RETURN(
       graph::GraphDelta delta,
       graph::MakeRandomEdgeRewires(sh.session->graph(), ops, seed));
-  engine::UpdateStats stats;
-  CSPM_RETURN_IF_ERROR(sh.session->ApplyUpdates(delta, mode, &stats));
-  // Persist the delta before the serving swap: if the WAL append fails,
-  // the registry keeps serving the model the store can still reproduce.
-  // The WAL records the mode that actually ran (a fast request can fall
-  // back to exact behaviour), so replay reproduces this session's path.
-  bool logged = false;
-  if (sh.store.has_value() && sh.store->Contains(sh.session_name)) {
-    Status appended = sh.store->AppendDelta(
-        sh.session_name, delta,
-        stats.fast_path ? store::WalDeltaMode::kFast
-                        : store::WalDeltaMode::kExact);
-    if (!appended.ok()) {
-      return Status::IOError(
-          "update applied to the live session but its delta could not be "
-          "logged (" +
-          appended.ToString() +
-          "); still serving the previous model — run `save " +
-          sh.session_name + "` to resync the store, then retry");
-    }
-    logged = true;
-  }
+  // The delta is logged only once the model is saved under the session's
+  // name; an unsaved session has no WAL to append to.
+  const bool logged =
+      sh.store.has_value() && sh.store->Contains(sh.session_name);
+  CSPM_ASSIGN_OR_RETURN(
+      engine::UpdateStats stats,
+      engine::UpdateAndLog(*sh.session, delta, mode,
+                           logged ? &*sh.store : nullptr, sh.registry,
+                           sh.session_name));
   // Hot swap: in-flight batches finish on the old handle's triple; the
   // next score command sees the updated model.
-  auto handle_or = sh.session->Publish(sh.registry, sh.session_name);
-  if (!handle_or.ok()) return handle_or.status();
-  sh.current = std::move(handle_or).value();
+  sh.current = sh.registry.Get(sh.session_name);
   sh.session_handle = sh.current;
   sh.current_name = sh.session_name;
   const auto& m = sh.current->model;
-  const char* mode_ran = stats.fast_path   ? "fast warm"
-                         : stats.warm_path ? "exact warm"
-                                           : "cold";
   std::printf(
       "updated '%s' with %zu edge op(s): %zu dirty vertices, %llu "
       "reseeded, %llu split undo(s), %s re-mine in %.3fs%s\n",
       sh.session_name.c_str(), delta.num_ops(), stats.dirty_vertices,
       static_cast<unsigned long long>(stats.reseeded_pairs),
-      static_cast<unsigned long long>(stats.split_undos), mode_ran,
+      static_cast<unsigned long long>(stats.split_undos),
+      stats.fast_path ? "fast" : "exact",
       stats.apply_seconds, logged ? "; delta appended to WAL" : "");
   std::printf("  now %s\n", DlSummary(m.astars.size(), stats.dl_before_bits,
                                       stats.dl_after_bits)
@@ -315,51 +305,22 @@ Status CmdUpdate(Shell& sh, const std::vector<std::string>& args) {
 Status CmdReplay(Shell& sh, const std::vector<std::string>& args) {
   if (args.size() != 2) return Status::InvalidArgument("usage: replay <name>");
   CSPM_RETURN_IF_ERROR(RequireStore(sh));
-  CSPM_ASSIGN_OR_RETURN(store::StoredModel stored,
-                        sh.store->Get(args[1]));
-  if (!stored.graph.has_value()) {
-    return Status::FailedPrecondition(
-        "record '" + args[1] +
-        "' has no graph snapshot; save one to enable replay");
-  }
-  CSPM_ASSIGN_OR_RETURN(store::ModelStore::WalReplay wal,
-                        sh.store->ReadWal(args[1]));
-  // Rebuild the snapshot model (deterministic), then roll the WAL
-  // forward, each delta in the mode it was originally applied with — a
-  // fast update's model is path-dependent, so reproducing the session
-  // means reproducing its path.
+  CSPM_ASSIGN_OR_RETURN(engine::ReplayedModel replayed,
+                        engine::ReplayModel(*sh.store, args[1]));
   CSPM_RETURN_IF_ERROR(
-      MineAndPublish(sh, std::move(*stored.graph), args[1]));
-  for (size_t i = 0; i < wal.deltas.size(); ++i) {
-    const engine::UpdateMode mode =
-        wal.modes[i] == store::WalDeltaMode::kFast ? engine::UpdateMode::kFast
-                                                   : engine::UpdateMode::kExact;
-    CSPM_RETURN_IF_ERROR(sh.session->ApplyUpdates(wal.deltas[i], mode,
-                                                  nullptr));
-  }
-  auto handle_or = sh.session->Publish(sh.registry, args[1]);
-  if (!handle_or.ok()) return handle_or.status();
-  sh.current = std::move(handle_or).value();
-  sh.session_handle = sh.current;
-  if (wal.truncated) {
-    // Checkpoint the salvaged state: re-Put the record (which compacts
-    // the WAL) so the unreadable tail records are dropped for good —
-    // otherwise later updates would append after them and be silently
-    // lost at the next replay.
-    store::StoredModel checkpoint;
-    checkpoint.model = sh.current->model;
-    checkpoint.dict = sh.current->dict;
-    checkpoint.graph = *sh.current->graph;
-    CSPM_RETURN_IF_ERROR(sh.store->Put(args[1], checkpoint));
+      AdoptSession(sh, std::move(replayed.session), args[1]));
+  if (replayed.truncated) {
+    CSPM_RETURN_IF_ERROR(
+        engine::CheckpointModel(*sh.store, args[1], *sh.session));
     std::printf(
         "warning: WAL tail unreadable, %zu record(s) dropped — replayed "
         "the valid prefix and checkpointed it as the new snapshot\n",
-        wal.dropped);
+        replayed.dropped);
   }
   const auto& m = sh.current->model;
   std::printf(
       "replayed '%s': snapshot + %zu delta(s) -> %u vertices, %s\n",
-      args[1].c_str(), wal.deltas.size(),
+      args[1].c_str(), replayed.deltas,
       sh.current->graph->num_vertices().value(),
       DlSummary(m.astars.size(), m.stats.initial_dl_bits,
                 m.stats.final_dl_bits)
