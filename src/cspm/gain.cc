@@ -32,6 +32,37 @@ uint64_t IntersectionSize(PosListView a, PosListView b) {
 
 double DirectXLog2X(uint64_t n) { return mdl::XLog2X(static_cast<double>(n)); }
 
+std::vector<double> TabulateXLog2X(uint64_t max_n) {
+  std::vector<double> table(max_n + 1);
+  for (uint64_t n = 0; n < table.size(); ++n) table[n] = DirectXLog2X(n);
+  return table;
+}
+
+/// The pair-level inputs every gain of (x, y) shares: the union leafset's
+/// id (kNotFound when it is not interned) and its ST cost. When the union
+/// is x or y itself (y ⊆ x or x ⊆ y) the pair is infeasible: by the
+/// losslessness invariant their positions are disjoint under every shared
+/// coreset. `values` receives the union's values.
+struct PairUnion {
+  LeafsetId id = LeafsetRegistry::kNotFound;
+  double st_cost = 0.0;
+  bool subset = false;
+};
+
+PairUnion UnionOf(const InvertedDatabase& idb, const CodeModel& cm,
+                  LeafsetId x, LeafsetId y, std::vector<AttrId>* values) {
+  const std::vector<AttrId>& vx = idb.leafsets().Values(x);
+  const std::vector<AttrId>& vy = idb.leafsets().Values(y);
+  values->clear();
+  std::set_union(vx.begin(), vx.end(), vy.begin(), vy.end(),
+                 std::back_inserter(*values));
+  PairUnion u;
+  u.id = idb.leafsets().Find(*values);
+  u.subset = u.id == x || u.id == y;
+  if (!u.subset) u.st_cost = cm.StCost(*values);
+  return u;
+}
+
 /// Eqs. 10-15 for one shared coreset whose x and y lines overlap in
 /// xye > 0 positions, accumulated into `r`. ComputeMergeGain and the sweep
 /// both go through here, so every pair sees the same floating-point
@@ -91,8 +122,7 @@ CooccurrenceIndex::CooccurrenceIndex(const InvertedDatabase& idb,
   line_begin.push_back(0);
   for (size_t i = 0; i < rows.size(); ++i) {
     row_first_line.push_back(static_cast<uint32_t>(views.size()));
-    for (CoreId e : idb.CoresOf(rows[i])) {
-      const PosListView line = idb.FindLine(e, rows[i]);
+    idb.ForEachLineOf(rows[i], [&](CoreId e, PosListView line) {
       views.push_back(line);
       line_row.push_back(static_cast<uint32_t>(i));
       line_core.push_back(e);
@@ -101,7 +131,7 @@ CooccurrenceIndex::CooccurrenceIndex(const InvertedDatabase& idb,
       line_begin.push_back(static_cast<uint32_t>(positions));
       num_vertices = std::max(num_vertices, line.back().index() + 1);
       max_core_total = std::max(max_core_total, idb.CoreLineTotal(e));
-    }
+    });
   }
   row_first_line.push_back(static_cast<uint32_t>(views.size()));
 
@@ -204,20 +234,25 @@ class RowSweep {
         const uint64_t xye = overlap_[j];
         overlap_[j] = 0;
         Partner& s = partner_[j];
-        if (!s.met) Meet(x, j);
-        if (s.subset) continue;
-        const uint64_t ze = s.union_id == LeafsetRegistry::kNotFound
+        if (!s.met) {
+          s.met = true;
+          met_.push_back(j);
+          s.pair_union = UnionOf(idb_, cm_, x, rows_[j], &union_);
+        }
+        if (s.pair_union.subset) continue;
+        const uint64_t ze = s.pair_union.id == LeafsetRegistry::kNotFound
                                 ? 0
-                                : idb_.FindLine(e, s.union_id).size();
+                                : idb_.FindLine(e, s.pair_union.id).size();
         AddSharedCore(xlog, fe, xe, y_line_size_[j], ze, xye, core_code,
-                      s.union_st_cost, st_costs_[i], st_costs_[j], &s.gain);
+                      s.pair_union.st_cost, st_costs_[i], st_costs_[j],
+                      &s.gain);
       }
     }
     std::sort(met_.begin(), met_.end());
     out->clear();
     for (uint32_t j : met_) {
       const Partner& s = partner_[j];
-      out->push_back({rows_[j], s.subset ? GainResult{} : s.gain});
+      out->push_back({rows_[j], s.pair_union.subset ? GainResult{} : s.gain});
       partner_[j] = Partner{};
     }
   }
@@ -225,27 +260,9 @@ class RowSweep {
  private:
   struct Partner {
     GainResult gain;
-    LeafsetId union_id = LeafsetRegistry::kNotFound;
-    double union_st_cost = 0.0;
+    PairUnion pair_union;  // set at the first overlap
     bool met = false;
-    /// The union is x or y itself: infeasible (see ComputeMergeGain).
-    bool subset = false;
   };
-
-  /// First overlap of x with row j: the pair-level inputs.
-  void Meet(LeafsetId x, uint32_t j) {
-    Partner& s = partner_[j];
-    s.met = true;
-    met_.push_back(j);
-    const std::vector<AttrId>& vx = idb_.leafsets().Values(x);
-    const std::vector<AttrId>& vy = idb_.leafsets().Values(rows_[j]);
-    union_.clear();
-    std::set_union(vx.begin(), vx.end(), vy.begin(), vy.end(),
-                   std::back_inserter(union_));
-    s.union_id = idb_.leafsets().Find(union_);
-    s.subset = s.union_id == x || s.union_id == rows_[j];
-    if (!s.subset) s.union_st_cost = cm_.StCost(union_);
-  }
 
   const InvertedDatabase& idb_;
   const CodeModel& cm_;
@@ -263,32 +280,34 @@ class RowSweep {
 
 }  // namespace
 
+std::vector<double> TabulateXLog2X(const InvertedDatabase& idb) {
+  uint64_t max_core_total = 0;
+  for (CoreId e(0); e.index() < idb.num_coresets(); ++e) {
+    max_core_total = std::max(max_core_total, idb.CoreLineTotal(e));
+  }
+  return TabulateXLog2X(max_core_total);
+}
+
 GainResult ComputeMergeGain(const InvertedDatabase& idb, const CodeModel& cm,
                             LeafsetId x, LeafsetId y) {
   GainResult result;
   if (x == y) return result;
   if (idb.CoresOf(x).empty() || idb.CoresOf(y).empty()) return result;
 
-  const std::vector<AttrId> union_values =
-      idb.leafsets().UnionValues(x, y);
-  // If y ⊆ x (or vice versa) the union equals one of the pair; by the
-  // losslessness invariant their positions are disjoint under every shared
-  // coreset, so the pair is infeasible. Detect cheaply and bail out.
-  const LeafsetId existing_union = idb.leafsets().Find(union_values);
-  if (existing_union == x || existing_union == y) return result;
-
-  const double union_st_cost = cm.StCost(union_values);
+  std::vector<AttrId> union_values;
+  const PairUnion pair_union = UnionOf(idb, cm, x, y, &union_values);
+  if (pair_union.subset) return result;
   const double x_st_cost = cm.StCost(idb.leafsets().Values(x));
   const double y_st_cost = cm.StCost(idb.leafsets().Values(y));
 
   idb.ForEachSharedCore(x, y, [&](CoreId e, PosListView px, PosListView py) {
     const uint64_t xye = IntersectionSize(px, py);
     if (xye == 0) return;  // nothing merges under this coreset
-    const uint64_t ze = existing_union == LeafsetRegistry::kNotFound
+    const uint64_t ze = pair_union.id == LeafsetRegistry::kNotFound
                             ? 0
-                            : idb.FindLine(e, existing_union).size();
+                            : idb.FindLine(e, pair_union.id).size();
     AddSharedCore(DirectXLog2X, idb.CoreLineTotal(e), px.size(), py.size(), ze,
-                  xye, cm.CoreCodeLength(e), union_st_cost, x_st_cost,
+                  xye, cm.CoreCodeLength(e), pair_union.st_cost, x_st_cost,
                   y_st_cost, &result);
   });
   if (!result.feasible) {
@@ -302,12 +321,8 @@ uint64_t SweepMergeGains(const InvertedDatabase& idb, const CodeModel& cm,
                          std::span<const LeafsetId> rows,
                          util::ThreadPool* pool, const PairGainSink& sink) {
   const CooccurrenceIndex index(idb, rows);
-  // Step 3: XLog2X is a pure function of an integer; every argument of
-  // Eqs. 10-15 lies in 0..f_e.
-  std::vector<double> xlog_table(index.max_core_total + 1);
-  for (uint64_t n = 0; n < xlog_table.size(); ++n) {
-    xlog_table[n] = DirectXLog2X(n);
-  }
+  // Every argument of Eqs. 10-15 lies in 0..f_e.
+  const std::vector<double> xlog_table = TabulateXLog2X(index.max_core_total);
   std::vector<double> st_costs(rows.size());
   for (size_t i = 0; i < rows.size(); ++i) {
     st_costs[i] = cm.StCost(idb.leafsets().Values(rows[i]));
@@ -342,8 +357,111 @@ uint64_t SweepMergeGains(const InvertedDatabase& idb, const CodeModel& cm,
   return evaluated;
 }
 
+RowRescorer::RowRescorer(const InvertedDatabase& idb, const CodeModel& cm)
+    : idb_(idb),
+      cm_(cm),
+      xlog_table_(TabulateXLog2X(idb)),
+      core_slot_(idb.num_coresets(), kNoSlot),
+      mark_(idb.vertex_coresets().size(), 0) {}
+
+void RowRescorer::Score(LeafsetId row, RowSide side,
+                        std::span<const LeafsetId> partners,
+                        std::vector<GainResult>* out) {
+  out->assign(partners.size(), GainResult{});
+  // Index the row: one slot per line, in ascending coreset order.
+  const std::vector<CoreId>& row_cores = idb_.CoresOf(row);
+  row_lines_.clear();
+  idb_.ForEachLineOf(row, [&](CoreId e, PosListView line) {
+    core_slot_[e.index()] = static_cast<uint32_t>(row_lines_.size());
+    row_lines_.push_back(line);
+  });
+  if (row_lines_.empty()) return;
+
+  // Bucket the partners' lines under row cores by slot, with a stable
+  // counting scatter: one walk over each partner's lines counts, a second
+  // one fills.
+  const auto for_each_partner_line = [&](const auto& fn) {
+    for (size_t j = 0; j < partners.size(); ++j) {
+      if (partners[j] == row) continue;
+      idb_.ForEachLineOf(partners[j], [&](CoreId e, PosListView line) {
+        const uint32_t slot = core_slot_[e.index()];
+        if (slot != kNoSlot) fn(slot, static_cast<uint32_t>(j), line);
+      });
+    }
+  };
+  slot_begin_.assign(row_lines_.size() + 1, 0);
+  for_each_partner_line(
+      [&](uint32_t slot, uint32_t, PosListView) { ++slot_begin_[slot + 1]; });
+  for (size_t s = 0; s < row_lines_.size(); ++s) {
+    slot_begin_[s + 1] += slot_begin_[s];
+  }
+  bucketed_.resize(slot_begin_.back());
+  for_each_partner_line([&](uint32_t slot, uint32_t j, PosListView line) {
+    bucketed_[slot_begin_[slot]++] = {j, line};
+  });
+  for (CoreId e : row_cores) core_slot_[e.index()] = kNoSlot;
+  // The scatter advanced each slot's begin to its end, which is the next
+  // slot's begin: slot s now spans [slot_begin_[s - 1], slot_begin_[s]).
+
+  const double row_st_cost = cm_.StCost(idb_.leafsets().Values(row));
+  partners_.assign(partners.size(), Partner{});
+  const auto xlog = [this](uint64_t n) { return xlog_table_[n]; };
+  uint32_t begin = 0;
+  for (size_t s = 0; s < row_lines_.size(); ++s) {
+    const uint32_t end = slot_begin_[s];
+    if (begin == end) continue;
+    const CoreId e = row_cores[s];
+    const PosListView row_line = row_lines_[s];
+    if (++stamp_ == 0) {  // wrapped: no stale mark may equal a live stamp
+      std::fill(mark_.begin(), mark_.end(), 0);
+      stamp_ = 1;
+    }
+    for (VertexId v : row_line) mark_[v.index()] = stamp_;
+    const uint64_t fe = idb_.CoreLineTotal(e);
+    CSPM_DCHECK(fe < xlog_table_.size());
+    const double core_code = cm_.CoreCodeLength(e);
+    for (uint32_t k = begin; k < end; ++k) {
+      const Entry& entry = bucketed_[k];
+      uint64_t xye = 0;
+      for (VertexId v : entry.positions) xye += mark_[v.index()] == stamp_;
+      if (xye == 0) continue;  // nothing merges under this coreset
+      Partner& p = partners_[entry.partner];
+      if (!p.met) Meet(row, partners[entry.partner], &p);
+      if (p.subset) continue;
+      const uint64_t ze = p.union_id == LeafsetRegistry::kNotFound
+                              ? 0
+                              : idb_.FindLine(e, p.union_id).size();
+      GainResult* r = &(*out)[entry.partner];
+      if (side == RowSide::kX) {
+        AddSharedCore(xlog, fe, row_line.size(), entry.positions.size(), ze,
+                      xye, core_code, p.union_st_cost, row_st_cost, p.st_cost,
+                      r);
+      } else {
+        AddSharedCore(xlog, fe, entry.positions.size(), row_line.size(), ze,
+                      xye, core_code, p.union_st_cost, p.st_cost, row_st_cost,
+                      r);
+      }
+    }
+    begin = end;
+  }
+}
+
+void RowRescorer::Meet(LeafsetId row, LeafsetId y, Partner* p) {
+  p->met = true;
+  const PairUnion pair_union = UnionOf(idb_, cm_, row, y, &union_);
+  p->union_id = pair_union.id;
+  p->subset = pair_union.subset;
+  if (p->subset) return;
+  p->union_st_cost = pair_union.st_cost;
+  p->st_cost = cm_.StCost(idb_.leafsets().Values(y));
+}
+
 GainResult ComputeSplitGain(const InvertedDatabase& idb, const CodeModel& cm,
-                            CoreId e, LeafsetId l) {
+                            CoreId e, LeafsetId l,
+                            std::span<const double> xlog_table) {
+  const auto xlog = [xlog_table](uint64_t n) {
+    return n < xlog_table.size() ? xlog_table[n] : DirectXLog2X(n);
+  };
   GainResult result;
   const PosListView line = idb.FindLine(e, l);
   if (line.empty()) return result;
@@ -360,20 +478,18 @@ GainResult ComputeSplitGain(const InvertedDatabase& idb, const CodeModel& cm,
 
   // Eq. 8's core term grows from f_e to f_e + (|values|-1) fL; the split
   // line leaves the Σ fL log fL sum and every member singleton absorbs fL.
-  result.data_gain_bits = mdl::XLog2X(static_cast<double>(fe)) -
-                          mdl::XLog2X(static_cast<double>(grown)) -
-                          mdl::XLog2X(static_cast<double>(fl));
+  result.data_gain_bits = xlog(fe) - xlog(grown) - xlog(fl);
   result.model_delta_bits = -cm.LineModelCost(values, e);
   const double core_code = cm.CoreCodeLength(e);
-  std::vector<AttrId> singleton(1, AttrId(0));
   for (AttrId a : values) {
-    singleton[0] = a;
     uint64_t se = 0;
-    const LeafsetId s = idb.leafsets().Find(singleton);
+    const LeafsetId s = idb.leafsets().Singleton(a);
     if (s != LeafsetRegistry::kNotFound) se = idb.FindLine(e, s).size();
-    result.data_gain_bits += mdl::XLog2X(static_cast<double>(se + fl)) -
-                             mdl::XLog2X(static_cast<double>(se));
-    if (se == 0) result.model_delta_bits += cm.StCost(singleton) + core_code;
+    result.data_gain_bits += xlog(se + fl) - xlog(se);
+    if (se == 0) {
+      result.model_delta_bits +=
+          cm.StCost(std::span<const AttrId>(&a, 1)) + core_code;
+    }
   }
   return result;
 }

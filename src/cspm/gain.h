@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <functional>
 #include <span>
+#include <vector>
 
 #include "cspm/code_model.h"
 #include "cspm/inverted_database.h"
@@ -85,6 +86,69 @@ uint64_t SweepMergeGains(const InvertedDatabase& idb, const CodeModel& cm,
                          std::span<const LeafsetId> rows,
                          util::ThreadPool* pool, const PairGainSink& sink);
 
+/// Which member of each pair a rescored row is: the pair is (row, y) under
+/// kX and (y, row) under kY. ComputeMergeGain's two model-delta
+/// subtractions run in x-then-y order, so the side decides the bits.
+enum class RowSide { kX, kY };
+
+/// The merge loop's rescoring (Algorithm 4 steps 2-3): scores one row
+/// leafset against its whole partner list in one pass instead of one
+/// ComputeMergeGain call per pair. The row's lines are indexed once (a
+/// dense core→slot map, and each row line's vertices stamped into a
+/// vertex-indexed mark array); each partner's lines under a row core are
+/// bucketed by slot (a counting scatter); then, core by core in ascending
+/// order, overlaps are counted against the marks and Eqs. 10-15
+/// accumulated. Same integers, same per-pair orientation, same ascending
+/// core order and XLog2X from a table: every result is bit-identical to
+/// the single-pair call (DESIGN.md §4). Holds scratch sized to the
+/// database; not thread-safe.
+class RowRescorer {
+ public:
+  /// Tabulates XLog2X over 0..max f_e of `idb` as it is now. Merges only
+  /// shrink f_e, so the table covers a whole merge loop over `idb`; it
+  /// does not cover a SplitLine (which grows f_e).
+  RowRescorer(const InvertedDatabase& idb, const CodeModel& cm);
+
+  /// Replaces `out` with one result per partner, in partner order:
+  /// ComputeMergeGain(row, partners[j]) under RowSide::kX, and
+  /// ComputeMergeGain(partners[j], row) under kY. Partners that share no
+  /// position with the row, whose union is one of the pair, that have no
+  /// lines or that equal the row come back infeasible.
+  void Score(LeafsetId row, RowSide side, std::span<const LeafsetId> partners,
+             std::vector<GainResult>* out);
+
+ private:
+  /// One partner line under a row core.
+  struct Entry {
+    uint32_t partner;
+    PosListView positions;
+  };
+  /// Pair-level inputs, computed at the partner's first overlap.
+  struct Partner {
+    LeafsetId union_id = LeafsetRegistry::kNotFound;
+    double union_st_cost = 0.0;
+    double st_cost = 0.0;
+    bool met = false;
+    /// The union is the row or the partner itself: infeasible.
+    bool subset = false;
+  };
+  static constexpr uint32_t kNoSlot = ~0u;
+
+  void Meet(LeafsetId row, LeafsetId y, Partner* p);
+
+  const InvertedDatabase& idb_;
+  const CodeModel& cm_;
+  std::vector<double> xlog_table_;
+  std::vector<uint32_t> core_slot_;  // per coreset; kNoSlot off the row
+  std::vector<uint32_t> mark_;       // per vertex; == stamp_ on the row line
+  uint32_t stamp_ = 0;
+  std::vector<PosListView> row_lines_;  // per slot
+  std::vector<uint32_t> slot_begin_;    // per slot, plus an end sentinel
+  std::vector<Entry> bucketed_;         // partner lines, grouped by slot
+  std::vector<Partner> partners_;
+  std::vector<AttrId> union_;
+};
+
 /// Computes the exact gain of *undoing* line (e, l) of a merged leafset
 /// via InvertedDatabase::SplitLine (no mutation): its positions return to
 /// the member singleton lines, so f_e grows by (|values| - 1) * fL. Uses
@@ -94,8 +158,18 @@ uint64_t SweepMergeGains(const InvertedDatabase& idb, const CodeModel& cm,
 /// Code_L drift. Infeasible when the line does not exist or l is a
 /// singleton. Total(policy) > 0 means the split pays for itself — the
 /// fast re-mine's undo criterion.
+///
+/// `xlog_table`, when given, holds XLog2X over 0..size-1 (see
+/// TabulateXLog2X); arguments beyond it are computed directly. A table
+/// read returns the same bits as the call, so the result is the same.
 GainResult ComputeSplitGain(const InvertedDatabase& idb, const CodeModel& cm,
-                            CoreId e, LeafsetId l);
+                            CoreId e, LeafsetId l,
+                            std::span<const double> xlog_table = {});
+
+/// mdl::XLog2X of 0..max f_e of `idb`, indexed by n. XLog2X is a pure
+/// function of an integer, so a table read returns the bits of the direct
+/// call.
+std::vector<double> TabulateXLog2X(const InvertedDatabase& idb);
 
 }  // namespace cspm::core
 

@@ -249,6 +249,12 @@ Status InvertedDatabase::ApplyDeltaMerged(
     return Status::InvalidArgument(
         "ApplyDeltaMerged: graphs do not bracket this database");
   }
+  for (VertexId u : dirty_vertices) {
+    if (u >= n_new) {
+      return Status::InvalidArgument(
+          "ApplyDeltaMerged: dirty vertex out of range");
+    }
+  }
 
   // Append singleton coresets for attribute values new to the patched
   // graph. No leafset is interned here: the greedy re-cover interns
@@ -264,15 +270,33 @@ Status InvertedDatabase::ApplyDeltaMerged(
   const size_t num_cores = coreset_values_.size();
   vertex_coresets_.resize(n_new.index());
 
-  // Per-core candidate leafsets, largest value set first then lowest id:
-  // the removal sweep and the greedy re-cover both walk these. Built
-  // once — lines erased later read as absent, and lines created later
-  // only ever hold already-processed dirty vertices, so staleness never
-  // hides a position the sweep must remove.
+  // Both indexes below are built once, from the leafsets active now.
+  // Lines erased later read as absent, and lines created later only ever
+  // hold already-processed dirty vertices, so staleness never hides a
+  // position the removal must find.
+  //
+  // Per value the removal probes (an old neighbour value of a dirty
+  // vertex), the leafsets that contain it, ascending id. Per core the
+  // re-cover walks (a new core of a dirty vertex), the leafsets with a
+  // line under it, largest value set first then lowest id.
+  std::vector<char> removal_value(num_attrs_new, 0);
+  std::vector<char> recover_core(num_cores, 0);
+  std::vector<AttrId> nbr_old;
+  for (VertexId u : dirty_vertices) {
+    if (!vertex_coresets_[u.index()].empty()) {
+      GatherDistinctNeighbourAttrs(old_graph, u, &nbr_old);
+      for (AttrId a : nbr_old) removal_value[a.index()] = 1;
+    }
+    for (AttrId a : new_graph.Attributes(u)) recover_core[a.index()] = 1;
+  }
+  std::vector<std::vector<LeafsetId>> leafsets_with(num_attrs_new);
   std::vector<std::vector<LeafsetId>> leafsets_under(num_cores);
   for (LeafsetId l : active_leafsets_) {
+    for (AttrId a : leafsets_.Values(l)) {
+      if (removal_value[a.index()]) leafsets_with[a.index()].push_back(l);
+    }
     for (CoreId c : lines_of_[l.index()].cores) {
-      leafsets_under[c.index()].push_back(l);
+      if (recover_core[c.index()]) leafsets_under[c.index()].push_back(l);
     }
   }
   for (std::vector<LeafsetId>& cands : leafsets_under) {
@@ -338,7 +362,8 @@ Status InvertedDatabase::ApplyDeltaMerged(
   };
 
   // Epoch-stamped cover state: needed[a] == cur while attribute a still
-  // awaits cover for the vertex being re-inserted under the current core.
+  // awaits its line for the vertex being removed from, or re-inserted
+  // under, the current core.
   std::vector<uint32_t> needed(num_attrs_new, 0);
   uint32_t cur = 0;
 
@@ -347,18 +372,29 @@ Status InvertedDatabase::ApplyDeltaMerged(
   std::vector<CoreId> cores_new;
   std::vector<AttrId> singleton(1, AttrId(0));
   for (VertexId u : dirty_vertices) {
-    if (u >= n_new) {
-      return Status::InvalidArgument(
-          "ApplyDeltaMerged: dirty vertex out of range");
-    }
     // Remove u everywhere under its old cores. By the partition invariant
-    // those lines jointly held u's old neighbour values exactly once each,
-    // so the sweep needs no old-graph adjacency.
+    // the lines holding u under a core hold each of u's old neighbour
+    // values exactly once, so each value still uncovered is probed only
+    // against the leafsets containing it, up to the first hit, and the
+    // hit covers all of that leafset's values.
     cores_old = vertex_coresets_[u.index()];  // copied: overwritten below
+    if (!cores_old.empty()) {
+      GatherDistinctNeighbourAttrs(old_graph, u, &nbr_old);
+    }
     for (CoreId c : cores_old) {
-      for (LeafsetId l : leafsets_under[c.index()]) {
-        remove_if_present(c, l, u);
+      ++cur;
+      for (AttrId a : nbr_old) needed[a.index()] = cur;
+      size_t remaining = nbr_old.size();
+      for (AttrId a : nbr_old) {
+        if (needed[a.index()] != cur) continue;
+        for (LeafsetId l : leafsets_with[a.index()]) {
+          if (!remove_if_present(c, l, u)) continue;
+          for (AttrId b : leafsets_.Values(l)) needed[b.index()] = 0;
+          remaining -= leafsets_.Values(l).size();
+          break;
+        }
       }
+      CSPM_DCHECK(remaining == 0);
     }
 
     GatherDistinctNeighbourAttrs(new_graph, u, &nbr_new);
@@ -459,7 +495,8 @@ Status InvertedDatabase::SplitLine(CoreId e, LeafsetId l) {
 
   PosList merged;
   for (AttrId a : values) {
-    const LeafsetId s = leafsets_.Intern({a});
+    LeafsetId s = leafsets_.Singleton(a);
+    if (s == LeafsetRegistry::kNotFound) s = leafsets_.Intern({a});
     if (s.index() >= lines_of_.size()) lines_of_.resize(s.index() + 1);
     LeafsetLines& lines = lines_of_[s.index()];
     const size_t j = LowerBoundCore(lines, e);

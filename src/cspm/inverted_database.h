@@ -10,10 +10,10 @@
 //
 // The search layer (miner / candidates / gain) consumes this class only
 // through the narrow interface below: active_leafsets / CoresOf / FindLine
-// / ForEachSharedCore / ForEachLine for iteration, MergeLeafsets for
-// mutation, and the f_e / frequency accessors for the gain formulas. Keep
-// it that way — it is what lets the storage be swapped or sharded without
-// touching the search layer (see DESIGN.md §2).
+// / ForEachSharedCore / ForEachLineOf / ForEachLine for iteration,
+// MergeLeafsets for mutation, and the f_e / frequency accessors for the
+// gain formulas. Keep it that way — it is what lets the storage be swapped
+// or sharded without touching the search layer (see DESIGN.md §2).
 #ifndef CSPM_CSPM_INVERTED_DATABASE_H_
 #define CSPM_CSPM_INVERTED_DATABASE_H_
 
@@ -161,15 +161,23 @@ class InvertedDatabase {
     }
   }
 
+  /// Iterates the lines of leafset l in ascending coreset order:
+  /// fn(CoreId, PosListView). Nothing for inactive leafsets.
+  template <typename Fn>
+  void ForEachLineOf(LeafsetId l, Fn&& fn) const {
+    if (l.index() >= lines_of_.size()) return;
+    const LeafsetLines& lines = lines_of_[l.index()];
+    for (size_t i = 0; i < lines.cores.size(); ++i) {
+      fn(lines.cores[i], pool_.View(lines.refs[i]));
+    }
+  }
+
   /// Iterates over all lines, in ascending (leafset, coreset) order:
   /// fn(CoreId, LeafsetId, PosListView).
   template <typename Fn>
   void ForEachLine(Fn&& fn) const {
     for (LeafsetId l(0); l.index() < lines_of_.size(); ++l) {
-      const LeafsetLines& lines = lines_of_[l.index()];
-      for (size_t i = 0; i < lines.cores.size(); ++i) {
-        fn(lines.cores[i], l, pool_.View(lines.refs[i]));
-      }
+      ForEachLineOf(l, [&](CoreId e, PosListView view) { fn(e, l, view); });
     }
   }
 

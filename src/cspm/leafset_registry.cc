@@ -12,6 +12,11 @@ LeafsetId LeafsetRegistry::Intern(std::vector<AttrId> values) {
   if (it != index_.end()) return it->second;
   LeafsetId id(static_cast<uint32_t>(sets_.size()));
   index_.emplace(values, id);
+  if (values.size() == 1) {
+    const size_t a = values[0].index();
+    if (a >= singletons_.size()) singletons_.resize(a + 1, kNotFound);
+    singletons_[a] = id;
+  }
   sets_.push_back(std::move(values));
   return id;
 }

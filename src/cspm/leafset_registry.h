@@ -36,6 +36,13 @@ class LeafsetRegistry {
   /// Id of an existing leafset, or kNotFound.
   LeafsetId Find(const std::vector<AttrId>& values) const;
 
+  /// Id of the singleton leafset {a}, or kNotFound: a table read, where
+  /// Find would hash a one-element vector.
+  LeafsetId Singleton(AttrId a) const {
+    return a.index() < singletons_.size() ? singletons_[a.index()]
+                                          : kNotFound;
+  }
+
   /// Values of an interned leafset.
   const std::vector<AttrId>& Values(LeafsetId id) const;
 
@@ -50,6 +57,7 @@ class LeafsetRegistry {
  private:
   std::vector<std::vector<AttrId>> sets_;
   std::unordered_map<std::vector<AttrId>, LeafsetId, LeafsetHash> index_;
+  std::vector<LeafsetId> singletons_;  // per attribute value, or kNotFound
 };
 
 }  // namespace cspm::core

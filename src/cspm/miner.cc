@@ -1,6 +1,7 @@
 #include "cspm/miner.h"
 
 #include <algorithm>
+#include <cstring>
 #include <memory>
 #include <numeric>
 #include <optional>
@@ -10,6 +11,7 @@
 #include "itemset/transaction_db.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "util/check.h"
 #include "util/thread_pool.h"
 #include "util/timer.h"
 
@@ -194,6 +196,9 @@ void RunPartialLoop(const SearchContext& ctx, CandidateStore& store,
   obs::TraceSpan merge_loop_span("merge_loop");
   uint64_t iteration = 0;
   std::vector<LeafsetId> scratch;
+  RowRescorer rescorer(*ctx.idb, *ctx.cm);
+  std::vector<LeafsetId> partners;
+  std::vector<GainResult> gains;
   while (!store.empty() && !rdict.empty()) {
     if (ctx.options->max_iterations &&
         iteration >= ctx.options->max_iterations) {
@@ -245,44 +250,53 @@ void RunPartialLoop(const SearchContext& ctx, CandidateStore& store,
       for (LeafsetId rel : scratch) store.Erase(l, rel);
     }
 
+    // Steps (2) and (3) score one row against its partner list each, all
+    // against the post-merge database; each pair keeps its (x, y)
+    // orientation, and store/rdict updates replay in partner order.
+
     // (2) Score the new pattern against leafsets related to both halves.
     const LeafsetId u = outcome.merged_id;
+    partners.clear();
     for (LeafsetId rel : related_both) {
       if (rel == x || rel == y || rel == u) continue;
       if (ctx.idb->CoresOf(rel).empty()) continue;  // vanished meanwhile
-      GainResult gr = ComputeMergeGain(*ctx.idb, *ctx.cm, rel, u);
-      ++computations;
-      if (gr.feasible) {
-        const double total = gr.Total(ctx.options->gain_policy);
-        if (total > ctx.options->min_gain_bits) {
-          store.Set(rel, u, total);
-          rdict.Link(rel, u);
-        }
+      partners.push_back(rel);
+    }
+    rescorer.Score(u, RowSide::kY, partners, &gains);  // pairs (rel, u)
+    computations += partners.size();
+    for (size_t j = 0; j < partners.size(); ++j) {
+      if (!gains[j].feasible) continue;
+      const double total = gains[j].Total(ctx.options->gain_policy);
+      if (total > ctx.options->min_gain_bits) {
+        store.Set(partners[j], u, total);
+        rdict.Link(partners[j], u);
       }
     }
 
     // (3) Update pairs influenced through partly merged leafsets.
     for (LeafsetId l : outcome.partly_merged) {
       const std::vector<LeafsetId>& snapshot = (l == x) ? rel_x : rel_y;
+      partners.clear();
       for (LeafsetId rel : snapshot) {
         if (rel == x || rel == y) continue;
-        if (ctx.idb->CoresOf(rel).empty() || ctx.idb->CoresOf(l).empty()) {
-          continue;
-        }
+        if (ctx.idb->CoresOf(rel).empty()) continue;
         // Everything the merge moved (l / u lines, f_e) sits under the
         // touched cores; with no line there, rel's pair with l kept
         // bit-identical inputs — the stored gain still stands.
         if (!SharesAnyCore(ctx.idb->CoresOf(rel), outcome.touched_cores)) {
           continue;
         }
-        GainResult gr = ComputeMergeGain(*ctx.idb, *ctx.cm, l, rel);
-        ++computations;
-        const double total = gr.Total(ctx.options->gain_policy);
-        if (gr.feasible && total > ctx.options->min_gain_bits) {
-          store.Set(l, rel, total);
+        partners.push_back(rel);
+      }
+      rescorer.Score(l, RowSide::kX, partners, &gains);  // pairs (l, rel)
+      computations += partners.size();
+      for (size_t j = 0; j < partners.size(); ++j) {
+        const double total = gains[j].Total(ctx.options->gain_policy);
+        if (gains[j].feasible && total > ctx.options->min_gain_bits) {
+          store.Set(l, partners[j], total);
         } else {
-          store.Erase(l, rel);
-          rdict.Unlink(l, rel);
+          store.Erase(l, partners[j]);
+          rdict.Unlink(l, partners[j]);
         }
       }
     }
@@ -318,6 +332,7 @@ std::vector<uint32_t> RankByValues(size_t n, const ValuesFn& values) {
 // both their coreset and their leafset.
 void ExtractAStars(const CspmOptions& options, const InvertedDatabase& idb,
                    const CodeModel& cm, CspmModel* model) {
+  obs::TraceSpan extract_span("extract");
   const auto core_values = [&](uint32_t c) -> const std::vector<AttrId>& {
     return idb.CoresetValues(CoreId(c));
   };
@@ -329,10 +344,17 @@ void ExtractAStars(const CspmOptions& options, const InvertedDatabase& idb,
   const std::vector<uint32_t> leaf_rank =
       RankByValues(idb.leafsets().size(), leaf_values);
 
+  const auto code_length = [&](CoreId e, uint64_t frequency) {
+    return cm.CoreCodeLength(e) +
+           CodeModel::LeafCodeLength(frequency, idb.CoreLineTotal(e));
+  };
+  // The sort compares two integers per key: a code length is a sum of
+  // non-negative code lengths, and non-negative doubles order as their
+  // bit patterns do. -0.0 (equal to +0.0) is folded into +0.0 and
+  // recomputed when the a-star is built.
   struct Key {
-    double code_length_bits;
-    uint32_t core_rank;
-    uint32_t leaf_rank;
+    uint64_t code_order;
+    uint64_t ranks;  // core rank << 32 | leaf rank
     CoreId e;
     LeafsetId l;
     uint64_t frequency;
@@ -345,18 +367,19 @@ void ExtractAStars(const CspmOptions& options, const InvertedDatabase& idb,
       return;
     }
     const uint64_t frequency = positions.size();
-    const double code_length_bits =
-        cm.CoreCodeLength(e) +
-        CodeModel::LeafCodeLength(frequency, idb.CoreLineTotal(e));
-    keys.push_back({code_length_bits, core_rank[e.index()],
-                    leaf_rank[l.index()], e, l, frequency});
+    const double code_length_bits = code_length(e, frequency);
+    CSPM_DCHECK(code_length_bits >= 0.0);
+    uint64_t code_order = 0;
+    if (code_length_bits != 0.0) {
+      std::memcpy(&code_order, &code_length_bits, sizeof(code_order));
+    }
+    const uint64_t ranks =
+        uint64_t{core_rank[e.index()]} << 32 | leaf_rank[l.index()];
+    keys.push_back({code_order, ranks, e, l, frequency});
   });
   std::sort(keys.begin(), keys.end(), [](const Key& a, const Key& b) {
-    if (a.code_length_bits != b.code_length_bits) {
-      return a.code_length_bits < b.code_length_bits;
-    }
-    if (a.core_rank != b.core_rank) return a.core_rank < b.core_rank;
-    return a.leaf_rank < b.leaf_rank;
+    return a.code_order < b.code_order ||
+           (a.code_order == b.code_order && a.ranks < b.ranks);
   });
 
   model->astars.reserve(keys.size());
@@ -367,9 +390,19 @@ void ExtractAStars(const CspmOptions& options, const InvertedDatabase& idb,
     s.frequency = k.frequency;
     s.core_total = idb.CoreLineTotal(k.e);
     s.coreset_frequency = idb.CoresetFrequency(k.e);
-    s.code_length_bits = k.code_length_bits;
+    if (k.code_order != 0) {
+      std::memcpy(&s.code_length_bits, &k.code_order, sizeof(k.code_order));
+    } else {
+      s.code_length_bits = code_length(k.e, k.frequency);
+    }
     model->astars.push_back(std::move(s));
   }
+}
+
+// The full description length, under the `dl` span.
+double DescriptionLengthBits(const CodeModel& cm, const InvertedDatabase& idb) {
+  obs::TraceSpan dl_span("dl");
+  return cm.TotalDescriptionLengthBits(idb);
 }
 
 }  // namespace
@@ -404,7 +437,7 @@ StatusOr<CspmMiner::MineArtifacts> CspmMiner::ResumeFast(
   const CodeModel cm(g, idb);
 
   CspmModel model;
-  model.stats.initial_dl_bits = cm.TotalDescriptionLengthBits(idb);
+  model.stats.initial_dl_bits = DescriptionLengthBits(cm, idb);
   model.stats.initial_leafsets = idb.num_active_leafsets();
   model.stats.initial_lines = idb.num_lines();
 
@@ -432,6 +465,9 @@ StatusOr<CspmMiner::MineArtifacts> CspmMiner::ResumeFast(
   uint64_t computations = 0;
   std::vector<LeafsetId> split_fed;  // singletons the unmerge pass grew
   std::optional<obs::TraceSpan> unmerge_span(std::in_place, "unmerge");
+  // Splits grow f_e, so later arguments can pass the table's end; those
+  // are computed directly.
+  const std::vector<double> xlog_table = TabulateXLog2X(idb);
   bool changed = true;
   while (changed) {
     changed = false;
@@ -450,7 +486,7 @@ StatusOr<CspmMiner::MineArtifacts> CspmMiner::ResumeFast(
       double total = 0.0;
       bool feasible = true;
       for (CoreId e : cores) {
-        GainResult gr = ComputeSplitGain(idb, cm, e, l);
+        GainResult gr = ComputeSplitGain(idb, cm, e, l, xlog_table);
         ++computations;
         if (!gr.feasible) {
           feasible = false;
@@ -468,7 +504,7 @@ StatusOr<CspmMiner::MineArtifacts> CspmMiner::ResumeFast(
         CSPM_RETURN_IF_ERROR(idb.SplitLine(e, l));
       }
       for (AttrId a : values) {
-        split_fed.push_back(idb.leafsets().Find({a}));
+        split_fed.push_back(idb.leafsets().Singleton(a));
       }
       if (fast_stats != nullptr) ++fast_stats->splits;
       changed = true;
@@ -543,7 +579,7 @@ StatusOr<CspmMiner::MineArtifacts> CspmMiner::ResumeFast(
   }
   RunPartialLoop(ctx, store, rdict);
 
-  model.stats.final_dl_bits = cm.TotalDescriptionLengthBits(idb);
+  model.stats.final_dl_bits = DescriptionLengthBits(cm, idb);
   model.stats.final_leafsets = idb.num_active_leafsets();
   model.stats.final_lines = idb.num_lines();
 
@@ -579,7 +615,7 @@ StatusOr<CspmMiner::MineArtifacts> CspmMiner::MineWithArtifacts(
   const CodeModel cm(g, idb);
 
   CspmModel model;
-  model.stats.initial_dl_bits = cm.TotalDescriptionLengthBits(idb);
+  model.stats.initial_dl_bits = DescriptionLengthBits(cm, idb);
   model.stats.initial_leafsets = idb.num_active_leafsets();
   model.stats.initial_lines = idb.num_lines();
 
@@ -606,7 +642,7 @@ StatusOr<CspmMiner::MineArtifacts> CspmMiner::MineWithArtifacts(
     RunPartialLoop(ctx, store, rdict);
   }
 
-  model.stats.final_dl_bits = cm.TotalDescriptionLengthBits(idb);
+  model.stats.final_dl_bits = DescriptionLengthBits(cm, idb);
   model.stats.final_leafsets = idb.num_active_leafsets();
   model.stats.final_lines = idb.num_lines();
 

@@ -29,9 +29,9 @@ struct AStar {
 /// Per-iteration instrumentation (drives the Fig. 5 reproduction).
 struct IterationStats {
   uint64_t iteration = 0;
-  /// Pair gains evaluated during this iteration: single-pair
-  /// ComputeMergeGain calls plus the pairs a gain sweep evaluated (the
-  /// pairs that co-occur; a sweep skips the rest at no cost).
+  /// Pair gains evaluated during this iteration: the pairs the merge
+  /// loop rescored or revalidated, plus the pairs a gain sweep evaluated
+  /// (the pairs that co-occur; a sweep skips the rest at no cost).
   uint64_t gain_computations = 0;
   /// C(#active leafsets, 2) at the start of the iteration.
   uint64_t possible_pairs = 0;

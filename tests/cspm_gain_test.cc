@@ -1,7 +1,8 @@
 // Gain-engine tests: the three merge cases of Eqs. 12-15, the worked
 // example of Section IV-E, consistency between predicted gain and the
 // actual description-length change after a merge, and the co-occurrence
-// sweep checked bit for bit against the single-pair gain.
+// sweep and the merge loop's row rescoring checked bit for bit against
+// the single-pair gain.
 #include "cspm/gain.h"
 
 #include <gtest/gtest.h>
@@ -10,6 +11,7 @@
 #include <cmath>
 #include <cstring>
 #include <iterator>
+#include <map>
 #include <unordered_map>
 
 #include "cspm/candidates.h"
@@ -317,6 +319,230 @@ TEST(GainSweepOracle, RepairedFinalDatabaseOverSourceSubset) {
   const SweepCoverage coverage =
       ExpectSweepMatchesOracleSerialAndPooled(idb, cm, sources);
   EXPECT_GT(coverage.with_union, 0u);
+  EXPECT_GT(coverage.subset, 0u);
+}
+
+// --- the merge loop's row rescoring against the single-pair oracle -------
+
+/// What a row-oracle pass saw, once per (row, partner) pair.
+struct RowCoverage {
+  uint64_t pairs = 0;
+  uint64_t feasible = 0;
+  uint64_t no_shared_position = 0;  ///< both have lines, union is new
+  uint64_t subset = 0;              ///< the union is one of the pair
+  uint64_t no_lines = 0;            ///< the partner has no lines
+  uint64_t with_union = 0;          ///< feasible, ze > 0 under an overlap
+};
+
+void ExpectSameGain(const GainResult& got, const GainResult& want) {
+  ASSERT_EQ(got.feasible, want.feasible);
+  ASSERT_TRUE(SameBits(got.data_gain_bits, want.data_gain_bits))
+      << got.data_gain_bits << " vs " << want.data_gain_bits;
+  ASSERT_TRUE(SameBits(got.model_delta_bits, want.model_delta_bits))
+      << got.model_delta_bits << " vs " << want.model_delta_bits;
+  for (GainPolicy policy :
+       {GainPolicy::kDataOnly, GainPolicy::kDataPlusModel}) {
+    ASSERT_TRUE(SameBits(got.Total(policy), want.Total(policy)));
+  }
+  EXPECT_EQ(got.cores_with_overlap, want.cores_with_overlap);
+  EXPECT_EQ(got.total_overlap, want.total_overlap);
+}
+
+/// One row and the partners it is scored against.
+struct RowCase {
+  LeafsetId row;
+  std::vector<LeafsetId> partners;
+};
+
+/// Rows: every `row_step`-th active leafset, and every member of a
+/// co-occurring pair whose union is already a leafset. Partners of a row:
+/// about `spread` leafsets evenly spaced over the registry (active or
+/// not, co-occurring or not), the singletons of the row's values (subsets
+/// of a merged row), the row itself, and its union-sharing partners.
+std::vector<RowCase> MixedRowCases(const InvertedDatabase& idb,
+                                   const CodeModel& cm, size_t row_step,
+                                   size_t spread) {
+  std::map<LeafsetId, std::vector<LeafsetId>> union_partners;
+  SweepMergeGains(idb, cm, idb.active_leafsets(), /*pool=*/nullptr,
+                  [&](LeafsetId x, std::span<const PairGain> partners) {
+                    for (const PairGain& p : partners) {
+                      const LeafsetId u = idb.leafsets().Find(
+                          idb.leafsets().UnionValues(x, p.y));
+                      if (u == LeafsetRegistry::kNotFound) continue;
+                      union_partners[x].push_back(p.y);
+                      union_partners[p.y].push_back(x);
+                    }
+                  });
+  const size_t stride = std::max<size_t>(1, idb.leafsets().size() / spread);
+  std::vector<RowCase> cases;
+  const std::vector<LeafsetId>& actives = idb.active_leafsets();
+  for (size_t i = 0; i < actives.size(); ++i) {
+    const LeafsetId row = actives[i];
+    auto extra = union_partners.find(row);
+    if (i % row_step != 0 && extra == union_partners.end()) continue;
+    RowCase c{row, {}};
+    for (size_t l = row.index() % stride; l < idb.leafsets().size();
+         l += stride) {
+      c.partners.push_back(LeafsetId(static_cast<uint32_t>(l)));
+    }
+    for (AttrId a : idb.leafsets().Values(row)) {
+      const LeafsetId s = idb.leafsets().Singleton(a);
+      if (s != LeafsetRegistry::kNotFound) c.partners.push_back(s);
+    }
+    c.partners.push_back(row);
+    if (extra != union_partners.end()) {
+      c.partners.insert(c.partners.end(), extra->second.begin(),
+                        extra->second.end());
+    }
+    cases.push_back(std::move(c));
+  }
+  return cases;
+}
+
+/// Scores every row against its partners on both sides with `rescorer`
+/// and compares each result with ComputeMergeGain in the same orientation,
+/// bit for bit. Adds what it saw to `coverage`.
+void ExpectRowsMatchOracle(const InvertedDatabase& idb, const CodeModel& cm,
+                           RowRescorer* rescorer,
+                           const std::vector<RowCase>& cases,
+                           RowCoverage* coverage) {
+  std::vector<GainResult> got;
+  for (const RowCase& c : cases) {
+    const LeafsetId row = c.row;
+    for (RowSide side : {RowSide::kX, RowSide::kY}) {
+      rescorer->Score(row, side, c.partners, &got);
+      ASSERT_EQ(got.size(), c.partners.size());
+      for (size_t j = 0; j < c.partners.size(); ++j) {
+        const LeafsetId y = c.partners[j];
+        const GainResult want = side == RowSide::kX
+                                    ? ComputeMergeGain(idb, cm, row, y)
+                                    : ComputeMergeGain(idb, cm, y, row);
+        SCOPED_TRACE(::testing::Message()
+                     << "row " << row << " partner " << y << " side "
+                     << (side == RowSide::kX ? "x" : "y"));
+        ExpectSameGain(got[j], want);
+        if (::testing::Test::HasFatalFailure()) return;
+        if (side == RowSide::kY || y == row) continue;
+        ++coverage->pairs;
+        const LeafsetId u =
+            idb.leafsets().Find(idb.leafsets().UnionValues(row, y));
+        if (idb.CoresOf(y).empty()) {
+          ++coverage->no_lines;
+        } else if (u == row || u == y) {
+          ++coverage->subset;
+        } else if (!want.feasible) {
+          ++coverage->no_shared_position;
+        } else {
+          ++coverage->feasible;
+          if (u != LeafsetRegistry::kNotFound &&
+              HasUnionLineUnderOverlap(idb, row, y, u)) {
+            ++coverage->with_union;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(RowRescoreOracle, ColdMineStoppedMidMineThenMergedFurther) {
+  // A cold mine stopped after N merges holds merged leafsets next to
+  // partly merged members, and totally merged (line-less) leafsets.
+  const auto g = datasets::MakePokecLike(/*seed=*/5, 600).value();
+  CspmOptions options;
+  options.max_iterations = 150;
+  auto mined = CspmMiner(options).MineWithArtifacts(g);
+  ASSERT_TRUE(mined.ok());
+  ASSERT_EQ(mined->model.stats.iterations, 150u);
+  InvertedDatabase idb = std::move(mined->inverted_db);
+  const CodeModel cm(g, idb);
+
+  RowRescorer rescorer(idb, cm);
+  RowCoverage coverage;
+  ExpectRowsMatchOracle(idb, cm, &rescorer, MixedRowCases(idb, cm, 7, 200),
+                        &coverage);
+  EXPECT_GT(coverage.feasible, 0u);
+  EXPECT_GT(coverage.no_shared_position, 0u);
+  EXPECT_GT(coverage.subset, 0u);
+  EXPECT_GT(coverage.no_lines, 0u);
+
+  // Keep merging with the same rescorer, as the loop does: the XLog2X
+  // table it built covers the shrinking f_e, and its scratch carries over.
+  for (int merge = 0; merge < 20; ++merge) {
+    double best_gain = 0.0;
+    LeafsetId best_x{};
+    LeafsetId best_y{};
+    SweepMergeGains(idb, cm, idb.active_leafsets(), /*pool=*/nullptr,
+                    [&](LeafsetId x, std::span<const PairGain> partners) {
+                      for (const PairGain& p : partners) {
+                        const double total =
+                            p.gain.Total(GainPolicy::kDataPlusModel);
+                        if (p.gain.feasible && total > best_gain) {
+                          best_gain = total;
+                          best_x = x;
+                          best_y = p.y;
+                        }
+                      }
+                    });
+    ASSERT_GT(best_gain, 0.0);
+    ASSERT_FALSE(idb.MergeLeafsets(best_x, best_y).no_op);
+  }
+  RowCoverage after;
+  ExpectRowsMatchOracle(idb, cm, &rescorer, MixedRowCases(idb, cm, 7, 200),
+                        &after);
+  EXPECT_GT(after.feasible, 0u);
+}
+
+TEST(RowRescoreOracle, FastResumeStoppedMidMine) {
+  // Cold-mined databases hold no pair whose union line already exists
+  // under an overlap core; a fast patch's greedy re-cover makes them, and
+  // the resumed merge loop rescores such pairs (ze > 0). Stop the second
+  // update's resumed loop after a few merges and score there.
+  auto g = datasets::MakePokecLike(/*seed=*/3, 1500).value();
+  const CspmMiner miner{CspmOptions{}};
+  auto mined = miner.MineWithArtifacts(g);
+  ASSERT_TRUE(mined.ok());
+  InvertedDatabase idb = std::move(mined->inverted_db);
+  CspmOptions stop_early;
+  stop_early.max_iterations = 3;
+  for (uint64_t round : {1u, 2u}) {
+    const auto delta = graph::MakeRandomEdgeRewires(g, 20, round).value();
+    auto applied = graph::ApplyDelta(g, delta).value();
+    DeltaPatchStats patch;
+    Status st =
+        idb.ApplyDeltaMerged(g, applied.graph, applied.dirty_vertices, &patch);
+    ASSERT_TRUE(st.ok()) << st.ToString();
+    g = std::move(applied.graph);
+    const CspmMiner resumer{round == 1 ? CspmOptions{} : stop_early};
+    auto resumed = resumer.ResumeFast(g, std::move(idb), patch, false, nullptr);
+    ASSERT_TRUE(resumed.ok());
+    idb = std::move(resumed->inverted_db);
+  }
+  const CodeModel cm(g, idb);
+  RowRescorer rescorer(idb, cm);
+  RowCoverage coverage;
+  ExpectRowsMatchOracle(idb, cm, &rescorer, MixedRowCases(idb, cm, 97, 60),
+                        &coverage);
+  EXPECT_GT(coverage.feasible, 0u);
+  EXPECT_GT(coverage.no_shared_position, 0u);
+  EXPECT_GT(coverage.subset, 0u);
+  EXPECT_GT(coverage.no_lines, 0u);
+  EXPECT_GT(coverage.with_union, 0u);
+}
+
+TEST(RowRescoreOracle, MultiValueCoresetMidMine) {
+  const auto g = datasets::MakeDblpLike(/*seed=*/4, 300).value();
+  CspmOptions options;
+  options.multi_value_coresets = true;
+  options.max_iterations = 60;
+  auto mined = CspmMiner(options).MineWithArtifacts(g);
+  ASSERT_TRUE(mined.ok());
+  InvertedDatabase idb = std::move(mined->inverted_db);
+  const CodeModel cm(g, idb);
+  RowRescorer rescorer(idb, cm);
+  RowCoverage coverage;
+  ExpectRowsMatchOracle(idb, cm, &rescorer, MixedRowCases(idb, cm, 5, 200),
+                        &coverage);
+  EXPECT_GT(coverage.feasible, 0u);
   EXPECT_GT(coverage.subset, 0u);
 }
 
