@@ -124,7 +124,7 @@ std::vector<RankedPair> SplitAStarsToPairs(
     const AStarRuleOptions& options) {
   // Best (smallest) code length per directed pair.
   std::unordered_map<uint64_t, double> best;
-  for (const core::AStar& s : model.astars) {
+  for (const core::AStarRef& s : model.astars) {
     if (s.frequency < options.min_frequency) continue;
     for (graph::AttrId cv : s.core_values) {
       auto cause_or = DecodeAlarmName(dict.Name(cv));

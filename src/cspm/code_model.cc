@@ -39,15 +39,6 @@ double CodeModel::CoresetTableCostBits(const InvertedDatabase& idb) const {
   return bits;
 }
 
-double CodeModel::LeafsetTableCostBits(const InvertedDatabase& idb) const {
-  double bits = 0.0;
-  idb.ForEachLine([&](CoreId e, LeafsetId l, PosListView positions) {
-    bits += StCost(idb.leafsets().Values(l)) + CoreCodeLength(e) +
-            LeafCodeLength(positions.size(), idb.CoreLineTotal(e));
-  });
-  return bits;
-}
-
 double CodeModel::TotalDescriptionLengthBits(
     const InvertedDatabase& idb) const {
   return CoresetTableCostBits(idb) + LeafsetTableCostBits(idb) +

@@ -38,7 +38,31 @@ class CodeModel {
 
   /// L(CTL|I): every line's leafset spelled in ST codes, plus the pointer to
   /// its coreset (Code_c), plus its own conditional code (Code_L).
-  double LeafsetTableCostBits(const InvertedDatabase& idb) const;
+  double LeafsetTableCostBits(const InvertedDatabase& idb) const {
+    return LeafsetTableCostBits(
+        idb, [](CoreId, LeafsetId, PosListView, double) {});
+  }
+
+  /// L(CTL|I), also handing every line to fn(CoreId, LeafsetId,
+  /// PosListView, double code_length_bits) in ForEachLine order, where the
+  /// code length is L(S_code) = Code_c + Code_L (Eq. 4). Extraction builds
+  /// the model in the walk that sums the description length.
+  template <typename Fn>
+  double LeafsetTableCostBits(const InvertedDatabase& idb, Fn&& fn) const {
+    double bits = 0.0;
+    // Active leafsets ascending are exactly the leafsets ForEachLine
+    // visits; the ST spelling is per leafset, so it is computed once.
+    for (LeafsetId l : idb.active_leafsets()) {
+      const double st_cost = StCost(idb.leafsets().Values(l));
+      idb.ForEachLineOf(l, [&](CoreId e, PosListView positions) {
+        const double leaf_len =
+            LeafCodeLength(positions.size(), idb.CoreLineTotal(e));
+        bits += st_cost + CoreCodeLength(e) + leaf_len;
+        fn(e, l, positions, CoreCodeLength(e) + leaf_len);
+      });
+    }
+    return bits;
+  }
 
   /// The per-line model cost used by the gain's model-delta term:
   /// StCost(leafset values) + CoreCodeLength(core). (The Code_L column is

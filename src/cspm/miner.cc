@@ -1,13 +1,12 @@
 #include "cspm/miner.h"
 
 #include <algorithm>
-#include <cstring>
 #include <memory>
-#include <numeric>
 #include <optional>
 #include <utility>
 
 #include "cspm/candidates.h"
+#include "cspm/extract.h"
 #include "itemset/transaction_db.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -306,100 +305,8 @@ void RunPartialLoop(const SearchContext& ctx, CandidateStore& store,
   obs::GetCounter("mine.merges")->Add(iteration);
 }
 
-/// Dense ranks of ids 0..n-1 by the lexicographic order of their value
-/// lists `values(id)`; equal lists share a rank.
-template <typename ValuesFn>
-std::vector<uint32_t> RankByValues(size_t n, const ValuesFn& values) {
-  std::vector<uint32_t> ids(n);
-  std::iota(ids.begin(), ids.end(), 0u);
-  std::sort(ids.begin(), ids.end(), [&](uint32_t a, uint32_t b) {
-    return values(a) < values(b);
-  });
-  std::vector<uint32_t> rank(n, 0);
-  uint32_t r = 0;
-  for (size_t k = 0; k < ids.size(); ++k) {
-    if (k > 0 && values(ids[k - 1]) < values(ids[k])) ++r;
-    rank[ids[k]] = r;
-  }
-  return rank;
-}
-
-// Extracts the a-stars of a final database into the model, sorted by
-// (code length, core values, leaf values) — shared by every mine/resume
-// flavour so the published model shape never depends on the path taken.
-// The sort runs on flat keys, with the two value-list comparisons replaced
-// by precomputed ranks: the same total order, since no two lines share
-// both their coreset and their leafset.
-void ExtractAStars(const CspmOptions& options, const InvertedDatabase& idb,
-                   const CodeModel& cm, CspmModel* model) {
-  obs::TraceSpan extract_span("extract");
-  const auto core_values = [&](uint32_t c) -> const std::vector<AttrId>& {
-    return idb.CoresetValues(CoreId(c));
-  };
-  const auto leaf_values = [&](uint32_t l) -> const std::vector<AttrId>& {
-    return idb.leafsets().Values(LeafsetId(l));
-  };
-  const std::vector<uint32_t> core_rank =
-      RankByValues(idb.num_coresets(), core_values);
-  const std::vector<uint32_t> leaf_rank =
-      RankByValues(idb.leafsets().size(), leaf_values);
-
-  const auto code_length = [&](CoreId e, uint64_t frequency) {
-    return cm.CoreCodeLength(e) +
-           CodeModel::LeafCodeLength(frequency, idb.CoreLineTotal(e));
-  };
-  // The sort compares two integers per key: a code length is a sum of
-  // non-negative code lengths, and non-negative doubles order as their
-  // bit patterns do. -0.0 (equal to +0.0) is folded into +0.0 and
-  // recomputed when the a-star is built.
-  struct Key {
-    uint64_t code_order;
-    uint64_t ranks;  // core rank << 32 | leaf rank
-    CoreId e;
-    LeafsetId l;
-    uint64_t frequency;
-  };
-  std::vector<Key> keys;
-  keys.reserve(idb.num_lines());
-  idb.ForEachLine([&](CoreId e, LeafsetId l, PosListView positions) {
-    if (!options.include_singleton_leafsets &&
-        idb.leafsets().Values(l).size() < 2) {
-      return;
-    }
-    const uint64_t frequency = positions.size();
-    const double code_length_bits = code_length(e, frequency);
-    CSPM_DCHECK(code_length_bits >= 0.0);
-    uint64_t code_order = 0;
-    if (code_length_bits != 0.0) {
-      std::memcpy(&code_order, &code_length_bits, sizeof(code_order));
-    }
-    const uint64_t ranks =
-        uint64_t{core_rank[e.index()]} << 32 | leaf_rank[l.index()];
-    keys.push_back({code_order, ranks, e, l, frequency});
-  });
-  std::sort(keys.begin(), keys.end(), [](const Key& a, const Key& b) {
-    return a.code_order < b.code_order ||
-           (a.code_order == b.code_order && a.ranks < b.ranks);
-  });
-
-  model->astars.reserve(keys.size());
-  for (const Key& k : keys) {
-    AStar s;
-    s.core_values = idb.CoresetValues(k.e);
-    s.leaf_values = idb.leafsets().Values(k.l);
-    s.frequency = k.frequency;
-    s.core_total = idb.CoreLineTotal(k.e);
-    s.coreset_frequency = idb.CoresetFrequency(k.e);
-    if (k.code_order != 0) {
-      std::memcpy(&s.code_length_bits, &k.code_order, sizeof(k.code_order));
-    } else {
-      s.code_length_bits = code_length(k.e, k.frequency);
-    }
-    model->astars.push_back(std::move(s));
-  }
-}
-
-// The full description length, under the `dl` span.
+// The initial description length, under the `dl` span (extraction sums
+// the final one in its own walk).
 double DescriptionLengthBits(const CodeModel& cm, const InvertedDatabase& idb) {
   obs::TraceSpan dl_span("dl");
   return cm.TotalDescriptionLengthBits(idb);
@@ -579,11 +486,10 @@ StatusOr<CspmMiner::MineArtifacts> CspmMiner::ResumeFast(
   }
   RunPartialLoop(ctx, store, rdict);
 
-  model.stats.final_dl_bits = DescriptionLengthBits(cm, idb);
+  model.stats.final_dl_bits = ExtractAStars(
+      idb, cm, options_.include_singleton_leafsets, &model.astars);
   model.stats.final_leafsets = idb.num_active_leafsets();
   model.stats.final_lines = idb.num_lines();
-
-  ExtractAStars(options_, idb, cm, &model);
 
   model.stats.runtime_seconds = timer.ElapsedSeconds();
   return MineArtifacts{std::move(model), std::move(idb)};
@@ -642,11 +548,10 @@ StatusOr<CspmMiner::MineArtifacts> CspmMiner::MineWithArtifacts(
     RunPartialLoop(ctx, store, rdict);
   }
 
-  model.stats.final_dl_bits = DescriptionLengthBits(cm, idb);
+  model.stats.final_dl_bits = ExtractAStars(
+      idb, cm, options_.include_singleton_leafsets, &model.astars);
   model.stats.final_leafsets = idb.num_active_leafsets();
   model.stats.final_lines = idb.num_lines();
-
-  ExtractAStars(options_, idb, cm, &model);
 
   model.stats.runtime_seconds = timer.ElapsedSeconds();
   return MineArtifacts{std::move(model), std::move(idb)};

@@ -2,12 +2,13 @@
 
 #include <algorithm>
 
+#include "util/check.h"
 #include "util/string_util.h"
 
 namespace cspm::core {
 namespace {
 
-std::string RenderValues(const std::vector<AttrId>& values,
+std::string RenderValues(std::span<const AttrId> values,
                          const graph::AttributeDictionary& dict) {
   std::string out = "{";
   for (size_t i = 0; i < values.size(); ++i) {
@@ -20,7 +21,7 @@ std::string RenderValues(const std::vector<AttrId>& values,
 
 }  // namespace
 
-std::string AStar::ToString(const graph::AttributeDictionary& dict) const {
+std::string AStarRef::ToString(const graph::AttributeDictionary& dict) const {
   return StrFormat(
       "(%s -> %s) fL=%llu fc=%llu code=%.3f bits",
       RenderValues(core_values, dict).c_str(),
@@ -29,10 +30,30 @@ std::string AStar::ToString(const graph::AttributeDictionary& dict) const {
       static_cast<unsigned long long>(core_total), code_length_bits);
 }
 
-std::vector<AStar> CspmModel::PatternsWithMinLeaves(
+AStarTable::AStarTable(std::initializer_list<AStar> stars) {
+  size_t values = 0;
+  for (const AStar& s : stars) {
+    values += s.core_values.size() + s.leaf_values.size();
+  }
+  reserve(stars.size(), values);
+  for (const AStar& s : stars) push_back(s);
+}
+
+void AStarTable::push_back(const AStarRef& s) {
+  CSPM_CHECK(s.core_values.size() <= UINT32_MAX &&
+             s.leaf_values.size() <= UINT32_MAX);
+  records_.push_back({values_.size(),
+                      static_cast<uint32_t>(s.core_values.size()),
+                      static_cast<uint32_t>(s.leaf_values.size()), s.frequency,
+                      s.core_total, s.coreset_frequency, s.code_length_bits});
+  values_.insert(values_.end(), s.core_values.begin(), s.core_values.end());
+  values_.insert(values_.end(), s.leaf_values.begin(), s.leaf_values.end());
+}
+
+std::vector<AStarRef> CspmModel::PatternsWithMinLeaves(
     size_t min_leaf_values) const {
-  std::vector<AStar> out;
-  for (const auto& s : astars) {
+  std::vector<AStarRef> out;
+  for (const AStarRef& s : astars) {
     if (s.leaf_values.size() >= min_leaf_values) out.push_back(s);
   }
   return out;

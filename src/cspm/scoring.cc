@@ -23,7 +23,7 @@ AttributeScores ScoreAttributesWithNeighbourhood(
     if (a.index() < num_attribute_values) in_neighbourhood[a.index()] = true;
   }
 
-  for (const AStar& s : model.astars) {
+  for (const AStarRef& s : model.astars) {
     if (s.leaf_values.empty()) continue;
     size_t matched = 0;
     for (AttrId a : s.leaf_values) {

@@ -94,7 +94,7 @@ ScoringPlan ScoringPlan::Compile(const CspmModel& model,
   std::vector<uint32_t> singleton_counts(num_attribute_values, 0);
   std::vector<uint32_t> multi_counts(num_attribute_values, 0);
   size_t num_units = 0;
-  for (const AStar& s : model.astars) {
+  for (const AStarRef& s : model.astars) {
     if (s.leaf_values.empty()) continue;
     const auto cores = static_cast<uint32_t>(
         std::count_if(s.core_values.begin(), s.core_values.end(), in_range));
@@ -125,7 +125,7 @@ ScoringPlan ScoringPlan::Compile(const CspmModel& model,
       owned->singleton_offsets.begin(), owned->singleton_offsets.end() - 1);
   std::vector<uint32_t> multi_cursor(owned->multi_offsets.begin(),
                                      owned->multi_offsets.end() - 1);
-  for (const AStar& s : model.astars) {
+  for (const AStarRef& s : model.astars) {
     if (s.leaf_values.empty()) continue;
     if (s.leaf_values.size() == 1) {
       const AttrId leaf = s.leaf_values[0];

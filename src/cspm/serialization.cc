@@ -12,7 +12,7 @@
 namespace cspm::core {
 namespace {
 
-std::string RenderNames(const std::vector<AttrId>& values,
+std::string RenderNames(std::span<const AttrId> values,
                         const graph::AttributeDictionary& dict) {
   std::vector<std::string> names;
   names.reserve(values.size());
@@ -45,7 +45,7 @@ std::string ModelToText(const CspmModel& model,
   out += StrFormat("stats %.17g %.17g %llu\n", model.stats.initial_dl_bits,
                    model.stats.final_dl_bits,
                    static_cast<unsigned long long>(model.stats.iterations));
-  for (const AStar& s : model.astars) {
+  for (const AStarRef& s : model.astars) {
     out += StrFormat("astar %.17g %llu %llu %llu | ", s.code_length_bits,
                      static_cast<unsigned long long>(s.frequency),
                      static_cast<unsigned long long>(s.core_total),

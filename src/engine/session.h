@@ -5,8 +5,9 @@
 // (CspmMiner / candidates) layers — so those can be reworked, swapped, or
 // sharded without touching any consumer (see DESIGN.md §2).
 //
-// Result types (CspmModel, AStar, MiningStats, AttributeScores) are the
-// stable model-level vocabulary and are re-exported here.
+// Result types (CspmModel, AStarTable, AStarRef, AStar, MiningStats,
+// AttributeScores) are the stable model-level vocabulary and are
+// re-exported here.
 #ifndef CSPM_ENGINE_SESSION_H_
 #define CSPM_ENGINE_SESSION_H_
 
@@ -29,6 +30,8 @@ namespace cspm::engine {
 
 // Model-level result vocabulary, re-exported for consumers.
 using core::AStar;
+using core::AStarRef;
+using core::AStarTable;
 using core::AttributeScores;
 using core::CspmModel;
 using core::IterationStats;

@@ -44,7 +44,7 @@ void Encoder::PutDeltaIds(const std::vector<uint32_t>& sorted_ids) {
   }
 }
 
-void Encoder::PutDeltaIds(const std::vector<graph::AttrId>& sorted_ids) {
+void Encoder::PutDeltaIds(std::span<const graph::AttrId> sorted_ids) {
   PutVarint(sorted_ids.size());
   uint32_t prev = 0;
   for (size_t i = 0; i < sorted_ids.size(); ++i) {
@@ -89,16 +89,8 @@ StatusOr<std::string_view> Decoder::ReadString() {
   return s;
 }
 
-Status Decoder::ReadDeltaIds(std::vector<graph::AttrId>* out) {
-  std::vector<uint32_t> raw;
-  CSPM_RETURN_IF_ERROR(ReadDeltaIds(&raw));
-  out->clear();
-  out->reserve(raw.size());
-  for (uint32_t v : raw) out->push_back(graph::AttrId(v));
-  return Status::OK();
-}
-
-Status Decoder::ReadDeltaIds(std::vector<uint32_t>* out) {
+template <typename Id>
+Status Decoder::ReadDeltaIdsAs(std::vector<Id>* out) {
   CSPM_ASSIGN_OR_RETURN(uint64_t count, ReadVarint());
   // A delta id costs at least one byte; bound count by the bytes left so a
   // corrupt count cannot trigger a huge allocation.
@@ -110,10 +102,18 @@ Status Decoder::ReadDeltaIds(std::vector<uint32_t>* out) {
     CSPM_ASSIGN_OR_RETURN(uint64_t delta, ReadVarint());
     const uint64_t v = (i == 0) ? delta : prev + delta;
     if (v > UINT32_MAX) return Corrupt("id overflows 32 bits");
-    out->push_back(static_cast<uint32_t>(v));
+    out->push_back(Id(static_cast<uint32_t>(v)));
     prev = v;
   }
   return Status::OK();
+}
+
+Status Decoder::ReadDeltaIds(std::vector<uint32_t>* out) {
+  return ReadDeltaIdsAs(out);
+}
+
+Status Decoder::ReadDeltaIds(std::vector<graph::AttrId>* out) {
+  return ReadDeltaIdsAs(out);
 }
 
 // --- dictionary -----------------------------------------------------------
@@ -199,7 +199,7 @@ Status DecodeStats(Decoder* dec, core::MiningStats* stats) {
 
 void EncodeModel(const core::CspmModel& model, Encoder* enc) {
   enc->PutVarint(model.astars.size());
-  for (const core::AStar& s : model.astars) {
+  for (const core::AStarRef& s : model.astars) {
     enc->PutDeltaIds(s.core_values);
     enc->PutDeltaIds(s.leaf_values);
     enc->PutVarint(s.frequency);
@@ -214,19 +214,24 @@ StatusOr<core::CspmModel> DecodeModel(Decoder* dec) {
   core::CspmModel model;
   CSPM_ASSIGN_OR_RETURN(uint64_t count, dec->ReadVarint());
   if (count > dec->remaining()) return Corrupt("a-star list longer than record");
-  model.astars.reserve(count);
+  // Each a-star has at least one core and one leaf value.
+  model.astars.reserve(count, 2 * count);
+  std::vector<graph::AttrId> core_values;
+  std::vector<graph::AttrId> leaf_values;
   for (uint64_t i = 0; i < count; ++i) {
-    core::AStar s;
-    CSPM_RETURN_IF_ERROR(dec->ReadDeltaIds(&s.core_values));
-    CSPM_RETURN_IF_ERROR(dec->ReadDeltaIds(&s.leaf_values));
+    core::AStarRef s;
+    CSPM_RETURN_IF_ERROR(dec->ReadDeltaIds(&core_values));
+    CSPM_RETURN_IF_ERROR(dec->ReadDeltaIds(&leaf_values));
     CSPM_ASSIGN_OR_RETURN(s.frequency, dec->ReadVarint());
     CSPM_ASSIGN_OR_RETURN(s.core_total, dec->ReadVarint());
     CSPM_ASSIGN_OR_RETURN(s.coreset_frequency, dec->ReadVarint());
     CSPM_ASSIGN_OR_RETURN(s.code_length_bits, dec->ReadDouble());
-    if (s.core_values.empty() || s.leaf_values.empty()) {
+    if (core_values.empty() || leaf_values.empty()) {
       return Corrupt("a-star with empty core or leaf set");
     }
-    model.astars.push_back(std::move(s));
+    s.core_values = core_values;
+    s.leaf_values = leaf_values;
+    model.astars.push_back(s);
   }
   CSPM_RETURN_IF_ERROR(DecodeStats(dec, &model.stats));
   return model;
@@ -380,10 +385,10 @@ StatusOr<graph::GraphDelta> DecodeGraphDelta(Decoder* dec) {
 
 namespace {
 
-Status RemapIds(std::vector<graph::AttrId>* ids,
+Status RemapIds(std::span<graph::AttrId> ids,
                 const graph::AttributeDictionary& from,
                 const graph::AttributeDictionary& to) {
-  for (graph::AttrId& id : *ids) {
+  for (graph::AttrId& id : ids) {
     if (id.index() >= from.size()) {
       return Corrupt("stored attribute id outside stored dictionary");
     }
@@ -394,7 +399,7 @@ Status RemapIds(std::vector<graph::AttrId>* ids,
     }
     id = mapped;
   }
-  std::sort(ids->begin(), ids->end());
+  std::sort(ids.begin(), ids.end());
   return Status::OK();
 }
 
@@ -404,9 +409,9 @@ StatusOr<core::CspmModel> RemapModelAttributes(
     const core::CspmModel& model, const graph::AttributeDictionary& from,
     const graph::AttributeDictionary& to) {
   core::CspmModel out = model;
-  for (core::AStar& s : out.astars) {
-    CSPM_RETURN_IF_ERROR(RemapIds(&s.core_values, from, to));
-    CSPM_RETURN_IF_ERROR(RemapIds(&s.leaf_values, from, to));
+  for (size_t i = 0; i < out.astars.size(); ++i) {
+    CSPM_RETURN_IF_ERROR(RemapIds(out.astars.MutableCoreValues(i), from, to));
+    CSPM_RETURN_IF_ERROR(RemapIds(out.astars.MutableLeafValues(i), from, to));
   }
   return out;
 }

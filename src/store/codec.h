@@ -7,6 +7,7 @@
 #define CSPM_STORE_CODEC_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -31,7 +32,7 @@ class Encoder {
   /// Sorted id list: count, first value, then deltas (all varints).
   void PutDeltaIds(const std::vector<uint32_t>& sorted_ids);
   /// Strong-id overload; encodes the underlying values.
-  void PutDeltaIds(const std::vector<graph::AttrId>& sorted_ids);
+  void PutDeltaIds(std::span<const graph::AttrId> sorted_ids);
 
   const std::string& data() const { return out_; }
   std::string Release() { return std::move(out_); }
@@ -58,6 +59,9 @@ class Decoder {
   size_t remaining() const { return data_.size() - pos_; }
 
  private:
+  template <typename Id>
+  Status ReadDeltaIdsAs(std::vector<Id>* out);
+
   std::string_view data_;
   size_t pos_ = 0;
 };

@@ -925,7 +925,7 @@ Status ModelStore::Fsck() {
     }
     const size_t num_attrs = stored.dict.size();
     for (size_t s = 0; s < stored.model.astars.size(); ++s) {
-      const core::AStar& star = stored.model.astars[s];
+      const core::AStarRef star = stored.model.astars[s];
       for (core::AttrId a : star.core_values) {
         if (a.index() >= num_attrs) {
           return Status::Internal(StrFormat(

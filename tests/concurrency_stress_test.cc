@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <memory>
@@ -126,7 +127,15 @@ TEST(ModelRegistryStress, ConcurrentGetPutRemove) {
     });
   }
 
-  for (int round = 0; round < 60; ++round) {
+  // At least 60 rounds, and on until a reader has scored (bounded): a Put
+  // is a few buffer copies, so on a loaded machine 60 rounds can end
+  // before any reader thread is scheduled at all.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  for (int round = 0;
+       round < 60 || (scored.load() == 0 &&
+                      std::chrono::steady_clock::now() < deadline);
+       ++round) {
     registry.Put("hot", prototype);
     registry.Put("side", prototype);
     registry.Remove(round % 2 == 0 ? "hot" : "side");
@@ -303,8 +312,10 @@ TEST(ObsStress, SnapshotJsonRacesServingAndHotSwap) {
 void ExpectSameModel(const core::CspmModel& a, const core::CspmModel& b) {
   ASSERT_EQ(a.astars.size(), b.astars.size());
   for (size_t i = 0; i < a.astars.size(); ++i) {
-    EXPECT_EQ(a.astars[i].core_values, b.astars[i].core_values) << i;
-    EXPECT_EQ(a.astars[i].leaf_values, b.astars[i].leaf_values) << i;
+    EXPECT_EQ(cspm::testing::Values(a.astars[i].core_values),
+              cspm::testing::Values(b.astars[i].core_values)) << i;
+    EXPECT_EQ(cspm::testing::Values(a.astars[i].leaf_values),
+              cspm::testing::Values(b.astars[i].leaf_values)) << i;
     EXPECT_EQ(a.astars[i].frequency, b.astars[i].frequency) << i;
     EXPECT_DOUBLE_EQ(a.astars[i].code_length_bits, b.astars[i].code_length_bits)
         << i;

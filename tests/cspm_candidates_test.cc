@@ -125,8 +125,10 @@ TEST(SerializationTest, RoundTripPreservesModel) {
   const CspmModel& loaded = *loaded_or;
   ASSERT_EQ(loaded.astars.size(), model.astars.size());
   for (size_t i = 0; i < model.astars.size(); ++i) {
-    EXPECT_EQ(loaded.astars[i].core_values, model.astars[i].core_values);
-    EXPECT_EQ(loaded.astars[i].leaf_values, model.astars[i].leaf_values);
+    EXPECT_EQ(cspm::testing::Values(loaded.astars[i].core_values),
+              cspm::testing::Values(model.astars[i].core_values));
+    EXPECT_EQ(cspm::testing::Values(loaded.astars[i].leaf_values),
+              cspm::testing::Values(model.astars[i].leaf_values));
     EXPECT_EQ(loaded.astars[i].frequency, model.astars[i].frequency);
     EXPECT_NEAR(loaded.astars[i].code_length_bits,
                 model.astars[i].code_length_bits, 1e-6);

@@ -1,9 +1,10 @@
-// Golden bit-identity: pins the serialized model, the final description
-// length and the gain-computation count of a few fixed mines, so any
-// change that moves mining output by a single bit fails here. The pinned
-// values were captured before the merge loop's row rescoring replaced its
-// single-pair gain calls; a performance change must reproduce them
-// exactly. A change that is meant to alter mining output re-captures them
+// Golden bit-identity: pins the serialized model (its text and its store
+// record bytes), the final description length and the gain-computation
+// count of a few fixed mines, so any change that moves mining output by a
+// single bit fails here. The pinned values were captured before the merge
+// loop's row rescoring replaced its single-pair gain calls (the record
+// hashes before the model went flat); a performance change must reproduce
+// them exactly. A change that is meant to alter mining output re-captures them
 // (the failure message prints the new values) and says why.
 #include <gtest/gtest.h>
 
@@ -18,6 +19,7 @@
 #include "datasets/synthetic.h"
 #include "engine/session.h"
 #include "graph/graph_delta.h"
+#include "store/codec.h"
 
 namespace cspm::core {
 namespace {
@@ -37,35 +39,46 @@ uint64_t DoubleBits(double d) {
 }
 
 /// What one mine pins: the model text's hash, the final DL's bit pattern,
-/// the pairs evaluated and the number of a-stars.
+/// the pairs evaluated, the number of a-stars and the hash of the model's
+/// store record (store::EncodeModel, with the wall-clock runtime zeroed:
+/// the one field that differs run to run).
 struct Golden {
   uint64_t model_hash;
   uint64_t final_dl_bits;
   uint64_t gain_computations;
   uint64_t astars;
+  uint64_t record_hash;
 };
 
 Golden Capture(const CspmModel& model, const graph::AttributeDictionary& dict) {
+  CspmModel timeless = model;
+  timeless.stats.runtime_seconds = 0.0;
+  store::Encoder enc;
+  store::EncodeModel(timeless, &enc);
   return {Fnv1a(ModelToText(model, dict)),
           DoubleBits(model.stats.final_dl_bits),
-          model.stats.total_gain_computations, model.astars.size()};
+          model.stats.total_gain_computations, model.astars.size(),
+          Fnv1a(enc.data())};
 }
 
 void ExpectGolden(const Golden& want, const Golden& got,
                   const std::string& label) {
-  char actual[160];
+  char actual[200];
   std::snprintf(actual, sizeof(actual),
-                "{0x%016llxull, 0x%016llxull, %lluull, %lluull}",
+                "{0x%016llxull, 0x%016llxull, %lluull, %lluull, "
+                "0x%016llxull}",
                 static_cast<unsigned long long>(got.model_hash),
                 static_cast<unsigned long long>(got.final_dl_bits),
                 static_cast<unsigned long long>(got.gain_computations),
-                static_cast<unsigned long long>(got.astars));
+                static_cast<unsigned long long>(got.astars),
+                static_cast<unsigned long long>(got.record_hash));
   EXPECT_EQ(want.model_hash, got.model_hash) << label << " got " << actual;
   EXPECT_EQ(want.final_dl_bits, got.final_dl_bits)
       << label << " got " << actual;
   EXPECT_EQ(want.gain_computations, got.gain_computations)
       << label << " got " << actual;
   EXPECT_EQ(want.astars, got.astars) << label << " got " << actual;
+  EXPECT_EQ(want.record_hash, got.record_hash) << label << " got " << actual;
 }
 
 /// A default-options cold mine, serially and on a 4-thread pool: both
@@ -84,14 +97,16 @@ void ExpectColdMineGolden(const graph::AttributedGraph& g, const Golden& want,
 TEST(GoldenMine, PokecColdMine) {
   const auto g = datasets::MakePokecLike(/*seed=*/3, 1500).value();
   ExpectColdMineGolden(
-      g, {0x791405376875fcb3ull, 0x413d77a71a801aecull, 194693ull, 39898ull},
+      g, {0x791405376875fcb3ull, 0x413d77a71a801aecull, 194693ull, 39898ull,
+         0x4cea16fe30a9322eull},
       "pokec n=1500");
 }
 
 TEST(GoldenMine, UsflightColdMine) {
   const auto g = datasets::MakeUsflightLike(/*seed=*/7).value();
   ExpectColdMineGolden(
-      g, {0x4dbcb5ff8561f491ull, 0x4112f55bab150e34ull, 7322ull, 6192ull},
+      g, {0x4dbcb5ff8561f491ull, 0x4112f55bab150e34ull, 7322ull, 6192ull,
+         0x2a6e235e874eab83ull},
       "usflight");
 }
 
@@ -112,7 +127,8 @@ TEST(GoldenMine, PokecFastUpdateChain) {
     ASSERT_TRUE(stats.fast_path);
   }
   ExpectGolden(
-      {0x152fc8c98a1c923dull, 0x413cbd5d820f621aull, 58930ull, 37821ull},
+      {0x152fc8c98a1c923dull, 0x413cbd5d820f621aull, 58930ull, 37821ull,
+       0x4c0078d2be9093b6ull},
       Capture(session.model(), session.graph().dict()),
       "pokec n=1500 after 3 kFast updates");
 }

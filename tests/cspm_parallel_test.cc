@@ -7,6 +7,7 @@
 #include "cspm/miner.h"
 #include "datasets/synthetic.h"
 #include "graph/generators.h"
+#include "testing_util.h"
 #include "util/thread_pool.h"
 
 namespace cspm::core {
@@ -20,8 +21,10 @@ void ExpectIdenticalModels(const CspmModel& a, const CspmModel& b) {
   EXPECT_EQ(a.stats.total_gain_computations, b.stats.total_gain_computations);
   ASSERT_EQ(a.astars.size(), b.astars.size());
   for (size_t i = 0; i < a.astars.size(); ++i) {
-    EXPECT_EQ(a.astars[i].core_values, b.astars[i].core_values) << i;
-    EXPECT_EQ(a.astars[i].leaf_values, b.astars[i].leaf_values) << i;
+    EXPECT_EQ(cspm::testing::Values(a.astars[i].core_values),
+              cspm::testing::Values(b.astars[i].core_values)) << i;
+    EXPECT_EQ(cspm::testing::Values(a.astars[i].leaf_values),
+              cspm::testing::Values(b.astars[i].leaf_values)) << i;
     EXPECT_EQ(a.astars[i].frequency, b.astars[i].frequency) << i;
     EXPECT_EQ(a.astars[i].core_total, b.astars[i].core_total) << i;
     EXPECT_EQ(a.astars[i].code_length_bits, b.astars[i].code_length_bits)

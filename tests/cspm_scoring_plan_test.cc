@@ -176,7 +176,7 @@ TEST(ScoringPlanTest, ScratchAndBuffersAreReusableAcrossCalls) {
 /// True when some star has two cores and two leaves, so its plan holds
 /// multi-core, multi-leaf units.
 bool HasMultiCoreMultiLeafStar(const CspmModel& model) {
-  for (const AStar& s : model.astars) {
+  for (const AStarRef& s : model.astars) {
     if (s.core_values.size() >= 2 && s.leaf_values.size() >= 2) return true;
   }
   return false;

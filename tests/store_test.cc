@@ -4,9 +4,12 @@
 // bad magic, flipped bytes (CRC), and versions from the future.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -141,8 +144,10 @@ TEST(Codec, ModelRoundTripsBitExactly) {
   for (size_t i = 0; i < f.model.astars.size(); ++i) {
     const auto& a = f.model.astars[i];
     const auto& b = decoded->astars[i];
-    EXPECT_EQ(a.core_values, b.core_values);
-    EXPECT_EQ(a.leaf_values, b.leaf_values);
+    EXPECT_EQ(cspm::testing::Values(a.core_values),
+              cspm::testing::Values(b.core_values));
+    EXPECT_EQ(cspm::testing::Values(a.leaf_values),
+              cspm::testing::Values(b.leaf_values));
     EXPECT_EQ(a.frequency, b.frequency);
     EXPECT_EQ(a.core_total, b.core_total);
     EXPECT_EQ(a.coreset_frequency, b.coreset_frequency);
@@ -153,6 +158,57 @@ TEST(Codec, ModelRoundTripsBitExactly) {
   EXPECT_EQ(decoded->stats.iterations, f.model.stats.iterations);
   EXPECT_EQ(decoded->stats.per_iteration.size(),
             f.model.stats.per_iteration.size());
+}
+
+TEST(Codec, RemapModelAttributesRemapsAndResortsEveryStar) {
+  auto f = MineExample();
+  const graph::AttributeDictionary& from = f.graph.dict();
+  // The model's names in reverse order behind one extra name: every id
+  // moves, and ascending lists come out descending until re-sorted.
+  graph::AttributeDictionary to;
+  to.Intern("unused");
+  for (size_t i = from.size(); i-- > 0;) {
+    to.Intern(from.Name(graph::AttrId(static_cast<uint32_t>(i))));
+  }
+  const auto mapped = [&](std::span<const graph::AttrId> ids) {
+    std::vector<graph::AttrId> out;
+    for (graph::AttrId id : ids) out.push_back(to.Find(from.Name(id)));
+    std::sort(out.begin(), out.end());
+    return out;
+  };
+  auto remapped = RemapModelAttributes(f.model, from, to);
+  ASSERT_TRUE(remapped.ok()) << remapped.status().ToString();
+  ASSERT_EQ(remapped->astars.size(), f.model.astars.size());
+  bool resorted = false;
+  for (size_t i = 0; i < f.model.astars.size(); ++i) {
+    const core::AStarRef a = f.model.astars[i];
+    const core::AStarRef b = remapped->astars[i];
+    EXPECT_EQ(cspm::testing::Values(b.core_values), mapped(a.core_values))
+        << i;
+    EXPECT_EQ(cspm::testing::Values(b.leaf_values), mapped(a.leaf_values))
+        << i;
+    EXPECT_EQ(b.frequency, a.frequency) << i;
+    EXPECT_EQ(b.core_total, a.core_total) << i;
+    EXPECT_EQ(b.coreset_frequency, a.coreset_frequency) << i;
+    EXPECT_EQ(std::memcmp(&b.code_length_bits, &a.code_length_bits,
+                          sizeof(double)),
+              0)
+        << i;
+    if (a.leaf_values.size() >= 2) resorted = true;
+  }
+  EXPECT_TRUE(resorted) << "no multi-value list exercised the re-sort";
+  EXPECT_EQ(remapped->stats.final_dl_bits, f.model.stats.final_dl_bits);
+
+  // A name the target dictionary lacks is rejected.
+  const std::string& dropped = from.Name(f.model.astars[0].core_values[0]);
+  graph::AttributeDictionary partial;
+  for (graph::AttrId id(0); id.index() < from.size(); ++id) {
+    if (from.Name(id) != dropped) partial.Intern(from.Name(id));
+  }
+  auto missing = RemapModelAttributes(f.model, from, partial);
+  ASSERT_FALSE(missing.ok());
+  EXPECT_EQ(missing.status().code(), StatusCode::kNotFound);
+  EXPECT_NE(missing.status().ToString().find(dropped), std::string::npos);
 }
 
 TEST(Codec, GraphSnapshotRoundTrips) {
@@ -282,8 +338,8 @@ TEST(ModelStore, PutGetListDeleteRoundTrip) {
   for (size_t i = 0; i < f.model.astars.size(); ++i) {
     EXPECT_EQ(got->model.astars[i].code_length_bits,
               f.model.astars[i].code_length_bits);
-    EXPECT_EQ(got->model.astars[i].core_values,
-              f.model.astars[i].core_values);
+    EXPECT_EQ(cspm::testing::Values(got->model.astars[i].core_values),
+              cspm::testing::Values(f.model.astars[i].core_values));
   }
   ASSERT_TRUE(got->graph.has_value());
   EXPECT_EQ(got->graph->num_vertices(), f.graph.num_vertices());
@@ -357,8 +413,8 @@ TEST(ModelStore, SessionSaveLoadBinaryAutoDetects) {
   for (size_t i = 0; i < session.model().astars.size(); ++i) {
     EXPECT_EQ(other.model().astars[i].code_length_bits,
               session.model().astars[i].code_length_bits);
-    EXPECT_EQ(other.model().astars[i].leaf_values,
-              session.model().astars[i].leaf_values);
+    EXPECT_EQ(cspm::testing::Values(other.model().astars[i].leaf_values),
+              cspm::testing::Values(session.model().astars[i].leaf_values));
   }
   EXPECT_EQ(other.model().stats.final_dl_bits,
             session.model().stats.final_dl_bits);

@@ -3,6 +3,7 @@
 #ifndef CSPM_TESTS_TESTING_UTIL_H_
 #define CSPM_TESTS_TESTING_UTIL_H_
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -30,6 +31,12 @@ inline graph::AttributedGraph PaperExampleGraph() {
   auto g = std::move(b).Build(/*require_connected=*/true);
   CSPM_CHECK(g.ok());
   return std::move(g).value();
+}
+
+/// An owning copy of an a-star's value list: gtest compares and prints
+/// vectors, not spans.
+inline std::vector<graph::AttrId> Values(std::span<const graph::AttrId> ids) {
+  return {ids.begin(), ids.end()};
 }
 
 }  // namespace cspm::testing
