@@ -37,10 +37,10 @@ int main() {
   std::printf("=== Ablation 1: gain policy (DBLP-like) ===\n");
   {
     engine::MiningOptions data_only;
-    data_only.gain_policy = engine::Gain::kDataOnly;
+    data_only.gain_policy = engine::GainPolicy::kDataOnly;
     RunMinerVariant("data-only gain (Alg. 2)", g, data_only);
     engine::MiningOptions with_model;
-    with_model.gain_policy = engine::Gain::kDataPlusModel;
+    with_model.gain_policy = engine::GainPolicy::kDataPlusModel;
     RunMinerVariant("data+model gain (MDL)", g, with_model);
   }
 

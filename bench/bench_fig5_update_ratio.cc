@@ -48,8 +48,9 @@ int main() {
               "(sampled; cap %.0fs per run) ===\n", budget);
   for (const auto& item : bench::MakeTable2Datasets()) {
     std::printf("%s:\n", item.name.c_str());
-    for (auto strategy : {engine::Search::kBasic, engine::Search::kPartial}) {
-      if (strategy == engine::Search::kBasic &&
+    for (auto strategy :
+         {engine::SearchStrategy::kBasic, engine::SearchStrategy::kPartial}) {
+      if (strategy == engine::SearchStrategy::kBasic &&
           item.graph.num_vertices().value() > 5000) {
         std::printf("  %-12s (skipped: dataset too large for Basic)\n",
                     "CSPM-Basic");
@@ -60,8 +61,8 @@ int main() {
       options.record_iteration_stats = true;
       options.max_seconds = budget;
       auto model = engine::MineModel(item.graph, options).value();
-      PrintSeries(strategy == engine::Search::kBasic ? "CSPM-Basic"
-                                                     : "CSPM-Partial",
+      PrintSeries(strategy == engine::SearchStrategy::kBasic ? "CSPM-Basic"
+                                                             : "CSPM-Partial",
                   model.stats.per_iteration);
       std::fflush(stdout);
     }

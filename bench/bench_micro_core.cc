@@ -1,13 +1,20 @@
 // Google-benchmark microbenchmarks for the CSPM core primitives:
-// inverted-database construction, gain computation, merge application,
-// end-to-end mining and the Algorithm 5 scoring path. The hot paths run
-// through the engine micro harness so this file compiles against the
-// facade only; the loops themselves execute directly on the core.
+// inverted-database construction, gain computation (one pair, and the
+// co-occurrence sweep that candidate generation runs), merge application,
+// end-to-end mining and the Algorithm 5 scoring path. The primitives are
+// called directly on the core; mining and scoring go through the engine.
 #include <benchmark/benchmark.h>
 
-#include "engine/micro.h"
+#include <memory>
+#include <span>
+#include <utility>
+
+#include "cspm/code_model.h"
+#include "cspm/gain.h"
+#include "cspm/inverted_database.h"
 #include "engine/session.h"
 #include "graph/generators.h"
+#include "util/thread_pool.h"
 
 namespace {
 
@@ -18,49 +25,96 @@ graph::AttributedGraph MakeBenchGraph(uint32_t n) {
   return graph::ErdosRenyi(n, 8.0 / n, 40, 3, &rng).value();
 }
 
+core::InvertedDatabase BuildDatabase(const graph::AttributedGraph& g) {
+  return core::InvertedDatabase::FromGraph(g).value();
+}
+
 void BM_InvertedDbBuild(benchmark::State& state) {
   auto g = MakeBenchGraph(static_cast<uint32_t>(state.range(0)));
-  engine::micro::CoreHarness harness(g);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(harness.RebuildDatabase());
+    benchmark::DoNotOptimize(BuildDatabase(g).num_lines());
   }
   state.SetItemsProcessed(state.iterations() * g.num_edges());
 }
 BENCHMARK(BM_InvertedDbBuild)->Arg(500)->Arg(2000)->Arg(8000);
 
+/// One ComputeMergeGain call per iteration, round-robin over the active
+/// pairs.
 void BM_GainComputation(benchmark::State& state) {
   auto g = MakeBenchGraph(2000);
-  engine::micro::CoreHarness harness(g);
+  const core::InvertedDatabase idb = BuildDatabase(g);
+  const core::CodeModel cm(g, idb);
+  const auto& actives = idb.active_leafsets();
+  size_t i = 0;
+  size_t j = 1;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(harness.GainSweep(1));
+    benchmark::DoNotOptimize(
+        core::ComputeMergeGain(idb, cm, actives[i], actives[j]).feasible);
+    if (++j == actives.size()) {
+      if (++i == actives.size() - 1) i = 0;
+      j = i + 1;
+    }
   }
 }
 BENCHMARK(BM_GainComputation);
 
-void BM_GainAllPairs(benchmark::State& state) {
+/// The gain of every co-occurring active pair, as candidate generation
+/// computes it: one SweepMergeGains call, thread-pooled for Arg > 1.
+void BM_SweepMergeGains(benchmark::State& state) {
   auto g = MakeBenchGraph(2000);
-  engine::micro::CoreHarness harness(g);
-  const auto threads = static_cast<uint32_t>(state.range(0));
+  const core::InvertedDatabase idb = BuildDatabase(g);
+  const core::CodeModel cm(g, idb);
+  const auto threads = static_cast<size_t>(state.range(0));
+  std::unique_ptr<util::ThreadPool> pool;
+  if (threads > 1) pool = std::make_unique<util::ThreadPool>(threads);
+  uint64_t feasible = 0;
+  const auto count = [&](core::LeafsetId,
+                         std::span<const core::PairGain> partners) {
+    for (const core::PairGain& p : partners) feasible += p.gain.feasible;
+  };
+  uint64_t pairs = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(harness.GainSweepAllPairs(threads));
+    pairs += core::SweepMergeGains(idb, cm, idb.active_leafsets(), pool.get(),
+                                   count);
   }
-  state.SetItemsProcessed(
-      state.iterations() * harness.num_active_leafsets() *
-      (harness.num_active_leafsets() - 1) / 2);
+  benchmark::DoNotOptimize(feasible);
+  state.SetItemsProcessed(static_cast<int64_t>(pairs));
 }
-BENCHMARK(BM_GainAllPairs)->Arg(1)->Arg(2)->Arg(4)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_SweepMergeGains)
+    ->Arg(1)
+    ->Arg(2)
+    ->Arg(4)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
+/// MergeLeafsets on the first feasible pair (in active order) of a fresh
+/// database; the rebuild runs untimed.
 void BM_MergeApply(benchmark::State& state) {
   auto g = MakeBenchGraph(2000);
-  engine::micro::CoreHarness harness(g);
+  core::InvertedDatabase idb = BuildDatabase(g);
+  const auto pair = [&]() -> std::pair<core::LeafsetId, core::LeafsetId> {
+    const core::CodeModel cm(g, idb);
+    const auto& actives = idb.active_leafsets();
+    for (size_t a = 0; a < actives.size(); ++a) {
+      for (size_t b = a + 1; b < actives.size(); ++b) {
+        if (core::ComputeMergeGain(idb, cm, actives[a], actives[b])
+                .feasible) {
+          return {actives[a], actives[b]};
+        }
+      }
+    }
+    return {};
+  }();
+  if (pair.first == pair.second) {
+    state.SkipWithError("no feasible pair");
+    return;
+  }
   for (auto _ : state) {
     state.PauseTiming();
-    harness.RebuildDatabase();
-    const bool found = harness.StageFirstFeasibleMerge();
+    idb = BuildDatabase(g);
     state.ResumeTiming();
-    if (found) {
-      benchmark::DoNotOptimize(harness.ApplyStagedMerge());
-    }
+    benchmark::DoNotOptimize(
+        idb.MergeLeafsets(pair.first, pair.second).moved_positions);
   }
 }
 BENCHMARK(BM_MergeApply)->Iterations(20);
@@ -79,7 +133,7 @@ BENCHMARK(BM_MineEndToEnd)->Arg(500)->Arg(2000)->Unit(benchmark::kMillisecond);
 void BM_MineBasicThreads(benchmark::State& state) {
   auto g = MakeBenchGraph(500);
   engine::MiningOptions options;
-  options.strategy = engine::Search::kBasic;
+  options.strategy = engine::SearchStrategy::kBasic;
   options.record_iteration_stats = false;
   options.num_threads = static_cast<uint32_t>(state.range(0));
   for (auto _ : state) {

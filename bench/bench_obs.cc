@@ -2,17 +2,20 @@
 // measured instead of assumed.
 //
 // Primitive costs (BM_CounterAdd / BM_HistogramRecord / BM_TraceSpan) show
-// the per-event price; the headline pair is BM_ScoreBatchObsOn vs
-// BM_ScoreBatchObsOff — the full serving hot path with the runtime obs
-// toggle on and off, in one binary and one run, so the on/off ratio is
-// machine-normalized. ci/bench_gate.py gates that ratio against the
+// the per-event price; BM_ScoreBatchObsOn vs BM_ScoreBatchObsOff time the
+// full serving hot path with the runtime obs toggle on and off. The gated
+// ratio comes from BM_ScoreBatchObsOverhead, which interleaves the two
+// within each iteration in one binary and one run, so it is
+// machine-normalized. ci/bench_gate.py gates it against the
 // BENCH_BASELINE.json `max_obs_overhead` key (1.02 = within 2%).
 //
 // CSPM_BENCH_OBS_VERTICES overrides the graph size.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdlib>
+#include <span>
 #include <vector>
 
 #include "bench_common.h"
@@ -37,6 +40,13 @@ uint32_t ObsBenchVertices() {
 /// of milliseconds, so the on/off ratio averages over many iterations
 /// instead of riding on two one-shot measurements.
 constexpr size_t kBatchVertices = 256;
+
+/// Vertices per batch in the gated interleaved bench: one iteration is a
+/// few milliseconds, so even CI's 0.5 s budget runs ~50 iterations. The
+/// per-iteration ratio spreads by ±10% on a shared VM; the median of ~50
+/// stays within ±2% of the long-run value, the median of the ~10 that
+/// 256-vertex batches allow does not.
+constexpr size_t kOverheadBatchVertices = 32;
 
 /// Mined-once fixture shared by the ScoreBatch on/off pair.
 struct ObsFixture {
@@ -132,33 +142,55 @@ BENCHMARK(BM_ScoreBatchObsOff)->Unit(benchmark::kMillisecond)->UseRealTime();
 /// The gated measurement: every iteration scores the same batch once with
 /// obs on and once with obs off, so slow drift (thermal throttling,
 /// container co-tenants) hits both sides equally instead of biasing
-/// whichever standalone bench ran later. The obs_overhead_ratio counter
-/// (instrumented / obs-off wall time) is what ci/bench_gate.py gates
-/// against BENCH_BASELINE.json max_obs_overhead.
+/// whichever standalone bench ran later. The side that runs first
+/// alternates per iteration, so neither side always pays for the other's
+/// cache state. The obs_overhead_ratio counter is the median of the
+/// per-iteration ratios (instrumented / obs-off wall time): one slow
+/// iteration moves it by one rank, not by its share of the total. That is
+/// what ci/bench_gate.py gates against BENCH_BASELINE.json
+/// max_obs_overhead. obs_overhead_sum_ratio (total on / total off) is the
+/// earlier, noisier measure, reported for comparison only.
 void BM_ScoreBatchObsOverhead(benchmark::State& state) {
   const ObsFixture& f = ObsFixture::Get();
   auto engine = engine::ServingEngine::Create(f.graph, f.model).value();
   CSPM_CHECK(engine.ScoreBatch(f.batch).ok());  // untimed warmup
-  double on_ns = 0.0;
-  double off_ns = 0.0;
+  const size_t n = std::min(kOverheadBatchVertices, f.batch.size());
+  const std::span<const graph::VertexId> vertices(f.batch.data(), n);
+  const auto timed_batch = [&](bool obs_on) {
+    obs::SetEnabled(obs_on);
+    WallTimer timer;
+    auto batch = engine.ScoreBatch(vertices);
+    const auto ns = static_cast<double>(timer.ElapsedNanos());
+    CSPM_CHECK(batch.ok());
+    benchmark::DoNotOptimize(batch->data());
+    return ns;
+  };
+  std::vector<double> ratios;
+  double on_total = 0.0;
+  double off_total = 0.0;
+  bool on_first = true;
   for (auto _ : state) {
-    obs::SetEnabled(true);
-    WallTimer on_timer;
-    auto on = engine.ScoreBatch(f.batch);
-    on_ns += static_cast<double>(on_timer.ElapsedNanos());
-    CSPM_CHECK(on.ok());
-    benchmark::DoNotOptimize(on->data());
-    obs::SetEnabled(false);
-    WallTimer off_timer;
-    auto off = engine.ScoreBatch(f.batch);
-    off_ns += static_cast<double>(off_timer.ElapsedNanos());
-    CSPM_CHECK(off.ok());
-    benchmark::DoNotOptimize(off->data());
+    double on_ns = 0.0;
+    double off_ns = 0.0;
+    if (on_first) {
+      on_ns = timed_batch(true);
+      off_ns = timed_batch(false);
+    } else {
+      off_ns = timed_batch(false);
+      on_ns = timed_batch(true);
+    }
+    on_first = !on_first;
+    on_total += on_ns;
+    off_total += off_ns;
+    ratios.push_back(on_ns / off_ns);
   }
   obs::SetEnabled(true);
-  state.counters["obs_overhead_ratio"] = off_ns > 0.0 ? on_ns / off_ns : 1.0;
+  auto mid = ratios.begin() + static_cast<std::ptrdiff_t>(ratios.size() / 2);
+  std::nth_element(ratios.begin(), mid, ratios.end());
+  state.counters["obs_overhead_ratio"] = ratios.empty() ? 1.0 : *mid;
+  state.counters["obs_overhead_sum_ratio"] = on_total / off_total;
   state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(2 * f.batch.size()));
+                          static_cast<int64_t>(2 * vertices.size()));
 }
 BENCHMARK(BM_ScoreBatchObsOverhead)
     ->Unit(benchmark::kMillisecond)

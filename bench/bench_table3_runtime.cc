@@ -79,7 +79,7 @@ int main() {
       basic_cell.skipped = true;
     } else {
       engine::MiningOptions options;
-      options.strategy = engine::Search::kBasic;
+      options.strategy = engine::SearchStrategy::kBasic;
       options.record_iteration_stats = false;
       options.max_seconds = budget;
       auto model = engine::MineModel(item.graph, options).value();
@@ -90,7 +90,7 @@ int main() {
     Cell partial_cell;
     {
       engine::MiningOptions options;
-      options.strategy = engine::Search::kPartial;
+      options.strategy = engine::SearchStrategy::kPartial;
       options.record_iteration_stats = false;
       auto model = engine::MineModel(item.graph, options).value();
       partial_cell.seconds = model.stats.runtime_seconds;

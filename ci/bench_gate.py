@@ -21,10 +21,12 @@ the consolidated BENCH_PR.json artifact, and exits non-zero when:
     section 9).
 
   * (with --obs) the observability instrumentation costs more than
-    baseline `max_obs_overhead` on the serving hot path: bench_obs runs
-    BM_ScoreBatchObsOn and BM_ScoreBatchObsOff in one binary and one run,
-    so the on/off ratio is machine-normalized; 1.02 means the
-    instrumented path must stay within 2% of the obs-off path.
+    baseline `max_obs_overhead` on the serving hot path:
+    BM_ScoreBatchObsOverhead scores one batch with obs on and one with
+    obs off in every iteration (alternating which goes first) and reports
+    the median per-iteration on/off ratio, so it is machine-normalized;
+    1.02 means the instrumented path must stay within 2% of the obs-off
+    path.
 
   * (with --store) cold open -> first scored vertex via the mmap plan
     section is less than baseline `min_cold_open_speedup` (50x) faster
@@ -150,7 +152,8 @@ def main():
         obs_on = require(obs, "BM_ScoreBatchObsOn/real_time")
         obs_off = require(obs, "BM_ScoreBatchObsOff/real_time")
         # The gated ratio comes from the interleaved bench (obs toggled
-        # on/off within each iteration), not from dividing the two
+        # on/off within each iteration, the first side alternating, the
+        # median of the per-iteration ratios), not from dividing the two
         # standalone runs — sequential runs see 3-6% machine noise, which
         # would swamp a 2% contract. The standalone numbers are reported
         # for humans.

@@ -7,6 +7,7 @@
 
 #include "cspm/candidates.h"
 #include "cspm/extract.h"
+#include "itemset/slim.h"
 #include "itemset/transaction_db.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -16,6 +17,9 @@
 
 namespace cspm::core {
 namespace {
+
+/// A merge must improve the DL by strictly more than this (bits).
+constexpr double kMinGainBits = 1e-9;
 
 uint64_t PossiblePairs(uint64_t n) { return n < 2 ? 0 : n * (n - 1) / 2; }
 
@@ -39,12 +43,11 @@ bool SharesAnyCore(const std::vector<CoreId>& a, const std::vector<CoreId>& b) {
 // transactions; the accepted patterns (plus in-use singletons) become the
 // coresets, and each vertex is assigned the coresets used by its cover.
 Status BuildSlimCoresets(const graph::AttributedGraph& g,
-                         const itemset::SlimOptions& slim_options,
                          std::vector<std::vector<AttrId>>* coreset_values,
                          std::vector<std::vector<CoreId>>* vertex_coresets) {
   itemset::TransactionDb db =
       itemset::TransactionDb::FromVertexAttributes(g);
-  auto slim_or = itemset::RunSlim(db, slim_options);
+  auto slim_or = itemset::RunSlim(db, {});
   if (!slim_or.ok()) return slim_or.status();
   const itemset::CodeTable& ct = *slim_or.value().code_table;
 
@@ -99,8 +102,8 @@ struct BestPair {
   LeafsetId y{};
   bool found = false;
 
-  void Offer(double g, double threshold, LeafsetId px, LeafsetId py) {
-    if (g > (found ? gain : threshold)) {
+  void Offer(double g, LeafsetId px, LeafsetId py) {
+    if (g > (found ? gain : kMinGainBits)) {
       gain = g;
       x = px;
       y = py;
@@ -109,18 +112,17 @@ struct BestPair {
   }
 };
 
-// Scans all pairs of `actives` for the best gain above the threshold. The
+// Scans all pairs of `actives` for the best gain above kMinGainBits. The
 // sweep delivers pairs in row-major order on the serial and pooled paths
 // alike, so the result never depends on threading.
 BestPair ScanAllPairs(const SearchContext& ctx,
                       const std::vector<LeafsetId>& actives,
                       uint64_t* computations) {
-  const double threshold = ctx.options->min_gain_bits;
   BestPair best;
   const auto offer = [&](LeafsetId x, std::span<const PairGain> partners) {
     for (const PairGain& p : partners) {
       if (!p.gain.feasible) continue;
-      best.Offer(p.gain.Total(ctx.options->gain_policy), threshold, x, p.y);
+      best.Offer(p.gain.Total(ctx.options->gain_policy), x, p.y);
     }
   };
   *computations += SweepMergeGains(*ctx.idb, *ctx.cm, actives, ctx.pool, offer);
@@ -138,7 +140,7 @@ uint64_t GenerateCandidates(const SearchContext& ctx, CandidateStore* store,
     for (const PairGain& p : partners) {
       if (!p.gain.feasible) continue;
       const double total = p.gain.Total(ctx.options->gain_policy);
-      if (total <= ctx.options->min_gain_bits) continue;
+      if (total <= kMinGainBits) continue;
       store->Set(x, p.y, total);
       rdict->Link(x, p.y);
     }
@@ -218,7 +220,7 @@ void RunPartialLoop(const SearchContext& ctx, CandidateStore& store,
       GainResult gr = ComputeMergeGain(*ctx.idb, *ctx.cm, x, y);
       ++computations;
       gain = gr.Total(ctx.options->gain_policy);
-      if (!gr.feasible || gain <= ctx.options->min_gain_bits) {
+      if (!gr.feasible || gain <= kMinGainBits) {
         rdict.Unlink(x, y);
         ctx.stats->total_gain_computations += computations;
         continue;  // stale candidate; not an accepted iteration
@@ -266,7 +268,7 @@ void RunPartialLoop(const SearchContext& ctx, CandidateStore& store,
     for (size_t j = 0; j < partners.size(); ++j) {
       if (!gains[j].feasible) continue;
       const double total = gains[j].Total(ctx.options->gain_policy);
-      if (total > ctx.options->min_gain_bits) {
+      if (total > kMinGainBits) {
         store.Set(partners[j], u, total);
         rdict.Link(partners[j], u);
       }
@@ -291,7 +293,7 @@ void RunPartialLoop(const SearchContext& ctx, CandidateStore& store,
       computations += partners.size();
       for (size_t j = 0; j < partners.size(); ++j) {
         const double total = gains[j].Total(ctx.options->gain_policy);
-        if (gains[j].feasible && total > ctx.options->min_gain_bits) {
+        if (gains[j].feasible && total > kMinGainBits) {
           store.Set(l, partners[j], total);
         } else {
           store.Erase(l, partners[j]);
@@ -401,7 +403,7 @@ StatusOr<CspmMiner::MineArtifacts> CspmMiner::ResumeFast(
         }
         total += gr.Total(options_.gain_policy);
       }
-      if (!feasible || total <= options_.min_gain_bits) continue;
+      if (!feasible || total <= kMinGainBits) continue;
       // Split every line; copy the core list first (SplitLine erases
       // from it as it goes) and the values (SplitLine interns, which can
       // reallocate the registry's value storage).
@@ -474,7 +476,7 @@ StatusOr<CspmMiner::MineArtifacts> CspmMiner::ResumeFast(
       for (const PairGain& p : partners) {
         if (!p.gain.feasible) continue;
         const double total = p.gain.Total(options_.gain_policy);
-        if (total <= options_.min_gain_bits) continue;
+        if (total <= kMinGainBits) continue;
         store.Set(t, p.y, total);
         rdict.Link(t, p.y);
         if (fast_stats != nullptr) ++fast_stats->seeded_pairs;
@@ -500,8 +502,7 @@ StatusOr<InvertedDatabase> BuildInitialDatabase(
   if (!options.multi_value_coresets) return InvertedDatabase::FromGraph(g);
   std::vector<std::vector<AttrId>> coreset_values;
   std::vector<std::vector<CoreId>> vertex_coresets;
-  CSPM_RETURN_IF_ERROR(BuildSlimCoresets(g, options.slim, &coreset_values,
-                                         &vertex_coresets));
+  CSPM_RETURN_IF_ERROR(BuildSlimCoresets(g, &coreset_values, &vertex_coresets));
   return InvertedDatabase::FromGraphWithCoresets(
       g, std::move(coreset_values), vertex_coresets);
 }

@@ -10,7 +10,6 @@
 #include "cspm/gain.h"
 #include "cspm/inverted_database.h"
 #include "cspm/model.h"
-#include "itemset/slim.h"
 #include "util/status.h"
 
 namespace cspm::core {
@@ -35,7 +34,6 @@ struct CspmOptions {
   /// transactions with SLIM (Section IV-F); otherwise every attribute value
   /// is its own coreset.
   bool multi_value_coresets = false;
-  itemset::SlimOptions slim;
 
   /// Safety valve; 0 = run to convergence (the parameter-free default).
   uint64_t max_iterations = 0;
@@ -44,9 +42,6 @@ struct CspmOptions {
   /// stops early and MiningStats::hit_time_budget is set (used by the
   /// runtime benches to bound CSPM-Basic on large inputs).
   double max_seconds = 0.0;
-
-  /// A merge must improve the DL by strictly more than this (bits).
-  double min_gain_bits = 1e-9;
 
   /// Record per-iteration stats (Fig. 5 instrumentation).
   bool record_iteration_stats = true;

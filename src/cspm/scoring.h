@@ -1,6 +1,11 @@
 // The scoring module of Algorithm 5: turns a mined CSPM model into
 // per-attribute-value scores for a vertex with missing attributes, based on
 // the attribute values observed on its neighbours.
+//
+// These per-vertex model walks are the reference scorer. Serving scores
+// through the compiled ScoringPlan (cspm/scoring_plan.h); the tests hold
+// it bit-identical to these functions, and bench_serving times one
+// against the other.
 #ifndef CSPM_CSPM_SCORING_H_
 #define CSPM_CSPM_SCORING_H_
 

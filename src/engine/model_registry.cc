@@ -7,6 +7,7 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "store/model_store.h"
+#include "util/check.h"
 #include "util/string_util.h"
 
 namespace cspm::engine {
@@ -48,19 +49,10 @@ void ServableModel::CompilePlan() {
   plan = core::CompileSharedPlan(model, dict.size());
 }
 
-core::AttributeScores ServableModel::ScoreWithNeighbourhood(
-    const std::vector<graph::AttrId>& neighbourhood_attrs,
-    const core::ScoringOptions& options) const {
-  if (plan != nullptr) return plan->Score(neighbourhood_attrs, options);
-  return core::ScoreAttributesWithNeighbourhood(dict.size(), model,
-                                                neighbourhood_attrs, options);
-}
-
 StatusOr<core::AttributeScores> ServableModel::ScoreVertex(
     graph::VertexId v, const core::ScoringOptions& options) const {
   if (graph == nullptr) {
-    return Status::FailedPrecondition(
-        "model has no graph snapshot; use ScoreWithNeighbourhood");
+    return Status::FailedPrecondition("model has no graph snapshot");
   }
   if (v >= graph->num_vertices()) {
     return Status::OutOfRange(
@@ -73,12 +65,10 @@ StatusOr<core::AttributeScores> ServableModel::ScoreVertex(
         "values vs %zu in the graph",
         dict.size(), graph->num_attribute_values()));
   }
-  if (plan != nullptr) {
-    std::vector<graph::AttrId> neighbourhood;
-    core::GatherNeighbourhoodAttrs(*graph, v, &neighbourhood);
-    return plan->Score(neighbourhood, options);
-  }
-  return core::ScoreAttributes(*graph, model, v, options);
+  CSPM_CHECK_MSG(plan != nullptr, "register the model to compile its plan");
+  std::vector<graph::AttrId> neighbourhood;
+  core::GatherNeighbourhoodAttrs(*graph, v, &neighbourhood);
+  return plan->Score(neighbourhood, options);
 }
 
 StatusOr<ServingEngine> ServableModel::Serve(ServingOptions options) const {
@@ -86,15 +76,12 @@ StatusOr<ServingEngine> ServableModel::Serve(ServingOptions options) const {
     return Status::FailedPrecondition(
         "model has no graph snapshot; batch serving needs one");
   }
-  auto p = plan;
-  if (p == nullptr) p = core::CompileSharedPlan(model, dict.size());
   // Shared-owned instances (registry handles) are retained by the engine;
   // lock() is null for stack instances, whose graph shared_ptr keeps the
   // snapshot alive on its own.
   std::shared_ptr<const void> keep_alive = weak_from_this().lock();
   if (keep_alive == nullptr) keep_alive = graph;
-  return ServingEngine::Create(*graph, std::move(p), options,
-                               std::move(keep_alive));
+  return ServingEngine::Create(*graph, plan, options, std::move(keep_alive));
 }
 
 Status ModelRegistry::LoadStore(const std::string& path) {

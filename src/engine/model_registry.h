@@ -55,20 +55,15 @@ struct ServableModel : std::enable_shared_from_this<ServableModel> {
   /// live session costs no copy and in-flight engines keep the old graph
   /// alive on their own. Null when the model has no snapshot.
   std::shared_ptr<const graph::AttributedGraph> graph;
-  /// Compiled from `model` against `dict`; built by CompilePlan() (the
-  /// registry calls it on Put/Load). Scoring falls back to the legacy
-  /// per-vertex path when null — results are bit-identical either way.
+  /// Compiled from `model` against `dict` by CompilePlan(), or mapped from
+  /// the store's plan section. Every registry handle has one: Put and
+  /// PutPrecompiled compile it, LoadStore and LoadModel map (or compile)
+  /// it. Scoring requires it.
   std::shared_ptr<const core::ScoringPlan> plan;
 
   /// Compiles `plan` from the current model + dict (no-op when already
   /// compiled).
   void CompilePlan();
-
-  /// Algorithm 5 against an explicit neighbour-attribute set (ids in this
-  /// model's dictionary). Works without a graph snapshot.
-  core::AttributeScores ScoreWithNeighbourhood(
-      const std::vector<graph::AttrId>& neighbourhood_attrs,
-      const core::ScoringOptions& options = {}) const;
 
   /// Scores vertex `v` of the embedded graph snapshot. Clean Status (not
   /// a crash) for a missing snapshot, an out-of-range vertex, or a

@@ -16,30 +16,6 @@
 #include "util/timer.h"
 
 namespace cspm::engine {
-namespace {
-
-core::CspmOptions ToCoreOptions(const MiningOptions& o) {
-  core::CspmOptions c;
-  c.strategy = o.strategy == Search::kBasic
-                   ? core::SearchStrategy::kBasic
-                   : core::SearchStrategy::kPartial;
-  c.gain_policy = o.gain_policy == Gain::kDataOnly
-                      ? core::GainPolicy::kDataOnly
-                      : core::GainPolicy::kDataPlusModel;
-  c.multi_value_coresets = o.multi_value_coresets;
-  c.slim = o.slim;
-  c.max_iterations = o.max_iterations;
-  c.max_seconds = o.max_seconds;
-  c.min_gain_bits = o.min_gain_bits;
-  c.record_iteration_stats = o.record_iteration_stats;
-  c.revalidate_on_pop = o.revalidate_on_pop;
-  c.include_singleton_leafsets = o.include_singleton_leafsets;
-  c.num_threads = o.num_threads;
-  return c;
-}
-
-}  // namespace
-
 struct MiningSession::Impl {
   /// The session's current graph. Create() aliases the caller's graph
   /// (non-owning); ApplyUpdates replaces it with an owned mutated graph.
@@ -53,8 +29,8 @@ struct MiningSession::Impl {
   /// Shared so ServingEngines and registry handles can outlive a re-mine.
   std::shared_ptr<const core::ScoringPlan> plan;
   /// Final inverted database of the last mine or fast re-mine, kept under
-  /// options.keep_database (VerifyLossless) and options.enable_updates
-  /// (the kFast starting point).
+  /// options.enable_updates (the kFast starting point, and what
+  /// VerifyLossless checks).
   std::optional<core::InvertedDatabase> database;
 
   /// Installs `m` as the current model and compiles its plan.
@@ -72,16 +48,11 @@ struct MiningSession::Impl {
     database.reset();
   }
 
-  /// kFast needs the final database, which SLIM covers cannot patch.
-  bool supports_fast_updates() const {
-    return options.enable_updates && !options.multi_value_coresets;
-  }
-
-  /// Installs a full mining result, keeping its database when an option
-  /// asks for it.
+  /// Installs a full mining result, keeping its database under
+  /// options.enable_updates.
   void SetArtifacts(core::CspmMiner::MineArtifacts artifacts) {
     SetModel(std::move(artifacts.model));
-    if (options.keep_database || supports_fast_updates()) {
+    if (options.enable_updates) {
       database.emplace(std::move(artifacts.inverted_db));
     }
   }
@@ -115,8 +86,7 @@ StatusOr<MiningSession> MiningSession::Create(
 
 Status MiningSession::Mine() {
   auto artifacts_or =
-      core::CspmMiner(ToCoreOptions(impl_->options))
-          .MineWithArtifacts(*impl_->graph);
+      core::CspmMiner(impl_->options).MineWithArtifacts(*impl_->graph);
   if (!artifacts_or.ok()) return artifacts_or.status();
   impl_->SetArtifacts(std::move(artifacts_or).value());
   return Status::OK();
@@ -151,16 +121,17 @@ Status MiningSession::ApplyUpdates(const graph::GraphDelta& delta,
   auto new_graph = std::make_shared<const graph::AttributedGraph>(
       std::move(applied.graph));
 
-  // kFast continues from the final database (DESIGN.md §9); its
-  // contract only covers kPartial (the convergence argument needs the
-  // drained store). Everything else, kExact included, re-mines the
-  // spliced graph cold: bit-identical to a cold mine by construction.
+  // kFast continues from the final database (DESIGN.md §9), which SLIM
+  // covers cannot patch; its contract only covers kPartial (the
+  // convergence argument needs the drained store). Everything else, kExact
+  // included, re-mines the spliced graph cold: bit-identical to a cold
+  // mine by construction.
   const bool fast = mode == UpdateMode::kFast &&
-                    impl_->supports_fast_updates() &&
-                    impl_->options.strategy == Search::kPartial &&
+                    !impl_->options.multi_value_coresets &&
+                    impl_->options.strategy == SearchStrategy::kPartial &&
                     impl_->database.has_value() &&
                     impl_->database->num_coresets() > 0;
-  core::CspmMiner miner(ToCoreOptions(impl_->options));
+  core::CspmMiner miner(impl_->options);
   core::FastResumeStats fast_stats;
   auto artifacts_or = [&]() -> StatusOr<core::CspmMiner::MineArtifacts> {
     if (!fast) {
@@ -229,13 +200,6 @@ AttributeScores MiningSession::Score(graph::VertexId v,
   std::vector<graph::AttrId> neighbourhood;
   core::GatherNeighbourhoodAttrs(*impl_->graph, v, &neighbourhood);
   return impl_->plan->Score(neighbourhood, options);
-}
-
-AttributeScores MiningSession::ScoreWithNeighbourhood(
-    const std::vector<graph::AttrId>& neighbourhood_attrs,
-    const ScoringOptions& options) const {
-  CSPM_CHECK_MSG(impl_->has_model, "Mine() or LoadModel() first");
-  return impl_->plan->Score(neighbourhood_attrs, options);
 }
 
 StatusOr<std::vector<AttributeScores>> MiningSession::ScoreBatch(
@@ -368,7 +332,7 @@ Status MiningSession::VerifyLossless() const {
   }
   if (!impl_->database.has_value()) {
     return Status::FailedPrecondition(
-        "VerifyLossless requires MiningOptions::keep_database");
+        "VerifyLossless requires MiningOptions::enable_updates");
   }
   return core::VerifyLossless(*impl_->graph, *impl_->database);
 }
@@ -377,7 +341,7 @@ StatusOr<CspmModel> MineModel(const graph::AttributedGraph& g,
                               const MiningOptions& options) {
   // Runs the miner directly rather than through a session: the model moves
   // straight out instead of being copied from session state.
-  return core::CspmMiner(ToCoreOptions(options)).Mine(g);
+  return core::CspmMiner(options).Mine(g);
 }
 
 }  // namespace cspm::engine

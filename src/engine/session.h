@@ -1,13 +1,13 @@
 // The engine facade: the single entry point application layers use to run
-// CSPM. Consumers (examples, benches, the completion and alarm apps) build
-// a MiningSession from a graph, mine, score, and serialize through it, and
-// never see the storage (InvertedDatabase / PosListPool) or search
-// (CspmMiner / candidates) layers — so those can be reworked, swapped, or
-// sharded without touching any consumer (see DESIGN.md §2).
+// CSPM. Consumers (examples, the completion and alarm apps, the tools)
+// build a MiningSession from a graph, mine, score, and serialize through
+// it, and never call the storage (InvertedDatabase / PosListPool) or
+// search (CspmMiner / candidates) layers (see DESIGN.md §1).
 //
-// Result types (CspmModel, AStarTable, AStarRef, AStar, MiningStats,
-// AttributeScores) are the stable model-level vocabulary and are
-// re-exported here.
+// Mining options are the core's own (core::CspmOptions plus one session
+// field), and the result types (CspmModel, AStarTable, AStarRef, AStar,
+// MiningStats, AttributeScores) are the stable model-level vocabulary;
+// both are re-exported here.
 #ifndef CSPM_ENGINE_SESSION_H_
 #define CSPM_ENGINE_SESSION_H_
 
@@ -16,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "cspm/miner.h"
 #include "cspm/model.h"
 #include "cspm/scoring.h"
 #include "cspm/scoring_plan.h"
@@ -23,7 +24,6 @@
 #include "engine/serving.h"
 #include "graph/attributed_graph.h"
 #include "graph/graph_delta.h"
-#include "itemset/slim.h"
 #include "util/status.h"
 
 namespace cspm::engine {
@@ -38,17 +38,9 @@ using core::IterationStats;
 using core::MiningStats;
 using core::ScoringOptions;
 
-/// Search strategy (mirrors the paper's two algorithms).
-enum class Search {
-  kBasic,    ///< Algorithms 1-2: regenerate all candidate gains per merge.
-  kPartial,  ///< Algorithms 3-4: incremental updates through the rdict.
-};
-
-/// Which terms the merge-acceptance test uses.
-enum class Gain {
-  kDataOnly,       ///< pure data gain ΔL (Algorithm 2's check)
-  kDataPlusModel,  ///< ΔL minus the model-cost delta (MDL-faithful default)
-};
+// Option vocabulary of MiningOptions, re-exported likewise.
+using core::GainPolicy;
+using core::SearchStrategy;
 
 /// On-disk format for SaveModel. Loading always auto-detects by magic.
 enum class ModelFileFormat {
@@ -67,52 +59,15 @@ struct SaveModelOptions {
   bool include_graph = false;
 };
 
-/// Mining knobs. A deliberate copy of the core options rather than an
-/// alias: the facade contract must not move when internals do.
-struct MiningOptions {
-  Search strategy = Search::kPartial;
-  Gain gain_policy = Gain::kDataPlusModel;
-
-  /// When true, Step 1 mines multi-value coresets from the vertex-attribute
-  /// transactions with SLIM (Section IV-F); otherwise every attribute value
-  /// is its own coreset.
-  bool multi_value_coresets = false;
-  itemset::SlimOptions slim;
-
-  /// Safety valve; 0 = run to convergence (the parameter-free default).
-  uint64_t max_iterations = 0;
-
-  /// Wall-clock budget in seconds; 0 = unlimited. When exceeded the search
-  /// stops early and MiningStats::hit_time_budget is set.
-  double max_seconds = 0.0;
-
-  /// A merge must improve the DL by strictly more than this (bits).
-  double min_gain_bits = 1e-9;
-
-  /// Record per-iteration stats (Fig. 5 instrumentation).
-  bool record_iteration_stats = true;
-
-  /// Partial only: recompute the popped pair's gain before merging (guards
-  /// against f_e drift making a stored gain stale; see DESIGN.md §5).
-  bool revalidate_on_pop = true;
-
-  /// Keep single-leaf-value a-stars in the returned model.
-  bool include_singleton_leafsets = true;
-
-  /// Threads for the gain-evaluation fan-outs. 1 = serial (default),
-  /// 0 = one per hardware core. Parallel runs are bit-identical to serial.
-  uint32_t num_threads = 1;
-
-  /// Retain the final inverted database so VerifyLossless() can run
-  /// (enable_updates retains it too). Off by default: the database can
-  /// dwarf the model.
-  bool keep_database = false;
-
-  /// Retain the final inverted database so UpdateMode::kFast can
-  /// continue from the mined model instead of re-mining cold (the same
-  /// database keep_database retains; it is held once). Ignored under
-  /// multi_value_coresets (SLIM covers cannot be patched — every update
-  /// re-mines cold).
+/// Mining knobs: the core's options (the search strategy, the gain
+/// policy, SLIM coresets, budgets, threads) plus what only a session
+/// does with the result.
+struct MiningOptions : core::CspmOptions {
+  /// Retain the final inverted database: UpdateMode::kFast continues from
+  /// it instead of re-mining cold, and VerifyLossless() checks it. Off by
+  /// default: the database can dwarf the model. Under
+  /// multi_value_coresets kFast still re-mines cold (SLIM covers cannot
+  /// be patched).
   bool enable_updates = false;
 };
 
@@ -126,8 +81,8 @@ enum class UpdateMode {
   /// undo merges whose gain went negative, re-evaluate only dirty-core
   /// pairs, and merge from there. Path-dependent — the description length
   /// tracks a cold mine within a small ε but the bits may differ. Falls
-  /// back to kExact when the final database is not kept
-  /// (MiningOptions::enable_updates) or the strategy is not kPartial.
+  /// back to kExact without MiningOptions::enable_updates, under
+  /// multi_value_coresets, or when the strategy is not kPartial.
   kFast,
 };
 
@@ -208,18 +163,12 @@ class MiningSession {
   // --- scoring (Algorithm 5) ----------------------------------------------
   //
   // All scoring goes through a ScoringPlan compiled whenever the model is
-  // mined or loaded, bit-identical to the legacy per-vertex
-  // core::ScoreAttributes path.
+  // mined or loaded, bit-identical to the reference scorer
+  // core::ScoreAttributes (the tests' oracle).
 
   /// Per-attribute-value scores for vertex v from its neighbourhood.
   AttributeScores Score(graph::VertexId v,
                         const ScoringOptions& options = {}) const;
-
-  /// Same, against an explicit neighbour-attribute set (used when the
-  /// graph's own attributes are partially masked).
-  AttributeScores ScoreWithNeighbourhood(
-      const std::vector<graph::AttrId>& neighbourhood_attrs,
-      const ScoringOptions& options = {}) const;
 
   /// Batch scoring through a one-shot ServingEngine. Output slot i holds
   /// the scores of vertices[i] at any thread count. Callers scoring many
@@ -268,7 +217,7 @@ class MiningSession {
   // --- verification -------------------------------------------------------
 
   /// Checks the losslessness invariant of the final database against the
-  /// graph. Requires MiningOptions::keep_database and a mined model.
+  /// graph. Requires MiningOptions::enable_updates and a mined model.
   Status VerifyLossless() const;
 
  private:

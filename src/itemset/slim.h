@@ -1,14 +1,15 @@
-// The SLIM algorithm (Smets & Vreeken, SDM 2012): like Krimp but generates
-// candidates on the fly by pairwise union of code table entries, ranked by
-// estimated gain, keeping the first union that actually shrinks the MDL
-// total. This is the runtime baseline of the paper's Table III and the
-// multi-value coreset encoder of Section IV-F.
+// The SLIM algorithm (Smets & Vreeken, SDM 2012): a Krimp-style code
+// table compressor that generates candidates on the fly by pairwise union
+// of code table entries, ranked by estimated gain, keeping the first union
+// that actually shrinks the MDL total. This is the runtime baseline of the
+// paper's Table III and the multi-value coreset encoder of Section IV-F.
 #ifndef CSPM_ITEMSET_SLIM_H_
 #define CSPM_ITEMSET_SLIM_H_
 
 #include <cstdint>
+#include <memory>
 
-#include "itemset/krimp.h"  // CompressionResult
+#include "itemset/code_table.h"
 #include "itemset/transaction_db.h"
 #include "util/status.h"
 
@@ -24,6 +25,24 @@ struct SlimOptions {
   /// Wall-clock budget in seconds; 0 = unlimited. Sets
   /// CompressionResult::hit_time_budget when exceeded.
   double max_seconds = 0.0;
+};
+
+/// Result of a SLIM run.
+struct CompressionResult {
+  /// Final code table (owns a copy of nothing; references the input db).
+  std::unique_ptr<CodeTable> code_table;
+  /// Baseline length with the standard code table only.
+  double standard_length = 0.0;
+  /// Final total length L(CT, D).
+  double final_length = 0.0;
+  /// final / standard (lower is better).
+  double compression_ratio = 1.0;
+  /// Number of non-singleton patterns accepted.
+  uint64_t accepted_patterns = 0;
+  /// Number of candidates evaluated.
+  uint64_t evaluated_candidates = 0;
+  /// True if the wall-clock budget stopped the search early.
+  bool hit_time_budget = false;
 };
 
 /// Runs SLIM. `db` must outlive the result.

@@ -1,12 +1,13 @@
 // Tests for the engine facade: MiningSession build-mine-score-serialize,
-// option translation, and the losslessness verification hook.
+// options reaching the core miner, and the losslessness verification hook.
 #include "engine/session.h"
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 
-#include "engine/scoring.h"
+#include "cspm/serialization.h"
 #include "graph/generators.h"
 #include "testing_util.h"
 
@@ -47,7 +48,7 @@ TEST(MiningSession, MineModelConvenienceMatchesSession) {
 TEST(MiningSession, OptionsReachTheSearch) {
   auto g = SmallRandomGraph(7);
   MiningOptions basic;
-  basic.strategy = Search::kBasic;
+  basic.strategy = SearchStrategy::kBasic;
   basic.max_iterations = 1;
   auto model = MineModel(g, basic).value();
   EXPECT_LE(model.stats.iterations, 1u);
@@ -57,16 +58,54 @@ TEST(MiningSession, OptionsReachTheSearch) {
   EXPECT_TRUE(MineModel(g, quiet).value().stats.per_iteration.empty());
 }
 
-TEST(MiningSession, ScoreMatchesScoringFacade) {
+// A session mine and a CspmMiner given the same non-default options produce
+// the same model, bit for bit: every option a session takes reaches the
+// search. Both strategies run, so revalidate_on_pop (kPartial only) binds.
+TEST(MiningSession, NonDefaultOptionsMineLikeTheCoreMiner) {
+  const auto g = SmallRandomGraph(19);
+  for (SearchStrategy strategy :
+       {SearchStrategy::kBasic, SearchStrategy::kPartial}) {
+    const auto configure = [strategy](core::CspmOptions* o) {
+      o->strategy = strategy;
+      o->gain_policy = GainPolicy::kDataOnly;
+      o->revalidate_on_pop = false;
+      o->include_singleton_leafsets = false;
+      o->max_iterations = 50;
+    };
+    MiningOptions options;
+    configure(&options);
+    core::CspmOptions core_options;
+    configure(&core_options);
+
+    auto session = std::move(MiningSession::Create(g, options)).value();
+    ASSERT_TRUE(session.Mine().ok());
+    const CspmModel direct = core::CspmMiner(core_options).Mine(g).value();
+
+    const CspmModel& mined = session.model();
+    EXPECT_TRUE(core::ModelToText(mined, g.dict()) ==
+                core::ModelToText(direct, g.dict()))
+        << "model text differs";
+    EXPECT_EQ(std::memcmp(&mined.stats.final_dl_bits,
+                          &direct.stats.final_dl_bits, sizeof(double)),
+              0);
+    EXPECT_EQ(mined.astars.size(), direct.astars.size());
+    // The options took effect: an iteration cap and no singleton a-stars.
+    EXPECT_LE(mined.stats.iterations, 50u);
+    EXPECT_GT(mined.astars.size(), 0u);
+    for (const AStarRef& s : mined.astars) EXPECT_GT(s.leaf_values.size(), 1u);
+  }
+}
+
+TEST(MiningSession, ScoreMatchesReferenceScorer) {
   auto g = SmallRandomGraph(11);
   auto session = std::move(MiningSession::Create(g)).value();
   ASSERT_TRUE(session.Mine().ok());
   for (uint32_t raw : {0u, 5u, 17u}) {
     const graph::VertexId v(raw);
     AttributeScores via_session = session.Score(v);
-    AttributeScores via_facade = engine::ScoreAttributes(g, session.model(), v);
-    EXPECT_EQ(via_session.raw, via_facade.raw);
-    EXPECT_EQ(via_session.normalized, via_facade.normalized);
+    AttributeScores reference = core::ScoreAttributes(g, session.model(), v);
+    EXPECT_EQ(via_session.raw, reference.raw);
+    EXPECT_EQ(via_session.normalized, reference.normalized);
   }
 }
 
@@ -152,7 +191,7 @@ TEST(MiningSession, VerifyLosslessRequiresKeptDatabase) {
   EXPECT_FALSE(session.VerifyLossless().ok());  // database not kept
 
   MiningOptions keep;
-  keep.keep_database = true;
+  keep.enable_updates = true;
   auto keeping = std::move(MiningSession::Create(g, keep)).value();
   ASSERT_TRUE(keeping.Mine().ok());
   EXPECT_TRUE(keeping.VerifyLossless().ok());

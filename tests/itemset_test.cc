@@ -1,13 +1,10 @@
-// Tests for the itemset substrate: transaction db, Eclat, the Krimp code
-// table / cover, and the Krimp and SLIM compressors.
+// Tests for the itemset substrate: transaction db, the Krimp-style code
+// table / cover, and the SLIM compressor.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <map>
 
 #include "itemset/code_table.h"
-#include "itemset/eclat.h"
-#include "itemset/krimp.h"
 #include "itemset/slim.h"
 #include "itemset/transaction_db.h"
 #include "testing_util.h"
@@ -66,66 +63,6 @@ uint64_t CountSupport(const TransactionDb& db, const Itemset& items) {
   uint64_t n = 0;
   for (const auto& t : db.transactions()) n += IsSubset(items, t) ? 1 : 0;
   return n;
-}
-
-TEST(EclatTest, FindsAllFrequentPairsOnSmallDb) {
-  TransactionDb db = SmallDb();
-  EclatOptions options;
-  options.min_support = 2;
-  auto result = MineFrequentItemsets(db, options).value();
-  // Verify against brute force over all itemsets of size 2..4.
-  std::map<Itemset, uint64_t> expected;
-  for (Item a = 0; a < 4; ++a) {
-    for (Item b = a + 1; b < 4; ++b) {
-      Itemset s{a, b};
-      uint64_t sup = CountSupport(db, s);
-      if (sup >= 2) expected[s] = sup;
-      for (Item c = b + 1; c < 4; ++c) {
-        Itemset s3{a, b, c};
-        uint64_t sup3 = CountSupport(db, s3);
-        if (sup3 >= 2) expected[s3] = sup3;
-      }
-    }
-  }
-  Itemset all{0, 1, 2, 3};
-  if (CountSupport(db, all) >= 2) expected[all] = CountSupport(db, all);
-
-  std::map<Itemset, uint64_t> mined;
-  for (const auto& f : result) mined[f.items] = f.support;
-  EXPECT_EQ(mined, expected);
-}
-
-TEST(EclatTest, RespectsMaxSize) {
-  TransactionDb db = SmallDb();
-  EclatOptions options;
-  options.min_support = 1;
-  options.max_size = 2;
-  auto result = MineFrequentItemsets(db, options).value();
-  for (const auto& f : result) EXPECT_LE(f.items.size(), 2u);
-}
-
-TEST(EclatTest, StandardCandidateOrder) {
-  TransactionDb db = SmallDb();
-  EclatOptions options;
-  options.min_support = 2;
-  auto result = MineFrequentItemsets(db, options).value();
-  for (size_t i = 1; i < result.size(); ++i) {
-    const auto& prev = result[i - 1];
-    const auto& cur = result[i];
-    EXPECT_TRUE(prev.support > cur.support ||
-                (prev.support == cur.support &&
-                 prev.items.size() >= cur.items.size()) ||
-                (prev.support == cur.support &&
-                 prev.items.size() == cur.items.size() &&
-                 prev.items < cur.items));
-  }
-}
-
-TEST(EclatTest, RejectsZeroSupport) {
-  TransactionDb db = SmallDb();
-  EclatOptions options;
-  options.min_support = 0;
-  EXPECT_FALSE(MineFrequentItemsets(db, options).status().ok());
 }
 
 TEST(CodeTableTest, StandardTableCoversEveryTransaction) {
@@ -190,35 +127,6 @@ TEST(CodeTableTest, UsageTidsTracked) {
                              ct.entries()[idx].usage_tids.end()));
 }
 
-TEST(KrimpTest, CompressesCorrelatedData) {
-  // 40 transactions where {0,1,2} always co-occur plus noise items.
-  TransactionDb db;
-  Rng rng(4);
-  for (int t = 0; t < 40; ++t) {
-    Itemset items = {0, 1, 2};
-    items.push_back(3 + static_cast<Item>(rng.Uniform(5)));
-    db.Add(std::move(items));
-  }
-  KrimpOptions options;
-  options.min_support = 2;
-  auto result = RunKrimp(db, options).value();
-  EXPECT_LT(result.final_length, result.standard_length);
-  EXPECT_GT(result.accepted_patterns, 0u);
-  // The core pattern {0,1,2} (or a superset thereof) must be in the table.
-  bool found = false;
-  for (const auto& e : result.code_table->entries()) {
-    if (e.items.size() >= 3 && e.usage > 0 && IsSubset({0, 1, 2}, e.items)) {
-      found = true;
-    }
-  }
-  EXPECT_TRUE(found);
-}
-
-TEST(KrimpTest, EmptyDbRejected) {
-  TransactionDb db;
-  EXPECT_FALSE(RunKrimp(db, {}).status().ok());
-}
-
 TEST(SlimTest, CompressesCorrelatedData) {
   TransactionDb db;
   Rng rng(6);
@@ -267,23 +175,6 @@ TEST(SlimTest, MaxPatternsCapRespected) {
 TEST(SlimTest, EmptyDbRejected) {
   TransactionDb db;
   EXPECT_FALSE(RunSlim(db, {}).status().ok());
-}
-
-TEST(KrimpVsSlimTest, BothReachSimilarCompression) {
-  // On strongly structured data both should find the main pattern.
-  TransactionDb db;
-  Rng rng(14);
-  for (int t = 0; t < 80; ++t) {
-    Itemset items = (t % 2 == 0) ? Itemset{0, 1, 2, 3} : Itemset{4, 5};
-    items.push_back(6 + static_cast<Item>(rng.Uniform(3)));
-    db.Add(std::move(items));
-  }
-  auto krimp = RunKrimp(db, {}).value();
-  auto slim = RunSlim(db, {}).value();
-  EXPECT_LT(krimp.compression_ratio, 0.95);
-  EXPECT_LT(slim.compression_ratio, 0.95);
-  EXPECT_NEAR(krimp.final_length, slim.final_length,
-              0.25 * krimp.standard_length);
 }
 
 }  // namespace

@@ -96,6 +96,42 @@ TEST(ModelRegistry, LoadStoreLoadsEveryModel) {
   std::remove(path.c_str());
 }
 
+// Scoring has one path, the plan: every way into the registry leaves the
+// handle with one.
+TEST(ModelRegistry, EveryHandleHasAPlan) {
+  const std::string path = TempPath("registry_plans.cspm");
+  std::remove(path.c_str());
+  auto g = PaperExampleGraph();
+  ServableModel m;
+  m.model = MineModel(g).value();
+  m.dict = g.dict();
+  {
+    auto store = store::ModelStore::Create(path).value();
+    store::StoredModel stored;
+    stored.model = m.model;
+    stored.dict = g.dict();
+    ASSERT_TRUE(store.Put("one", stored).ok());
+    ASSERT_TRUE(store.Put("two", stored).ok());
+  }
+
+  ModelRegistry registry;
+  EXPECT_NE(registry.Put("put", m)->plan, nullptr);
+  EXPECT_NE(registry.PutPrecompiled("precompiled", m)->plan, nullptr);
+  auto session = std::move(MiningSession::Create(g)).value();
+  ASSERT_TRUE(session.Mine().ok());
+  EXPECT_NE(session.Publish(registry, "published").value()->plan, nullptr);
+  ASSERT_TRUE(registry.LoadModel(path, "one").ok());
+  EXPECT_NE(registry.Get("one")->plan, nullptr);
+
+  ModelRegistry from_store;
+  ASSERT_TRUE(from_store.LoadStore(path).ok());
+  ASSERT_EQ(from_store.size(), 2u);
+  for (const std::string& name : from_store.List()) {
+    EXPECT_NE(from_store.Get(name)->plan, nullptr) << name;
+  }
+  std::remove(path.c_str());
+}
+
 TEST(ModelRegistry, ScoreVertexNeedsGraphSnapshot) {
   ModelRegistry registry;
   auto g = PaperExampleGraph();
