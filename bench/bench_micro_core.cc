@@ -5,7 +5,6 @@
 // called directly on the core; mining and scoring go through the engine.
 #include <benchmark/benchmark.h>
 
-#include <memory>
 #include <span>
 #include <utility>
 
@@ -14,7 +13,6 @@
 #include "cspm/inverted_database.h"
 #include "engine/session.h"
 #include "graph/generators.h"
-#include "util/thread_pool.h"
 
 namespace {
 
@@ -59,14 +57,11 @@ void BM_GainComputation(benchmark::State& state) {
 BENCHMARK(BM_GainComputation);
 
 /// The gain of every co-occurring active pair, as candidate generation
-/// computes it: one SweepMergeGains call, thread-pooled for Arg > 1.
+/// computes it: one SweepMergeGains call.
 void BM_SweepMergeGains(benchmark::State& state) {
   auto g = MakeBenchGraph(2000);
   const core::InvertedDatabase idb = BuildDatabase(g);
   const core::CodeModel cm(g, idb);
-  const auto threads = static_cast<size_t>(state.range(0));
-  std::unique_ptr<util::ThreadPool> pool;
-  if (threads > 1) pool = std::make_unique<util::ThreadPool>(threads);
   uint64_t feasible = 0;
   const auto count = [&](core::LeafsetId,
                          std::span<const core::PairGain> partners) {
@@ -74,18 +69,12 @@ void BM_SweepMergeGains(benchmark::State& state) {
   };
   uint64_t pairs = 0;
   for (auto _ : state) {
-    pairs += core::SweepMergeGains(idb, cm, idb.active_leafsets(), pool.get(),
-                                   count);
+    pairs += core::SweepMergeGains(idb, cm, idb.active_leafsets(), count);
   }
   benchmark::DoNotOptimize(feasible);
   state.SetItemsProcessed(static_cast<int64_t>(pairs));
 }
-BENCHMARK(BM_SweepMergeGains)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Unit(benchmark::kMillisecond)
-    ->UseRealTime();
+BENCHMARK(BM_SweepMergeGains)->Unit(benchmark::kMillisecond);
 
 /// MergeLeafsets on the first feasible pair (in active order) of a fresh
 /// database; the rebuild runs untimed.
@@ -130,18 +119,17 @@ void BM_MineEndToEnd(benchmark::State& state) {
 }
 BENCHMARK(BM_MineEndToEnd)->Arg(500)->Arg(2000)->Unit(benchmark::kMillisecond);
 
-void BM_MineBasicThreads(benchmark::State& state) {
+void BM_MineBasic(benchmark::State& state) {
   auto g = MakeBenchGraph(500);
   engine::MiningOptions options;
   options.strategy = engine::SearchStrategy::kBasic;
   options.record_iteration_stats = false;
-  options.num_threads = static_cast<uint32_t>(state.range(0));
   for (auto _ : state) {
     auto model = engine::MineModel(g, options).value();
     benchmark::DoNotOptimize(model.astars.size());
   }
 }
-BENCHMARK(BM_MineBasicThreads)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_MineBasic)->Unit(benchmark::kMillisecond);
 
 void BM_ScoringModule(benchmark::State& state) {
   auto g = MakeBenchGraph(2000);

@@ -7,7 +7,6 @@
 
 #include "mdl/codes.h"
 #include "util/check.h"
-#include "util/thread_pool.h"
 
 namespace cspm::core {
 namespace {
@@ -187,97 +186,6 @@ CooccurrenceIndex::CooccurrenceIndex(const InvertedDatabase& idb,
   }
 }
 
-/// One worker's scratch for the sweep: per-partner overlap counters and
-/// gain accumulators, indexed by row, reset after every row.
-class RowSweep {
- public:
-  RowSweep(const InvertedDatabase& idb, const CodeModel& cm,
-           std::span<const LeafsetId> rows, const CooccurrenceIndex& index,
-           std::span<const double> xlog_table, std::span<const double> st_costs)
-      : idb_(idb),
-        cm_(cm),
-        rows_(rows),
-        index_(index),
-        xlog_table_(xlog_table),
-        st_costs_(st_costs),
-        overlap_(rows.size(), 0),
-        y_line_size_(rows.size(), 0),
-        partner_(rows.size()) {}
-
-  /// Replaces `out` with the pairs of row i, ascending by partner.
-  void Run(size_t i, std::vector<PairGain>* out) {
-    const LeafsetId x = rows_[i];
-    const auto xlog = [this](uint64_t n) { return xlog_table_[n]; };
-    met_.clear();
-    for (uint32_t l = index_.row_first_line[i];
-         l < index_.row_first_line[i + 1]; ++l) {
-      // Step 1: |P_x ∩ P_y| under this coreset for every partner y.
-      touched_.clear();
-      for (uint32_t p = index_.line_begin[l]; p < index_.line_begin[l + 1];
-           ++p) {
-        for (uint32_t entry = index_.run_next[p]; entry < index_.run_end[p];
-             ++entry) {
-          const uint32_t j = index_.entry_row[entry];
-          if (overlap_[j]++ == 0) {
-            touched_.push_back(j);
-            y_line_size_[j] = index_.entry_line_size[entry];
-          }
-        }
-      }
-      // Step 2: this coreset's terms. Coresets ascend, so each partner
-      // accumulates them in ComputeMergeGain's order.
-      const CoreId e = index_.line_core[l];
-      const uint64_t fe = idb_.CoreLineTotal(e);
-      const uint64_t xe = index_.line_begin[l + 1] - index_.line_begin[l];
-      const double core_code = cm_.CoreCodeLength(e);
-      for (uint32_t j : touched_) {
-        const uint64_t xye = overlap_[j];
-        overlap_[j] = 0;
-        Partner& s = partner_[j];
-        if (!s.met) {
-          s.met = true;
-          met_.push_back(j);
-          s.pair_union = UnionOf(idb_, cm_, x, rows_[j], &union_);
-        }
-        if (s.pair_union.subset) continue;
-        const uint64_t ze = s.pair_union.id == LeafsetRegistry::kNotFound
-                                ? 0
-                                : idb_.FindLine(e, s.pair_union.id).size();
-        AddSharedCore(xlog, fe, xe, y_line_size_[j], ze, xye, core_code,
-                      s.pair_union.st_cost, st_costs_[i], st_costs_[j],
-                      &s.gain);
-      }
-    }
-    std::sort(met_.begin(), met_.end());
-    out->clear();
-    for (uint32_t j : met_) {
-      const Partner& s = partner_[j];
-      out->push_back({rows_[j], s.pair_union.subset ? GainResult{} : s.gain});
-      partner_[j] = Partner{};
-    }
-  }
-
- private:
-  struct Partner {
-    GainResult gain;
-    PairUnion pair_union;  // set at the first overlap
-    bool met = false;
-  };
-
-  const InvertedDatabase& idb_;
-  const CodeModel& cm_;
-  std::span<const LeafsetId> rows_;
-  const CooccurrenceIndex& index_;
-  std::span<const double> xlog_table_;
-  std::span<const double> st_costs_;
-  std::vector<uint32_t> overlap_;
-  std::vector<uint32_t> y_line_size_;
-  std::vector<Partner> partner_;
-  std::vector<uint32_t> touched_;
-  std::vector<uint32_t> met_;
-  std::vector<AttrId> union_;
-};
-
 }  // namespace
 
 std::vector<double> TabulateXLog2X(const InvertedDatabase& idb) {
@@ -319,41 +227,82 @@ GainResult ComputeMergeGain(const InvertedDatabase& idb, const CodeModel& cm,
 
 uint64_t SweepMergeGains(const InvertedDatabase& idb, const CodeModel& cm,
                          std::span<const LeafsetId> rows,
-                         util::ThreadPool* pool, const PairGainSink& sink) {
+                         const PairGainSink& sink) {
   const CooccurrenceIndex index(idb, rows);
   // Every argument of Eqs. 10-15 lies in 0..f_e.
   const std::vector<double> xlog_table = TabulateXLog2X(index.max_core_total);
+  const auto xlog = [&xlog_table](uint64_t n) { return xlog_table[n]; };
   std::vector<double> st_costs(rows.size());
   for (size_t i = 0; i < rows.size(); ++i) {
     st_costs[i] = cm.StCost(idb.leafsets().Values(rows[i]));
   }
 
-  uint64_t evaluated = 0;
-  auto deliver = [&](size_t i, const std::vector<PairGain>& pairs) {
-    evaluated += pairs.size();
-    if (!pairs.empty()) sink(rows[i], pairs);
+  // Per-partner overlap counters and gain accumulators, indexed by row and
+  // reset after every row.
+  struct Partner {
+    GainResult gain;
+    PairUnion pair_union;  // set at the first overlap
+    bool met = false;
   };
-  if (pool == nullptr || rows.size() < 3) {
-    RowSweep sweep(idb, cm, rows, index, xlog_table, st_costs);
-    std::vector<PairGain> pairs;
-    for (size_t i = 0; i < rows.size(); ++i) {
-      sweep.Run(i, &pairs);
-      deliver(i, pairs);
+  std::vector<uint32_t> overlap(rows.size(), 0);
+  std::vector<uint32_t> y_line_size(rows.size(), 0);
+  std::vector<Partner> partner(rows.size());
+  std::vector<uint32_t> touched;
+  std::vector<uint32_t> met;
+  std::vector<AttrId> union_values;
+  std::vector<PairGain> pairs;
+  uint64_t evaluated = 0;
+  for (size_t i = 0; i < rows.size(); ++i) {
+    const LeafsetId x = rows[i];
+    met.clear();
+    for (uint32_t l = index.row_first_line[i]; l < index.row_first_line[i + 1];
+         ++l) {
+      // Step 1: |P_x ∩ P_y| under this coreset for every partner y.
+      touched.clear();
+      for (uint32_t p = index.line_begin[l]; p < index.line_begin[l + 1]; ++p) {
+        for (uint32_t entry = index.run_next[p]; entry < index.run_end[p];
+             ++entry) {
+          const uint32_t j = index.entry_row[entry];
+          if (overlap[j]++ == 0) {
+            touched.push_back(j);
+            y_line_size[j] = index.entry_line_size[entry];
+          }
+        }
+      }
+      // Step 2: this coreset's terms. Coresets ascend, so each partner
+      // accumulates them in ComputeMergeGain's order.
+      const CoreId e = index.line_core[l];
+      const uint64_t fe = idb.CoreLineTotal(e);
+      const uint64_t xe = index.line_begin[l + 1] - index.line_begin[l];
+      const double core_code = cm.CoreCodeLength(e);
+      for (uint32_t j : touched) {
+        const uint64_t xye = overlap[j];
+        overlap[j] = 0;
+        Partner& s = partner[j];
+        if (!s.met) {
+          s.met = true;
+          met.push_back(j);
+          s.pair_union = UnionOf(idb, cm, x, rows[j], &union_values);
+        }
+        if (s.pair_union.subset) continue;
+        const uint64_t ze = s.pair_union.id == LeafsetRegistry::kNotFound
+                                ? 0
+                                : idb.FindLine(e, s.pair_union.id).size();
+        AddSharedCore(xlog, fe, xe, y_line_size[j], ze, xye, core_code,
+                      s.pair_union.st_cost, st_costs[i], st_costs[j], &s.gain);
+      }
     }
-    return evaluated;
+    if (met.empty()) continue;
+    std::sort(met.begin(), met.end());
+    pairs.clear();
+    for (uint32_t j : met) {
+      const Partner& s = partner[j];
+      pairs.push_back({rows[j], s.pair_union.subset ? GainResult{} : s.gain});
+      partner[j] = Partner{};
+    }
+    evaluated += pairs.size();
+    sink(x, pairs);
   }
-
-  // Interleaved row stripes balance the triangle (early rows have more
-  // partners); each stripe owns its scratch.
-  std::vector<std::vector<PairGain>> row_pairs(rows.size());
-  const size_t stripes = std::min(rows.size(), 8 * pool->num_threads());
-  pool->ParallelFor(stripes, [&](size_t stripe) {
-    RowSweep sweep(idb, cm, rows, index, xlog_table, st_costs);
-    for (size_t i = stripe; i < rows.size(); i += stripes) {
-      sweep.Run(i, &row_pairs[i]);
-    }
-  });
-  for (size_t i = 0; i < rows.size(); ++i) deliver(i, row_pairs[i]);
   return evaluated;
 }
 

@@ -10,10 +10,6 @@
 #include "cspm/code_model.h"
 #include "cspm/inverted_database.h"
 
-namespace cspm::util {
-class ThreadPool;
-}  // namespace cspm::util
-
 namespace cspm::core {
 
 /// Which terms the acceptance test uses.
@@ -78,13 +74,11 @@ using PairGainSink =
 /// integer inputs, same per-pair operation order and a tabulated pure
 /// function: every result is bit-identical to the single-pair call
 /// (DESIGN.md §4). `sink` is called for each row with at least one
-/// partner, in ascending row order; with a pool, rows are evaluated
-/// concurrently (each task with its own scratch) and still delivered in
-/// row order, so the output never depends on threading. Returns the
-/// number of pairs evaluated (the pairs delivered to `sink`).
+/// partner, in ascending row order. Returns the number of pairs evaluated
+/// (the pairs delivered to `sink`).
 uint64_t SweepMergeGains(const InvertedDatabase& idb, const CodeModel& cm,
                          std::span<const LeafsetId> rows,
-                         util::ThreadPool* pool, const PairGainSink& sink);
+                         const PairGainSink& sink);
 
 /// Which member of each pair a rescored row is: the pair is (row, y) under
 /// kX and (y, row) under kY. ComputeMergeGain's two model-delta

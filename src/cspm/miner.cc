@@ -1,7 +1,6 @@
 #include "cspm/miner.h"
 
 #include <algorithm>
-#include <memory>
 #include <optional>
 #include <utility>
 
@@ -12,7 +11,6 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/check.h"
-#include "util/thread_pool.h"
 #include "util/timer.h"
 
 namespace cspm::core {
@@ -83,8 +81,6 @@ struct SearchContext {
   const CodeModel* cm;
   MiningStats* stats;
   const WallTimer* timer;
-  /// Non-null when the gain fan-outs run thread-pooled.
-  util::ThreadPool* pool;
 
   bool OutOfBudget() const {
     if (options->max_seconds <= 0.0) return false;
@@ -113,8 +109,7 @@ struct BestPair {
 };
 
 // Scans all pairs of `actives` for the best gain above kMinGainBits. The
-// sweep delivers pairs in row-major order on the serial and pooled paths
-// alike, so the result never depends on threading.
+// sweep delivers pairs in row-major order.
 BestPair ScanAllPairs(const SearchContext& ctx,
                       const std::vector<LeafsetId>& actives,
                       uint64_t* computations) {
@@ -125,14 +120,13 @@ BestPair ScanAllPairs(const SearchContext& ctx,
       best.Offer(p.gain.Total(ctx.options->gain_policy), x, p.y);
     }
   };
-  *computations += SweepMergeGains(*ctx.idb, *ctx.cm, actives, ctx.pool, offer);
+  *computations += SweepMergeGains(*ctx.idb, *ctx.cm, actives, offer);
   return best;
 }
 
 // Seeds the candidate store over all active pairs from one sweep, in
-// row-major (x, y) order on the serial and pooled paths alike, so the
-// store's heap state (and its tie-breaking) never depends on threading.
-// Returns the number of pairs evaluated.
+// row-major (x, y) order, which fixes the store's heap state and its
+// tie-breaking. Returns the number of pairs evaluated.
 uint64_t GenerateCandidates(const SearchContext& ctx, CandidateStore* store,
                             RelatedDict* rdict) {
   const auto actives = ctx.idb->active_leafsets();  // copy: stable snapshot
@@ -145,7 +139,7 @@ uint64_t GenerateCandidates(const SearchContext& ctx, CandidateStore* store,
       rdict->Link(x, p.y);
     }
   };
-  return SweepMergeGains(*ctx.idb, *ctx.cm, actives, ctx.pool, seed);
+  return SweepMergeGains(*ctx.idb, *ctx.cm, actives, seed);
 }
 
 void RecordIteration(const SearchContext& ctx, uint64_t iteration,
@@ -350,8 +344,7 @@ StatusOr<CspmMiner::MineArtifacts> CspmMiner::ResumeFast(
   model.stats.initial_leafsets = idb.num_active_leafsets();
   model.stats.initial_lines = idb.num_lines();
 
-  SearchContext ctx{&options_, &idb,  &cm,
-                    &model.stats, &timer, /*pool=*/nullptr};
+  SearchContext ctx{&options_, &idb, &cm, &model.stats, &timer};
 
   const size_t num_cores = idb.num_coresets();
   std::vector<char> core_dirty(num_cores, all_dirty ? 1 : 0);
@@ -482,7 +475,7 @@ StatusOr<CspmMiner::MineArtifacts> CspmMiner::ResumeFast(
         if (fast_stats != nullptr) ++fast_stats->seeded_pairs;
       }
     };
-    computations += SweepMergeGains(idb, cm, sources, /*pool=*/nullptr, seed);
+    computations += SweepMergeGains(idb, cm, sources, seed);
     RecordIteration(ctx, /*iteration=*/0, computations,
                     PossiblePairs(actives.size()), /*accepted_gain=*/0.0);
   }
@@ -526,14 +519,7 @@ StatusOr<CspmMiner::MineArtifacts> CspmMiner::MineWithArtifacts(
   model.stats.initial_leafsets = idb.num_active_leafsets();
   model.stats.initial_lines = idb.num_lines();
 
-  std::unique_ptr<util::ThreadPool> pool;
-  const uint32_t threads = options_.num_threads == 0
-                               ? static_cast<uint32_t>(
-                                     util::ThreadPool::AutoThreads())
-                               : options_.num_threads;
-  if (threads > 1) pool = std::make_unique<util::ThreadPool>(threads);
-
-  SearchContext ctx{&options_, &idb, &cm, &model.stats, &timer, pool.get()};
+  SearchContext ctx{&options_, &idb, &cm, &model.stats, &timer};
   if (options_.strategy == SearchStrategy::kBasic) {
     RunBasicSearch(ctx);
   } else {

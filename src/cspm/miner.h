@@ -53,13 +53,6 @@ struct CspmOptions {
   /// Keep single-leaf-value a-stars in the returned model. They are part of
   /// the code table; disabling returns only merged patterns.
   bool include_singleton_leafsets = true;
-
-  /// Threads for the gain sweeps (the kBasic regenerate-all scan and the
-  /// kPartial full candidate generation). 1 = serial (the default), 0 =
-  /// one thread per hardware core. The parallel path is bit-identical to
-  /// the serial one: every gain is computed from the same inputs and the
-  /// reduction follows the serial pair order (see DESIGN.md §4).
-  uint32_t num_threads = 1;
 };
 
 /// The pre-merge inverted database a mine starts from: single-value

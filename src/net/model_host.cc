@@ -36,11 +36,12 @@ Status ModelHost::EnsureLive(const std::string& model) {
   if (sessions_.find(model) != sessions_.end()) return Status::OK();
   // Open() replays models with pending deltas here; Update() the first
   // time a model served straight off its record is updated. Known gap
-  // (ROADMAP item 3): the replay mines the snapshot cold, so when the
-  // record was checkpointed after kFast updates, the live session's model
-  // is a cold mine, not the path-dependent fast model the registry was
-  // serving. Only a record whose model came from a cold mine or a kExact
-  // update replays bit-identically.
+  // (ROADMAP, "Recovery that reproduces what was acknowledged"): the
+  // replay mines the snapshot cold, so when the record was checkpointed
+  // after kFast updates, the live session's model is a cold mine, not the
+  // path-dependent fast model the registry was serving. Only a record
+  // whose model came from a cold mine or a kExact update replays
+  // bit-identically.
   CSPM_ASSIGN_OR_RETURN(engine::ReplayedModel replayed,
                         engine::ReplayModel(*store_, model));
   if (replayed.truncated) {

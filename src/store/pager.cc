@@ -1,5 +1,6 @@
 #include "store/pager.h"
 
+#include <fcntl.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -34,6 +35,25 @@ uint32_t GetU32(const char* src) {
 }
 
 std::string ErrnoText() { return std::strerror(errno); }
+
+/// fsyncs the directory that holds `path` ("." when it names none), so a
+/// rename into it survives a power loss.
+Status SyncParentDirectory(const std::string& path) {
+  std::string dir = std::filesystem::path(path).parent_path().string();
+  if (dir.empty()) dir = ".";
+  const int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
+  if (fd < 0) {
+    return Status::IOError("cannot open directory " + dir + ": " +
+                           ErrnoText());
+  }
+  const bool synced = ::fsync(fd) == 0;
+  const std::string error = synced ? "" : ErrnoText();
+  ::close(fd);
+  if (!synced) {
+    return Status::IOError("fsync of directory " + dir + " failed: " + error);
+  }
+  return Status::OK();
+}
 
 }  // namespace
 
@@ -529,6 +549,10 @@ Status Pager::Commit() {
     return Status::IOError("rename " + tmp_path + " -> " + path_ +
                            " failed: " + ec.message());
   }
+  // The rename is durable only once the directory entry is. On failure the
+  // in-memory state still describes the previous commit, so a retry
+  // rewrites the whole image.
+  CSPM_RETURN_IF_ERROR(SyncParentDirectory(path_));
 
   for (auto& [id, page] : cache_) page.dirty = false;
   // Raw extent pages are durable now; drop the in-memory images (plan

@@ -170,7 +170,8 @@ class Pager {
   Status FreeChain(uint32_t head);
 
   /// Flushes all dirty state atomically: the full page image is written to
-  /// `path + ".tmp"`, fsynced, and renamed over `path`.
+  /// `path + ".tmp"`, fsynced, and renamed over `path`, and then the
+  /// directory is fsynced so the rename survives a power loss.
   Status Commit();
 
  private:

@@ -1,6 +1,6 @@
 // Fixed-size worker pool with a blocking parallel-for. Workers are spawned
-// once and reused across calls — the CSPM gain-evaluation loops dispatch
-// many small batches, so per-call thread spawning would dominate.
+// once and reused across calls — a serving engine dispatches one sharded
+// ScoreBatch per request, so per-call thread spawning would dominate.
 #ifndef CSPM_UTIL_THREAD_POOL_H_
 #define CSPM_UTIL_THREAD_POOL_H_
 

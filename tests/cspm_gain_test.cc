@@ -20,7 +20,6 @@
 #include "graph/generators.h"
 #include "graph/graph_delta.h"
 #include "testing_util.h"
-#include "util/thread_pool.h"
 
 namespace cspm::core {
 namespace {
@@ -176,13 +175,13 @@ bool HasUnionLineUnderOverlap(const InvertedDatabase& idb, LeafsetId x,
   return found;
 }
 
-/// Sweeps `rows` (serially, or on `pool`) and compares every pair x < y of
-/// them with ComputeMergeGain(x, y): a delivered pair must match it bit
-/// for bit under both policies, and a pair the sweep skips must be
-/// infeasible. Fills `coverage`.
-void ExpectSweepMatchesOracle(const InvertedDatabase& idb, const CodeModel& cm,
-                              const std::vector<LeafsetId>& rows,
-                              util::ThreadPool* pool, SweepCoverage* coverage) {
+/// Sweeps `rows` and compares every pair x < y of them with
+/// ComputeMergeGain(x, y): a delivered pair must match it bit for bit
+/// under both policies, and a pair the sweep skips must be infeasible.
+/// Fills `coverage`.
+void CompareSweepWithOracle(const InvertedDatabase& idb, const CodeModel& cm,
+                            const std::vector<LeafsetId>& rows,
+                            SweepCoverage* coverage) {
   std::unordered_map<uint64_t, GainResult> swept;
   LeafsetId last_row{};
   bool any_row = false;
@@ -197,7 +196,7 @@ void ExpectSweepMatchesOracle(const InvertedDatabase& idb, const CodeModel& cm,
       swept.emplace(CandidatePairKey(x, p.y), p.gain);
     }
   };
-  coverage->evaluated = SweepMergeGains(idb, cm, rows, pool, collect);
+  coverage->evaluated = SweepMergeGains(idb, cm, rows, collect);
   EXPECT_EQ(coverage->evaluated, swept.size());
 
   for (size_t i = 0; i < rows.size(); ++i) {
@@ -233,25 +232,21 @@ void ExpectSweepMatchesOracle(const InvertedDatabase& idb, const CodeModel& cm,
   }
 }
 
-/// The oracle pass serially and on a 4-thread pool.
-SweepCoverage ExpectSweepMatchesOracleSerialAndPooled(
-    const InvertedDatabase& idb, const CodeModel& cm,
-    const std::vector<LeafsetId>& rows) {
-  util::ThreadPool pool(4);
-  SweepCoverage pooled;
-  ExpectSweepMatchesOracle(idb, cm, rows, &pool, &pooled);
-  SweepCoverage serial;
-  ExpectSweepMatchesOracle(idb, cm, rows, /*pool=*/nullptr, &serial);
-  EXPECT_EQ(serial.evaluated, pooled.evaluated);
-  EXPECT_GT(serial.feasible, 0u);
-  return serial;
+/// The oracle pass, which must see at least one feasible pair.
+SweepCoverage ExpectSweepMatchesOracle(const InvertedDatabase& idb,
+                                       const CodeModel& cm,
+                                       const std::vector<LeafsetId>& rows) {
+  SweepCoverage coverage;
+  CompareSweepWithOracle(idb, cm, rows, &coverage);
+  EXPECT_GT(coverage.feasible, 0u);
+  return coverage;
 }
 
 TEST(GainSweepOracle, PokecSeedDatabase) {
   const auto g = datasets::MakePokecLike(/*seed=*/5, 500).value();
   const InvertedDatabase idb = InvertedDatabase::FromGraph(g).value();
   const CodeModel cm(g, idb);
-  ExpectSweepMatchesOracleSerialAndPooled(idb, cm, idb.active_leafsets());
+  ExpectSweepMatchesOracle(idb, cm, idb.active_leafsets());
 }
 
 TEST(GainSweepOracle, MultiValueCoresetSeedDatabase) {
@@ -266,7 +261,7 @@ TEST(GainSweepOracle, MultiValueCoresetSeedDatabase) {
     multi = multi || idb.CoresetValues(c).size() > 1;
   }
   ASSERT_TRUE(multi);
-  ExpectSweepMatchesOracleSerialAndPooled(idb, cm, idb.active_leafsets());
+  ExpectSweepMatchesOracle(idb, cm, idb.active_leafsets());
 }
 
 TEST(GainSweepOracle, RepairedFinalDatabaseOverSourceSubset) {
@@ -311,13 +306,12 @@ TEST(GainSweepOracle, RepairedFinalDatabaseOverSourceSubset) {
       if (!idb.CoresOf(u).empty()) sources.push_back(u);
     }
   };
-  SweepMergeGains(idb, cm, actives, /*pool=*/nullptr, add_unions);
+  SweepMergeGains(idb, cm, actives, add_unions);
   std::sort(sources.begin(), sources.end());
   sources.erase(std::unique(sources.begin(), sources.end()), sources.end());
   ASSERT_LT(sources.size(), actives.size() / 2);
 
-  const SweepCoverage coverage =
-      ExpectSweepMatchesOracleSerialAndPooled(idb, cm, sources);
+  const SweepCoverage coverage = ExpectSweepMatchesOracle(idb, cm, sources);
   EXPECT_GT(coverage.with_union, 0u);
   EXPECT_GT(coverage.subset, 0u);
 }
@@ -363,7 +357,7 @@ std::vector<RowCase> MixedRowCases(const InvertedDatabase& idb,
                                    const CodeModel& cm, size_t row_step,
                                    size_t spread) {
   std::map<LeafsetId, std::vector<LeafsetId>> union_partners;
-  SweepMergeGains(idb, cm, idb.active_leafsets(), /*pool=*/nullptr,
+  SweepMergeGains(idb, cm, idb.active_leafsets(),
                   [&](LeafsetId x, std::span<const PairGain> partners) {
                     for (const PairGain& p : partners) {
                       const LeafsetId u = idb.leafsets().Find(
@@ -471,7 +465,7 @@ TEST(RowRescoreOracle, ColdMineStoppedMidMineThenMergedFurther) {
     double best_gain = 0.0;
     LeafsetId best_x{};
     LeafsetId best_y{};
-    SweepMergeGains(idb, cm, idb.active_leafsets(), /*pool=*/nullptr,
+    SweepMergeGains(idb, cm, idb.active_leafsets(),
                     [&](LeafsetId x, std::span<const PairGain> partners) {
                       for (const PairGain& p : partners) {
                         const double total =

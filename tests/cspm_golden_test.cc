@@ -81,17 +81,11 @@ void ExpectGolden(const Golden& want, const Golden& got,
   EXPECT_EQ(want.record_hash, got.record_hash) << label << " got " << actual;
 }
 
-/// A default-options cold mine, serially and on a 4-thread pool: both
-/// must hit the same golden values.
+/// A default-options cold mine must hit the golden values.
 void ExpectColdMineGolden(const graph::AttributedGraph& g, const Golden& want,
                           const std::string& label) {
-  for (uint32_t threads : {1u, 4u}) {
-    CspmOptions options;
-    options.num_threads = threads;
-    const CspmModel model = CspmMiner(options).Mine(g).value();
-    ExpectGolden(want, Capture(model, g.dict()),
-                 label + " threads=" + std::to_string(threads));
-  }
+  const CspmModel model = CspmMiner(CspmOptions{}).Mine(g).value();
+  ExpectGolden(want, Capture(model, g.dict()), label);
 }
 
 TEST(GoldenMine, PokecColdMine) {

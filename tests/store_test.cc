@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <span>
 #include <string>
@@ -304,6 +305,25 @@ TEST(Pager, CommitIsAtomicViaRename) {
   auto fresh = Pager::Open(path).value();
   EXPECT_EQ(fresh.ReadChain(new_head).value(), "payload two, longer");
   std::remove(path.c_str());
+}
+
+TEST(Pager, CommitsToAPathWithoutADirectoryPart) {
+  // A bare file name lives in the working directory, which Commit syncs
+  // after the rename.
+  struct RestoreCwd {
+    std::filesystem::path dir = std::filesystem::current_path();
+    ~RestoreCwd() { std::filesystem::current_path(dir); }
+  } restore_cwd;
+  std::filesystem::current_path(::testing::TempDir());
+  const std::string name = "pager_bare_name.cspm";
+  {
+    auto pager = Pager::Create(name);
+    ASSERT_TRUE(pager.ok()) << pager.status().ToString();
+    const uint32_t head = pager->WriteChain("bare").value();
+    ASSERT_TRUE(pager->Commit().ok());
+    EXPECT_EQ(Pager::Open(name).value().ReadChain(head).value(), "bare");
+  }
+  std::remove(name.c_str());
 }
 
 // --- model store ----------------------------------------------------------

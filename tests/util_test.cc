@@ -1,13 +1,16 @@
-// Tests for the util substrate: Status/StatusOr, deterministic RNG and
-// string helpers.
+// Tests for the util substrate: Status/StatusOr, deterministic RNG, string
+// helpers and the thread pool.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
 #include <set>
+#include <vector>
 
 #include "util/rng.h"
 #include "util/status.h"
 #include "util/string_util.h"
+#include "util/thread_pool.h"
 #include "util/timer.h"
 
 namespace cspm {
@@ -238,6 +241,22 @@ TEST(TimerTest, MeasuresElapsed) {
   EXPECT_LE(first, second);  // monotone
   t.Reset();
   EXPECT_LT(t.ElapsedSeconds(), 1.0);
+}
+
+TEST(ThreadPool, ParallelForCoversEveryIndexOnce) {
+  util::ThreadPool pool(4);
+  std::vector<std::atomic<uint32_t>> hits(1000);
+  pool.ParallelFor(hits.size(), [&](size_t i) {
+    hits[i].fetch_add(1, std::memory_order_relaxed);
+  });
+  for (size_t i = 0; i < hits.size(); ++i) {
+    EXPECT_EQ(hits[i].load(), 1u) << i;
+  }
+  // Reusable across calls, including empty ones.
+  pool.ParallelFor(0, [](size_t) { FAIL(); });
+  std::atomic<size_t> count{0};
+  pool.ParallelFor(17, [&](size_t) { ++count; });
+  EXPECT_EQ(count.load(), 17u);
 }
 
 }  // namespace
