@@ -13,9 +13,9 @@
 namespace cspm::engine {
 namespace {
 
-/// Builds a ServableModel from a decoded record. `plan` is the mapped (or
-/// cached) plan when the caller already opened one — then no compile
-/// happens; null falls back to compiling here.
+/// Builds a ServableModel from a decoded record. `plan` is the mapped plan
+/// when the store had a current section — then no compile happens; null
+/// compiles it here from the record.
 ServableModel FromStored(store::StoredModel stored,
                          std::shared_ptr<const core::ScoringPlan> plan) {
   ServableModel m;
@@ -28,18 +28,6 @@ ServableModel FromStored(store::StoredModel stored,
   m.plan = std::move(plan);
   m.CompilePlan();  // no-op when a plan was supplied
   return m;
-}
-
-/// Plan cache key: store path and model name, NUL-joined (page paths
-/// cannot contain NUL, so the pair is unambiguous).
-std::string PlanCacheKey(const std::string& store_path,
-                         const std::string& name) {
-  std::string key;
-  key.reserve(store_path.size() + 1 + name.size());
-  key += store_path;
-  key += '\0';
-  key += name;
-  return key;
 }
 
 }  // namespace
@@ -84,32 +72,18 @@ StatusOr<ServingEngine> ServableModel::Serve(ServingOptions options) const {
   return ServingEngine::Create(*graph, plan, options, std::move(keep_alive));
 }
 
-Status ModelRegistry::LoadStore(const std::string& path) {
-  CSPM_ASSIGN_OR_RETURN(store::ModelStore store, store::ModelStore::Open(path));
-  // Decode every record before touching the map, so a corrupt store never
-  // leaves the registry partially updated. Plans come through the plan
-  // cache — v3 entries map their on-disk section instead of compiling.
-  std::vector<std::pair<std::string, Handle>> loaded;
-  for (const store::ModelStore::Info& info : store.List()) {
-    CSPM_ASSIGN_OR_RETURN(store::StoredModel stored, store.Get(info.name));
-    CSPM_ASSIGN_OR_RETURN(auto plan, OpenPlan(store, info.name));
-    loaded.emplace_back(info.name,
-                        std::make_shared<const ServableModel>(FromStored(
-                            std::move(stored), std::move(plan))));
-  }
-  std::unique_lock lock(mu_);
-  for (auto& [name, handle] : loaded) {
-    models_[name] = std::move(handle);
-  }
-  obs::GetGauge("registry.models")->Set(static_cast<double>(models_.size()));
-  return Status::OK();
-}
-
-Status ModelRegistry::LoadModel(const std::string& path,
+Status ModelRegistry::LoadModel(store::ModelStore& store,
                                 const std::string& name) {
-  CSPM_ASSIGN_OR_RETURN(store::ModelStore store, store::ModelStore::Open(path));
   CSPM_ASSIGN_OR_RETURN(store::StoredModel stored, store.Get(name));
-  CSPM_ASSIGN_OR_RETURN(auto plan, OpenPlan(store, name));
+  std::shared_ptr<const core::ScoringPlan> plan;
+  auto mapped = store.OpenPlan(name);
+  if (mapped.ok()) {
+    plan = *std::move(mapped);
+  } else if (mapped.status().code() != StatusCode::kNotFound) {
+    return mapped.status();
+  }
+  // NotFound: a v2 entry or a legacy section version. FromStored compiles
+  // the plan from the record decoded above.
   auto handle = std::make_shared<const ServableModel>(
       FromStored(std::move(stored), std::move(plan)));
   std::unique_lock lock(mu_);
@@ -175,90 +149,6 @@ std::vector<std::string> ModelRegistry::List() const {
 size_t ModelRegistry::size() const {
   std::shared_lock lock(mu_);
   return models_.size();
-}
-
-StatusOr<std::shared_ptr<const core::ScoringPlan>> ModelRegistry::OpenPlan(
-    store::ModelStore& store, const std::string& name) {
-  const std::string key = PlanCacheKey(store.path(), name);
-  {
-    std::lock_guard lock(plan_mu_);
-    auto it = plan_cache_.find(key);
-    if (it != plan_cache_.end()) {
-      plan_lru_.splice(plan_lru_.begin(), plan_lru_, it->second.lru_it);
-      obs::GetCounter("registry.plan_cache.hits")->Add();
-      return it->second.plan;
-    }
-  }
-  obs::GetCounter("registry.plan_cache.misses")->Add();
-
-  // Open (or build) outside the cache lock: mapping is cheap, but the v2
-  // fallback decodes a record, and either way there is no reason to hold
-  // other lookups up.
-  std::shared_ptr<const core::ScoringPlan> plan;
-  auto mapped = store.OpenPlan(name);
-  if (mapped.ok()) {
-    plan = *std::move(mapped);
-  } else if (mapped.status().code() == StatusCode::kNotFound) {
-    // Either the model does not exist (then Get fails the same way), the
-    // entry predates v3, or its section is a legacy version — decode +
-    // compile, and cache the result so the fallback also pays once.
-    CSPM_ASSIGN_OR_RETURN(store::StoredModel stored, store.Get(name));
-    plan = core::CompileSharedPlan(stored.model, stored.dict.size());
-  } else {
-    return mapped.status();
-  }
-
-  std::lock_guard lock(plan_mu_);
-  auto it = plan_cache_.find(key);
-  if (it != plan_cache_.end()) {
-    // Raced with a concurrent opener; keep the incumbent (any handles
-    // already holding our copy stay valid on their own).
-    plan_lru_.splice(plan_lru_.begin(), plan_lru_, it->second.lru_it);
-    return it->second.plan;
-  }
-  const size_t bytes = plan->ApproxBytes();
-  plan_lru_.push_front(key);
-  plan_cache_[key] = CachedPlan{plan, bytes, plan_lru_.begin()};
-  plan_cache_bytes_ += bytes;
-  EvictPlansLocked();
-  obs::GetGauge("registry.plan_cache.resident_bytes")
-      ->Set(static_cast<double>(plan_cache_bytes_));
-  return plan;
-}
-
-void ModelRegistry::SetPlanCacheCapacity(size_t bytes) {
-  std::lock_guard lock(plan_mu_);
-  plan_cache_capacity_ = bytes;
-  EvictPlansLocked();
-  obs::GetGauge("registry.plan_cache.resident_bytes")
-      ->Set(static_cast<double>(plan_cache_bytes_));
-}
-
-void ModelRegistry::InvalidateCachedPlan(const std::string& store_path,
-                                         const std::string& name) {
-  std::lock_guard lock(plan_mu_);
-  auto it = plan_cache_.find(PlanCacheKey(store_path, name));
-  if (it == plan_cache_.end()) return;
-  plan_cache_bytes_ -= it->second.bytes;
-  plan_lru_.erase(it->second.lru_it);
-  plan_cache_.erase(it);
-  obs::GetGauge("registry.plan_cache.resident_bytes")
-      ->Set(static_cast<double>(plan_cache_bytes_));
-}
-
-size_t ModelRegistry::plan_cache_resident_bytes() const {
-  std::lock_guard lock(plan_mu_);
-  return plan_cache_bytes_;
-}
-
-void ModelRegistry::EvictPlansLocked() {
-  while (plan_cache_bytes_ > plan_cache_capacity_ && !plan_lru_.empty()) {
-    auto it = plan_cache_.find(plan_lru_.back());
-    plan_cache_bytes_ -= it->second.bytes;
-    plan_cache_.erase(it);
-    plan_lru_.pop_back();
-    obs::GetCounter("registry.plan_cache.evictions")->Add();
-  }
 }
 
 }  // namespace cspm::engine

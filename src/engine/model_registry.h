@@ -10,19 +10,15 @@
 //    against a consistent model for as long as they like.
 //  - Lookups take a shared lock; Put/Remove/Load take an exclusive lock
 //    only for the map mutation (record decoding happens outside the lock).
-//  - The registry also runs the process-wide plan cache: OpenPlan() hands
-//    out mmap-backed ScoringPlan views keyed by (store path, model name),
-//    LRU-bounded by SetPlanCacheCapacity(). Evicting an entry only drops
-//    the cache's reference — in-flight ServableModels and ServingEngines
-//    hold their own shared_ptr, so the mapping stays valid until the last
-//    user is done (eviction-while-serving is safe by construction).
+//  - LoadModel() maps a stored model's plan section (or compiles a legacy
+//    entry's plan from the one decoded record). The handle is the only
+//    pin on that mapping: it stays valid, even after the store is closed
+//    or the model re-saved, until the last handle and engine drop it.
 #ifndef CSPM_ENGINE_MODEL_REGISTRY_H_
 #define CSPM_ENGINE_MODEL_REGISTRY_H_
 
 #include <cstddef>
-#include <list>
 #include <memory>
-#include <mutex>
 #include <shared_mutex>
 #include <string>
 #include <unordered_map>
@@ -57,8 +53,8 @@ struct ServableModel : std::enable_shared_from_this<ServableModel> {
   std::shared_ptr<const graph::AttributedGraph> graph;
   /// Compiled from `model` against `dict` by CompilePlan(), or mapped from
   /// the store's plan section. Every registry handle has one: Put and
-  /// PutPrecompiled compile it, LoadStore and LoadModel map (or compile)
-  /// it. Scoring requires it.
+  /// PutPrecompiled compile it, LoadModel maps (or compiles) it. Scoring
+  /// requires it.
   std::shared_ptr<const core::ScoringPlan> plan;
 
   /// Compiles `plan` from the current model + dict (no-op when already
@@ -83,12 +79,12 @@ class ModelRegistry {
  public:
   using Handle = std::shared_ptr<const ServableModel>;
 
-  /// Loads every model of a store file into the registry (names taken from
-  /// the store catalog; existing entries with the same name are replaced).
-  Status LoadStore(const std::string& path);
-
-  /// Loads one named model from a store file.
-  Status LoadModel(const std::string& path, const std::string& name);
+  /// Loads one named model from the caller's open store, replacing any
+  /// entry of that name. The record is decoded once; the plan is the
+  /// store's mmap plan section, or, for an entry without a current
+  /// section (v2, or a legacy section version), compiled from that
+  /// record. NotFound when the store has no such model.
+  Status LoadModel(store::ModelStore& store, const std::string& name);
 
   /// Registers (or replaces) a model under `name`. Handles previously
   /// returned by Get() are unaffected.
@@ -111,55 +107,9 @@ class ModelRegistry {
 
   size_t size() const;
 
-  // --- plan cache ---------------------------------------------------------
-
-  /// The plan for a store-resident model, through the LRU plan cache.
-  /// Cache miss: the model's mmap-native plan section is opened (zero
-  /// decode, microseconds); a v2 entry without a section falls back to
-  /// decode + compile — either way the result is cached. Scores are
-  /// bit-identical across both paths. NotFound when the store has no such
-  /// model.
-  StatusOr<std::shared_ptr<const core::ScoringPlan>> OpenPlan(
-      store::ModelStore& store, const std::string& name);
-
-  /// Caps the plan cache's resident bytes (sum of ApproxBytes over cached
-  /// plans), evicting least-recently-used entries immediately if the new
-  /// cap is already exceeded. Default: 256 MiB.
-  void SetPlanCacheCapacity(size_t bytes);
-
-  /// Drops the cached plan for (store path, name) if present — call after
-  /// re-saving a model so the next OpenPlan maps the fresh section.
-  /// Handles already served keep the old plan alive; new opens see the
-  /// new bytes.
-  void InvalidateCachedPlan(const std::string& store_path,
-                            const std::string& name);
-
-  /// Bytes currently resident in the plan cache (the gauge
-  /// `registry.plan_cache.resident_bytes` tracks the same value).
-  size_t plan_cache_resident_bytes() const;
-
  private:
-  struct CachedPlan {
-    std::shared_ptr<const core::ScoringPlan> plan;
-    size_t bytes = 0;
-    std::list<std::string>::iterator lru_it;
-  };
-
-  static constexpr size_t kDefaultPlanCacheBytes = size_t{256} << 20;
-
-  /// Evicts LRU entries until resident bytes fit the capacity. Requires
-  /// plan_mu_ held.
-  void EvictPlansLocked();
-
   mutable std::shared_mutex mu_;
   std::unordered_map<std::string, Handle> models_;
-
-  mutable std::mutex plan_mu_;
-  /// Most-recently-used at the front; values are plan cache keys.
-  std::list<std::string> plan_lru_;
-  std::unordered_map<std::string, CachedPlan> plan_cache_;
-  size_t plan_cache_capacity_ = kDefaultPlanCacheBytes;
-  size_t plan_cache_bytes_ = 0;
 };
 
 }  // namespace cspm::engine

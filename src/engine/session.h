@@ -60,7 +60,7 @@ struct SaveModelOptions {
 };
 
 /// Mining knobs: the core's options (the search strategy, the gain
-/// policy, SLIM coresets, budgets, threads) plus what only a session
+/// policy, SLIM coresets, budgets) plus what only a session
 /// does with the result.
 struct MiningOptions : core::CspmOptions {
   /// Retain the final inverted database: UpdateMode::kFast continues from

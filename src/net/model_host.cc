@@ -12,8 +12,7 @@ StatusOr<std::unique_ptr<ModelHost>> ModelHost::Open(
     const std::string& store_path, Options options) {
   CSPM_ASSIGN_OR_RETURN(store::ModelStore store,
                         store::ModelStore::Open(store_path));
-  // unique_ptr so the address the registry's plan cache keys on (the
-  // store path string) and the sessions' graph shares stay stable.
+  // unique_ptr: the registry's shared_mutex makes the host immovable.
   std::unique_ptr<ModelHost> host(
       new ModelHost(std::move(store), options));  // lint:allow naked-new (private ctor)
   for (const store::ModelStore::Info& info : host->store_->List()) {
@@ -22,7 +21,7 @@ StatusOr<std::unique_ptr<ModelHost>> ModelHost::Open(
       // no decode of the model, no mine). A session is created lazily on
       // the first update.
       CSPM_RETURN_IF_ERROR(
-          host->registry_.LoadModel(store_path, info.name));
+          host->registry_.LoadModel(*host->store_, info.name));
       continue;
     }
     // Pending deltas: the record alone is stale. Rebuild the acknowledged

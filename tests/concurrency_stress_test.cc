@@ -1,32 +1,27 @@
 // ThreadSanitizer stress suite for the concurrent layers: ThreadPool
 // dispatch/shutdown churn, ModelRegistry readers racing Put/Remove,
 // ScoreBatch traffic across serving engines while a mining session
-// hot-swaps the published model, and plan-cache eviction while serving.
-// Every test also passes in a plain build; run them under
-// -DCSPM_TSAN=ON (the dedicated CI job) to turn latent races into
-// failures.
+// hot-swaps the published model. Every test also passes in a plain
+// build; run them under -DCSPM_TSAN=ON (the dedicated CI job) to turn
+// latent races into failures.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <cstdio>
 #include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "cspm/scoring_plan.h"
 #include "engine/model_registry.h"
 #include "engine/serving.h"
 #include "engine/session.h"
 #include "graph/generators.h"
 #include "graph/graph_delta.h"
 #include "obs/metrics.h"
-#include "store/model_store.h"
 #include "util/check.h"
 #include "util/rng.h"
-#include "util/string_util.h"
 #include "util/thread_pool.h"
 
 namespace cspm {
@@ -304,107 +299,6 @@ TEST(ObsStress, SnapshotJsonRacesServingAndHotSwap) {
   for (std::thread& t : snapshotters) t.join();
   scorer.join();
   EXPECT_GT(snapshots.load(), 0);
-}
-
-// --- plan cache under concurrency -----------------------------------------
-
-// Readers continuously open mmap plans through the shared registry cache
-// and score through them while a churn thread invalidates entries and
-// shrinks/grows the capacity, forcing evictions mid-score. The contract
-// under test (with TSan watching): an evicted mapping stays valid for
-// every plan copy already handed out, and a subsequent open simply maps
-// afresh. Each reader opens its own ModelStore — the store is
-// single-writer/multi-reader by design; only the registry is shared.
-TEST(PlanCacheStress, EvictionWhileServingAndReopen) {
-  const std::string path =
-      ::testing::TempDir() + "plan_cache_stress.cspm";
-  std::remove(path.c_str());
-  const graph::AttributedGraph g = StressGraph();
-  const core::CspmModel model = engine::MineModel(g).value();
-  {
-    auto store = store::ModelStore::Create(path);
-    CSPM_CHECK(store.ok());
-    for (int i = 0; i < 4; ++i) {
-      CSPM_CHECK(
-          store->Put(StrFormat("m%d", i), {model, g.dict(), std::nullopt})
-              .ok());
-    }
-  }
-  const size_t plan_bytes =
-      core::ScoringPlan::Compile(model, g.num_attribute_values())
-          .ApproxBytes();
-
-  engine::ModelRegistry registry;
-  // Room for roughly one plan: every second open evicts.
-  registry.SetPlanCacheCapacity(plan_bytes * 3 / 2);
-  std::atomic<bool> stop{false};
-  std::atomic<int> scored{0};
-  std::atomic<int> failures{0};
-
-  std::vector<std::thread> readers;
-  for (int t = 0; t < 4; ++t) {
-    readers.emplace_back([&, t] {
-      auto store = store::ModelStore::Open(path);
-      if (!store.ok()) {
-        failures.fetch_add(1);
-        return;
-      }
-      std::vector<graph::AttrId> neighbourhood;
-      uint32_t i = 0;
-      while (!stop.load(std::memory_order_acquire)) {
-        auto plan = registry.OpenPlan(*store, StrFormat("m%u", (t + i) % 4));
-        if (!plan.ok()) {
-          failures.fetch_add(1);
-          return;
-        }
-        neighbourhood.clear();
-        core::GatherNeighbourhoodAttrs(
-            g, graph::VertexId(i % g.num_vertices().value()),
-            &neighbourhood);
-        const core::AttributeScores scores = (*plan)->Score(neighbourhood);
-        if (!scores.normalized.empty()) {
-          scored.fetch_add(1, std::memory_order_relaxed);
-        }
-        ++i;
-      }
-    });
-  }
-
-  // Churn until the readers have demonstrably scored through plans that
-  // were being evicted underneath them (failures break the loop via the
-  // reader threads exiting and scored never advancing past the cap).
-  for (int round = 0; scored.load(std::memory_order_relaxed) < 400 &&
-                      failures.load() == 0 && round < 2000000;
-       ++round) {
-    registry.InvalidateCachedPlan(path, StrFormat("m%d", round % 4));
-    if (round % 8 == 0) {
-      registry.SetPlanCacheCapacity(round % 16 == 0 ? plan_bytes
-                                                    : plan_bytes * 4);
-    }
-  }
-  stop.store(true, std::memory_order_release);
-  for (std::thread& t : readers) t.join();
-  ASSERT_EQ(failures.load(), 0);
-  EXPECT_GT(scored.load(), 0);
-
-  // Evict-then-reopen round trip: after all the churn, a fresh open maps
-  // and serves, bit-identical to a compile.
-  auto store = store::ModelStore::Open(path);
-  ASSERT_TRUE(store.ok());
-  auto plan = registry.OpenPlan(*store, "m0");
-  ASSERT_TRUE(plan.ok());
-  EXPECT_TRUE((*plan)->is_view());
-  std::vector<graph::AttrId> neighbourhood;
-  core::GatherNeighbourhoodAttrs(g, graph::VertexId(0), &neighbourhood);
-  const core::ScoringPlan compiled =
-      core::ScoringPlan::Compile(model, g.num_attribute_values());
-  const core::AttributeScores a = (*plan)->Score(neighbourhood);
-  const core::AttributeScores b = compiled.Score(neighbourhood);
-  ASSERT_EQ(a.normalized.size(), b.normalized.size());
-  for (size_t i = 0; i < a.normalized.size(); ++i) {
-    EXPECT_EQ(a.normalized[i], b.normalized[i]);
-  }
-  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -8,7 +8,9 @@
 
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -75,24 +77,25 @@ TEST(ModelRegistry, HandlesAreCopyOnWrite) {
   EXPECT_EQ(old_handle->model.astars.size(), old_astars);
 }
 
-TEST(ModelRegistry, LoadStoreLoadsEveryModel) {
-  const std::string path = TempPath("registry_loadstore.cspm");
+TEST(ModelRegistry, LoadModelLoadsByNameFromAnOpenStore) {
+  const std::string path = TempPath("registry_loadmodel.cspm");
   std::remove(path.c_str());
   auto g = PaperExampleGraph();
   auto model = MineModel(g).value();
-  {
-    auto store = store::ModelStore::Create(path).value();
-    store::StoredModel stored;
-    stored.model = model;
-    stored.dict = g.dict();
-    ASSERT_TRUE(store.Put("one", stored).ok());
-    ASSERT_TRUE(store.Put("two", stored).ok());
-  }
+  auto store = store::ModelStore::Create(path).value();
+  store::StoredModel stored;
+  stored.model = model;
+  stored.dict = g.dict();
+  ASSERT_TRUE(store.Put("one", stored).ok());
+  ASSERT_TRUE(store.Put("two", stored).ok());
+
   ModelRegistry registry;
-  ASSERT_TRUE(registry.LoadStore(path).ok());
+  ASSERT_TRUE(registry.LoadModel(store, "one").ok());
+  ASSERT_TRUE(registry.LoadModel(store, "two").ok());
   EXPECT_EQ(registry.List(), (std::vector<std::string>{"one", "two"}));
-  EXPECT_FALSE(registry.LoadModel(path, "three").ok());
-  EXPECT_FALSE(registry.LoadStore(TempPath("registry_missing.cspm")).ok());
+  const Status missing = registry.LoadModel(store, "three");
+  EXPECT_EQ(missing.code(), StatusCode::kNotFound) << missing.ToString();
+  EXPECT_EQ(registry.size(), 2u);
   std::remove(path.c_str());
 }
 
@@ -107,11 +110,7 @@ TEST(ModelRegistry, EveryHandleHasAPlan) {
   m.dict = g.dict();
   {
     auto store = store::ModelStore::Create(path).value();
-    store::StoredModel stored;
-    stored.model = m.model;
-    stored.dict = g.dict();
-    ASSERT_TRUE(store.Put("one", stored).ok());
-    ASSERT_TRUE(store.Put("two", stored).ok());
+    ASSERT_TRUE(store.Put("one", {m.model, g.dict(), std::nullopt}).ok());
   }
 
   ModelRegistry registry;
@@ -120,15 +119,67 @@ TEST(ModelRegistry, EveryHandleHasAPlan) {
   auto session = std::move(MiningSession::Create(g)).value();
   ASSERT_TRUE(session.Mine().ok());
   EXPECT_NE(session.Publish(registry, "published").value()->plan, nullptr);
-  ASSERT_TRUE(registry.LoadModel(path, "one").ok());
-  EXPECT_NE(registry.Get("one")->plan, nullptr);
+  auto store = store::ModelStore::Open(path).value();
+  ASSERT_TRUE(registry.LoadModel(store, "one").ok());
+  ASSERT_NE(registry.Get("one")->plan, nullptr);
+  EXPECT_TRUE(registry.Get("one")->plan->is_view());
+  std::remove(path.c_str());
+}
 
-  ModelRegistry from_store;
-  ASSERT_TRUE(from_store.LoadStore(path).ok());
-  ASSERT_EQ(from_store.size(), 2u);
-  for (const std::string& name : from_store.List()) {
-    EXPECT_NE(from_store.Get(name)->plan, nullptr) << name;
+/// Bitwise (memcmp) equality of two score vectors.
+bool SameBits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+/// Scores every vertex of `g` through `handle` and through a fresh
+/// compile of `model`, bitwise.
+void ExpectServesLikeFreshCompile(const graph::AttributedGraph& g,
+                                  const core::CspmModel& model,
+                                  const ModelRegistry::Handle& handle) {
+  const core::ScoringPlan compiled =
+      core::ScoringPlan::Compile(model, g.num_attribute_values());
+  std::vector<graph::AttrId> neighbourhood;
+  for (graph::VertexId v(0); v < g.num_vertices(); ++v) {
+    core::GatherNeighbourhoodAttrs(g, v, &neighbourhood);
+    const AttributeScores expected = compiled.Score(neighbourhood);
+    const AttributeScores served = handle->ScoreVertex(v).value();
+    ASSERT_TRUE(SameBits(served.raw, expected.raw)) << "v=" << v;
+    ASSERT_TRUE(SameBits(served.normalized, expected.normalized))
+        << "v=" << v;
   }
+}
+
+// The handle is the only pin on a mapped plan: it keeps serving the model
+// it was loaded with after that model is re-saved and its store closed.
+TEST(ModelRegistry, MappedPlanOutlivesItsStore) {
+  const std::string path = TempPath("registry_plan_lifetime.cspm");
+  std::remove(path.c_str());
+  const auto g_old = SmallRandomGraph(5);
+  const auto g_new = SmallRandomGraph(6);
+  const core::CspmModel old_model = MineModel(g_old).value();
+  const core::CspmModel new_model = MineModel(g_new).value();
+
+  ModelRegistry registry;
+  ModelRegistry::Handle old_handle;
+  {
+    auto store = store::ModelStore::Create(path).value();
+    ASSERT_TRUE(store.Put("m", {old_model, g_old.dict(), g_old}).ok());
+    ASSERT_TRUE(registry.LoadModel(store, "m").ok());
+    old_handle = registry.Get("m");
+    ASSERT_TRUE(old_handle->plan->is_view());
+    ASSERT_TRUE(store.Put("m", {new_model, g_new.dict(), g_new}).ok());
+  }
+  ExpectServesLikeFreshCompile(g_old, old_model, old_handle);
+
+  auto reopened = store::ModelStore::Open(path).value();
+  ASSERT_TRUE(registry.LoadModel(reopened, "m").ok());
+  const ModelRegistry::Handle new_handle = registry.Get("m");
+  ASSERT_NE(new_handle, old_handle);
+  EXPECT_TRUE(new_handle->plan->is_view());
+  ExpectServesLikeFreshCompile(g_new, new_model, new_handle);
+  // Loading the new version leaves the old handle's mapping alone.
+  ExpectServesLikeFreshCompile(g_old, old_model, old_handle);
   std::remove(path.c_str());
 }
 
@@ -201,7 +252,8 @@ TEST(ModelRegistry, ReloadedModelScoresBitIdentically) {
   // "Fresh process": a registry that has seen neither the graph nor the
   // session — everything comes from the store file.
   ModelRegistry registry;
-  ASSERT_TRUE(registry.LoadModel(path, "acceptance").ok());
+  auto store = store::ModelStore::Open(path).value();
+  ASSERT_TRUE(registry.LoadModel(store, "acceptance").ok());
   auto handle = registry.Get("acceptance");
   ASSERT_NE(handle, nullptr);
   ASSERT_TRUE(handle->graph != nullptr);

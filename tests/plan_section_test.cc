@@ -1,10 +1,10 @@
 // Tests for the mmap-native plan section (store format v3): the on-disk
 // encode/validate round trip, bit-identity of mmap-view scores against a
-// freshly compiled plan on the n=8000 serving stand-in, the registry's
-// LRU plan cache (hits, misses, evictions, eviction-while-serving), and
+// freshly compiled plan on the n=8000 serving stand-in, and
 // read-compatibility with committed store files produced by older
 // binaries: a v2 store (no plan sections) and a v3 store whose plan
-// section is the legacy version 1 layout.
+// section is the legacy version 1 layout, both served by
+// ModelRegistry::LoadModel through its compile fallback.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -20,7 +20,6 @@
 #include "engine/model_registry.h"
 #include "engine/session.h"
 #include "graph/generators.h"
-#include "obs/metrics.h"
 #include "store/model_store.h"
 #include "store/plan_section.h"
 #include "util/check.h"
@@ -74,6 +73,30 @@ void ExpectBitIdenticalScores(const graph::AttributedGraph& g,
           << "normalized score diverged at vertex " << v.value() << " attr "
           << i;
     }
+  }
+}
+
+/// Bitwise (memcmp) equality of two score vectors.
+bool SameBits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+/// Scores every vertex of `g` through `served` and through a fresh
+/// compile of `model`, bitwise.
+void ExpectServesLikeFreshCompile(const graph::AttributedGraph& g,
+                                  const core::CspmModel& model,
+                                  const core::ScoringPlan& served) {
+  const core::ScoringPlan compiled =
+      core::ScoringPlan::Compile(model, g.num_attribute_values());
+  std::vector<graph::AttrId> neighbourhood;
+  for (graph::VertexId v(0); v < g.num_vertices(); ++v) {
+    core::GatherNeighbourhoodAttrs(g, v, &neighbourhood);
+    const core::AttributeScores a = served.Score(neighbourhood);
+    const core::AttributeScores b = compiled.Score(neighbourhood);
+    ASSERT_TRUE(SameBits(a.raw, b.raw)) << "raw, vertex " << v.value();
+    ASSERT_TRUE(SameBits(a.normalized, b.normalized))
+        << "normalized, vertex " << v.value();
   }
 }
 
@@ -202,91 +225,6 @@ TEST(PlanSection, MmapViewBitIdenticalOnServingStandIn) {
   std::remove(path.c_str());
 }
 
-// --- registry LRU plan cache ----------------------------------------------
-
-TEST(PlanCache, HitsMissesEvictionsAndReopen) {
-  const std::string path = TempPath("plan_cache_lru.cspm");
-  const graph::AttributedGraph g = SmallGraph();
-  const core::CspmModel model = Mine(g);
-  {
-    auto store = ModelStore::Create(path);
-    ASSERT_TRUE(store.ok());
-    for (const char* name : {"a", "b", "c"}) {
-      ASSERT_TRUE(store->Put(name, {model, g.dict(), std::nullopt}).ok());
-    }
-  }
-  auto store = ModelStore::Open(path);
-  ASSERT_TRUE(store.ok());
-
-  obs::Counter* hits = obs::GetCounter("registry.plan_cache.hits");
-  obs::Counter* misses = obs::GetCounter("registry.plan_cache.misses");
-  obs::Counter* evictions = obs::GetCounter("registry.plan_cache.evictions");
-  const uint64_t hits0 = hits->Value();
-  const uint64_t misses0 = misses->Value();
-  const uint64_t evictions0 = evictions->Value();
-#ifdef CSPM_OBS_OFF
-  (void)hits0;
-  (void)misses0;
-  (void)evictions0;
-#endif
-
-  engine::ModelRegistry registry;
-  auto a1 = registry.OpenPlan(*store, "a");
-  ASSERT_TRUE(a1.ok());
-#ifndef CSPM_OBS_OFF
-  EXPECT_EQ(misses->Value(), misses0 + 1);
-#endif
-  const size_t plan_bytes = (*a1)->ApproxBytes();
-  ASSERT_GT(plan_bytes, 0u);
-  EXPECT_EQ(registry.plan_cache_resident_bytes(), plan_bytes);
-
-  // Second open of the same model: a hit, and the very same plan object.
-  auto a2 = registry.OpenPlan(*store, "a");
-  ASSERT_TRUE(a2.ok());
-#ifndef CSPM_OBS_OFF
-  EXPECT_EQ(hits->Value(), hits0 + 1);
-#endif
-  EXPECT_EQ(a1->get(), a2->get());
-
-  // Capacity for one plan only: opening "b" evicts "a".
-  registry.SetPlanCacheCapacity(plan_bytes);
-  auto b = registry.OpenPlan(*store, "b");
-  ASSERT_TRUE(b.ok());
-#ifndef CSPM_OBS_OFF
-  EXPECT_EQ(evictions->Value(), evictions0 + 1);
-#endif
-  EXPECT_EQ(registry.plan_cache_resident_bytes(), plan_bytes);
-
-  // Eviction-while-serving: the held handle still scores after its cache
-  // entry (the only other owner of the mapping) is gone.
-  std::vector<graph::AttrId> neighbourhood;
-  core::GatherNeighbourhoodAttrs(g, graph::VertexId(0), &neighbourhood);
-  const core::AttributeScores before = (*a1)->Score(neighbourhood);
-
-  // Evict-then-reopen: "a" misses again and the fresh mapping scores
-  // identically.
-  auto a3 = registry.OpenPlan(*store, "a");
-  ASSERT_TRUE(a3.ok());
-#ifndef CSPM_OBS_OFF
-  EXPECT_EQ(misses->Value(), misses0 + 3);  // a, b, a again
-#endif
-  const core::AttributeScores after = (*a3)->Score(neighbourhood);
-  ASSERT_EQ(before.normalized.size(), after.normalized.size());
-  for (size_t i = 0; i < before.normalized.size(); ++i) {
-    EXPECT_EQ(before.normalized[i], after.normalized[i]);
-  }
-
-  // Invalidation drops the entry without counting as cache pressure.
-  registry.InvalidateCachedPlan(store->path(), "a");
-  auto a4 = registry.OpenPlan(*store, "a");
-  ASSERT_TRUE(a4.ok());
-  EXPECT_NE(a3->get(), a4->get());
-#ifndef CSPM_OBS_OFF
-  EXPECT_EQ(misses->Value(), misses0 + 4);
-#endif
-  std::remove(path.c_str());
-}
-
 // --- v2 read-compatibility -------------------------------------------------
 
 /// Copies a committed store fixture into the temp dir.
@@ -327,16 +265,19 @@ TEST(V2Compat, OpensReadsAndServesWithoutPlanSection) {
   EXPECT_FALSE(wal->truncated);
 
   // No plan section yet: the direct open refuses with the upgrade hint,
-  // and the registry falls back to decode + compile.
+  // and the registry compiles the plan from the record it decoded.
   auto direct = store->OpenPlan("v2model");
   ASSERT_FALSE(direct.ok());
   EXPECT_NE(direct.status().message().find("no plan section"),
             std::string::npos)
       << direct.status().ToString();
   engine::ModelRegistry registry;
-  auto fallback = registry.OpenPlan(*store, "v2model");
-  ASSERT_TRUE(fallback.ok()) << fallback.status().ToString();
-  EXPECT_FALSE((*fallback)->is_view());
+  const Status loaded = registry.LoadModel(*store, "v2model");
+  ASSERT_TRUE(loaded.ok()) << loaded.ToString();
+  const engine::ModelRegistry::Handle fallback = registry.Get("v2model");
+  EXPECT_FALSE(fallback->plan->is_view());
+  ExpectServesLikeFreshCompile(*stored->graph, stored->model,
+                               *fallback->plan);
   std::remove(path.c_str());
 }
 
@@ -385,30 +326,6 @@ std::string CopyPlanV1Fixture(const std::string& name) {
   return CopyFixture("plan_v1_store.cspm", name);
 }
 
-/// Bitwise (memcmp) equality of two score vectors.
-bool SameBits(const std::vector<double>& a, const std::vector<double>& b) {
-  return a.size() == b.size() &&
-         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
-}
-
-/// Scores every vertex of `g` through `served` and through a fresh
-/// compile of `model`, bitwise.
-void ExpectServesLikeFreshCompile(const graph::AttributedGraph& g,
-                                  const core::CspmModel& model,
-                                  const core::ScoringPlan& served) {
-  const core::ScoringPlan compiled =
-      core::ScoringPlan::Compile(model, g.num_attribute_values());
-  std::vector<graph::AttrId> neighbourhood;
-  for (graph::VertexId v(0); v < g.num_vertices(); ++v) {
-    core::GatherNeighbourhoodAttrs(g, v, &neighbourhood);
-    const core::AttributeScores a = served.Score(neighbourhood);
-    const core::AttributeScores b = compiled.Score(neighbourhood);
-    ASSERT_TRUE(SameBits(a.raw, b.raw)) << "raw, vertex " << v.value();
-    ASSERT_TRUE(SameBits(a.normalized, b.normalized))
-        << "normalized, vertex " << v.value();
-  }
-}
-
 TEST(PlanV1Compat, OpensThroughCompileFallbackAndServesBitIdentically) {
   const std::string path = CopyPlanV1Fixture("plan_v1_read.cspm");
   {
@@ -436,16 +353,18 @@ TEST(PlanV1Compat, OpensThroughCompileFallbackAndServesBitIdentically) {
   EXPECT_NE(direct.status().message().find("legacy plan section"),
             std::string::npos)
       << direct.status().ToString();
-  // ...and the registry falls back to decode + compile.
+  // ...and the registry compiles the plan from the record it decoded.
   engine::ModelRegistry registry;
-  auto fallback = registry.OpenPlan(*store, "planv1");
-  ASSERT_TRUE(fallback.ok()) << fallback.status().ToString();
-  EXPECT_FALSE((*fallback)->is_view());
+  const Status loaded = registry.LoadModel(*store, "planv1");
+  ASSERT_TRUE(loaded.ok()) << loaded.ToString();
+  const engine::ModelRegistry::Handle fallback = registry.Get("planv1");
+  EXPECT_FALSE(fallback->plan->is_view());
 
   auto stored = store->Get("planv1");
   ASSERT_TRUE(stored.ok());
   ASSERT_TRUE(stored->graph.has_value());
-  ExpectServesLikeFreshCompile(*stored->graph, stored->model, **fallback);
+  ExpectServesLikeFreshCompile(*stored->graph, stored->model,
+                               *fallback->plan);
   std::remove(path.c_str());
 }
 

@@ -337,10 +337,6 @@ Status CmdSave(Shell& sh, const std::vector<std::string>& args) {
   stored.dict = sh.current->dict;
   if (sh.current->graph != nullptr) stored.graph = *sh.current->graph;
   CSPM_RETURN_IF_ERROR(sh.store->Put(args[1], stored));
-  // The store just rewrote this model's plan section; drop any cached
-  // mapping so the next load maps the fresh bytes (in-flight handles keep
-  // the old mapping alive on their own).
-  sh.registry.InvalidateCachedPlan(sh.store->path(), args[1]);
   if (sh.session.has_value() && sh.current == sh.session_handle) {
     // The live session's own model is now persisted under this name:
     // later updates append their deltas to its WAL. (Handle identity, not
@@ -356,7 +352,7 @@ Status CmdSave(Shell& sh, const std::vector<std::string>& args) {
 Status CmdLoad(Shell& sh, const std::vector<std::string>& args) {
   if (args.size() != 2) return Status::InvalidArgument("usage: load <name>");
   CSPM_RETURN_IF_ERROR(RequireStore(sh));
-  CSPM_RETURN_IF_ERROR(sh.registry.LoadModel(sh.store->path(), args[1]));
+  CSPM_RETURN_IF_ERROR(sh.registry.LoadModel(*sh.store, args[1]));
   sh.current = sh.registry.Get(args[1]);
   sh.current_name = args[1];
   std::printf("loaded '%s': %zu a-stars, %zu attribute values%s%s\n",
@@ -397,7 +393,6 @@ Status CmdRm(Shell& sh, const std::vector<std::string>& args) {
   if (args.size() != 2) return Status::InvalidArgument("usage: rm <name>");
   CSPM_RETURN_IF_ERROR(RequireStore(sh));
   CSPM_RETURN_IF_ERROR(sh.store->Delete(args[1]));
-  sh.registry.InvalidateCachedPlan(sh.store->path(), args[1]);
   sh.registry.Remove(args[1]);
   std::printf("removed '%s'\n", args[1].c_str());
   return Status::OK();
@@ -538,12 +533,10 @@ Status CmdStats(Shell& sh, const std::vector<std::string>& args) {
         plan != nullptr && plan->is_view() ? "true" : "false");
     out += StrFormat(
         "\"obs\":{\"mdl.current_dl_bits\":%.12g,"
-        "\"mdl.last_update_dl_delta_bits\":%.12g,\"registry.models\":%.12g,"
-        "\"registry.plan_cache.resident_bytes\":%.12g}}",
+        "\"mdl.last_update_dl_delta_bits\":%.12g,\"registry.models\":%.12g}}",
         obs::GetGauge("mdl.current_dl_bits")->Value(),
         obs::GetGauge("mdl.last_update_dl_delta_bits")->Value(),
-        obs::GetGauge("registry.models")->Value(),
-        obs::GetGauge("registry.plan_cache.resident_bytes")->Value());
+        obs::GetGauge("registry.models")->Value());
     std::printf("%s\n", out.c_str());
     return Status::OK();
   }
