@@ -6,6 +6,7 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <map>
 #include <string>
 #include <utility>
@@ -15,9 +16,12 @@
 #include "cspm/scoring_plan.h"
 #include "cspm/serialization.h"
 #include "engine/session.h"
+#include "graph/generators.h"
+#include "graph/graph_delta.h"
 #include "obs/metrics.h"
 #include "store/model_store.h"
 #include "util/check.h"
+#include "util/rng.h"
 #include "util/string_util.h"
 
 namespace cspm::bench {
@@ -236,6 +240,79 @@ BENCHMARK(BM_CatalogLookup)
     ->Arg(1000)
     ->Arg(10000)
     ->Unit(benchmark::kMicrosecond);
+
+// --- WAL append cost vs store size ---------------------------------------
+
+/// Built-once stores of n copies of one small tenant model (a 300-vertex
+/// graph over 20 attribute values, with its snapshot): the 1000-model
+/// file is ~1000x the 1-model one.
+const std::string& TenantStorePath(int n) {
+  static std::map<int, std::string>* paths = [] {
+    return new std::map<int, std::string>();  // lint:allow naked-new
+  }();
+  auto it = paths->find(n);
+  if (it != paths->end()) return it->second;
+  static const store::StoredModel* tenant = [] {
+    Rng rng(2);
+    const graph::AttributedGraph g =
+        graph::BarabasiAlbert(/*n=*/300, /*m=*/3, /*vocabulary=*/20,
+                              /*attrs_per_vertex=*/3, &rng)
+            .value();
+    engine::MiningOptions opts;
+    opts.record_iteration_stats = false;
+    return new store::StoredModel{  // lint:allow naked-new
+        engine::MineModel(g, opts).value(), g.dict(), g};
+  }();
+  const std::string path = StrFormat("bench_store_tenants_%d.cspm", n);
+  std::remove(path.c_str());
+  auto store = store::ModelStore::Create(path).value();
+  std::vector<std::pair<std::string, store::StoredModel>> batch;
+  batch.reserve(n);
+  for (int i = 0; i < n; ++i) batch.emplace_back(StrFormat("t%04d", i), *tenant);
+  CSPM_CHECK(store.PutMany(batch).ok());
+  return paths->emplace(n, path).first->second;
+}
+
+/// The store's share of one acknowledged update: AppendDelta of a small
+/// delta to one model of an n-model store, one commit each. The WAL is
+/// cleared untimed every 64 appends so its catalog entry stays small.
+/// ci/bench_gate.py gates the 1000-model / 1-model ratio: an append must
+/// cost its own pages, not the file.
+void BM_WalAppend(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  const std::string& path = TenantStorePath(n);
+  auto store = store::ModelStore::Open(path).value();
+  const std::string name = StrFormat("t%04d", n / 2);
+  graph::GraphDelta delta;
+  delta.AddEdge(graph::VertexId(0), graph::VertexId(1));
+  obs::Counter* written = obs::GetCounter("store.pages_written");
+  uint64_t append_pages = 0;
+  int pending = 0;
+  for (auto _ : state) {
+    const uint64_t before = written->Value();
+    CSPM_CHECK(
+        store.AppendDelta(name, delta, store::WalDeltaMode::kFast).ok());
+    append_pages += written->Value() - before;
+    if (++pending == 64) {
+      state.PauseTiming();
+      CSPM_CHECK(store.ClearWal(name).ok());
+      pending = 0;
+      state.ResumeTiming();
+    }
+  }
+  CSPM_CHECK(store.ClearWal(name).ok());
+  state.counters["pages_written_per_append"] =
+      state.iterations() > 0 ? static_cast<double>(append_pages) /
+                                   static_cast<double>(state.iterations())
+                             : 0.0;
+  state.counters["file_mb"] =
+      static_cast<double>(std::filesystem::file_size(path)) / 1e6;
+}
+BENCHMARK(BM_WalAppend)
+    ->Arg(1)
+    ->Arg(1000)
+    ->Unit(benchmark::kMicrosecond)
+    ->UseRealTime();
 
 /// Session-level round trip through the auto-detecting facade paths.
 void BM_SessionLoadBinary(benchmark::State& state) {

@@ -35,6 +35,11 @@ the consolidated BENCH_PR.json artifact, and exits non-zero when:
     binary and one run, so the ratio is machine-normalized. The paged
     catalog lookup page-read counts at 1k and 10k models are reported
     alongside (the O(log n) shape itself is asserted in store_test).
+    The same run gates the WAL append: BM_WalAppend at 1000 stored
+    models may cost at most baseline `max_wal_append_growth` (4x) of
+    BM_WalAppend at 1 model. An in-place commit writes the pages it
+    changed, so only the catalog index it rebuilds grows with the store;
+    a commit that rewrote the file would cost ~the file-size ratio.
 
   * (with --loadgen) the network serving stack's batched path (multi-
     vertex frames, pipelined connections, server-side coalescing) is
@@ -80,8 +85,8 @@ def main():
     parser.add_argument("--obs", default=None,
                         help="bench_obs JSON output (gates max_obs_overhead)")
     parser.add_argument("--store", default=None,
-                        help="bench_store JSON output "
-                             "(gates min_cold_open_speedup)")
+                        help="bench_store JSON output (gates "
+                             "min_cold_open_speedup, max_wal_append_growth)")
     parser.add_argument("--loadgen", default=None,
                         help="bench_loadgen JSON output "
                              "(gates min_net_batch_speedup)")
@@ -189,6 +194,24 @@ def main():
                 f"below the required "
                 f"{baseline['min_cold_open_speedup']:.1f}x "
                 f"(zero-copy serving contract, DESIGN.md section 12)")
+        append_1 = require(store, "BM_WalAppend/1/real_time")
+        append_1000 = require(store, "BM_WalAppend/1000/real_time")
+        # Both store sizes from one run of one binary: runner speed (and
+        # the disk's sync latency, which both pay) cancels.
+        append_growth = append_1000["real_time"] / append_1["real_time"]
+        report["wal_append_us_1_model"] = round(append_1["real_time"], 1)
+        report["wal_append_us_1000_models"] = round(
+            append_1000["real_time"], 1)
+        report["wal_append_pages_1000_models"] = round(
+            append_1000["pages_written_per_append"], 2)
+        report["wal_append_growth"] = round(append_growth, 2)
+        report["max_wal_append_growth"] = baseline["max_wal_append_growth"]
+        if append_growth > baseline["max_wal_append_growth"]:
+            failures.append(
+                f"a WAL append on a 1000-model store costs "
+                f"{append_growth:.2f}x one on a 1-model store, above the "
+                f"allowed {baseline['max_wal_append_growth']:.1f}x "
+                f"(in-place commit contract, DESIGN.md section 6)")
         for n in (1000, 10000):
             lookup = store.get(f"BM_CatalogLookup/{n}")
             if lookup:

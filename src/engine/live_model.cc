@@ -50,15 +50,6 @@ StatusOr<ReplayedModel> ReplayModel(store::ModelStore& store,
                        wal.dropped};
 }
 
-Status CheckpointModel(store::ModelStore& store, const std::string& name,
-                       const MiningSession& session) {
-  store::StoredModel checkpoint;
-  checkpoint.model = session.model();
-  checkpoint.dict = session.graph().dict();
-  checkpoint.graph = session.graph();
-  return store.Put(name, checkpoint);
-}
-
 StatusOr<UpdateStats> UpdateAndLog(MiningSession& session,
                                    const graph::GraphDelta& delta,
                                    UpdateMode mode, store::ModelStore* store,

@@ -38,17 +38,12 @@ struct ReplayedModel {
 /// pending WAL deltas forward, each in the mode it was logged with: a fast
 /// update's model is path-dependent, so reproducing the acknowledged state
 /// means reproducing its path. Never writes to `store` (a client may
-/// replay a server's file); the owner of the store checkpoints a salvaged
-/// torn tail with CheckpointModel.
+/// replay a server's file); the owner of the store drops a salvaged torn
+/// tail with ModelStore::TruncateWal(name, deltas) — otherwise later
+/// updates would append after the unreadable records and be lost at the
+/// next replay.
 StatusOr<ReplayedModel> ReplayModel(store::ModelStore& store,
                                     const std::string& name);
-
-/// Re-puts `session`'s model and graph as `name`'s record, which compacts
-/// its WAL. After a torn-tail replay this drops the unreadable records for
-/// good; otherwise later updates would append after them and be lost at
-/// the next replay.
-Status CheckpointModel(store::ModelStore& store, const std::string& name,
-                       const MiningSession& session);
 
 /// One live update: ApplyUpdates, then (when `store` is non-null) the
 /// delta is appended to `name`'s WAL in the mode that actually ran (a kFast

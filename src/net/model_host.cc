@@ -34,18 +34,20 @@ StatusOr<std::unique_ptr<ModelHost>> ModelHost::Open(
 Status ModelHost::EnsureLive(const std::string& model) {
   if (sessions_.find(model) != sessions_.end()) return Status::OK();
   // Open() replays models with pending deltas here; Update() the first
-  // time a model served straight off its record is updated. Known gap
-  // (ROADMAP, "Recovery that reproduces what was acknowledged"): the
-  // replay mines the snapshot cold, so when the record was checkpointed
-  // after kFast updates, the live session's model is a cold mine, not the
+  // time a model served straight off its record is updated. A torn WAL
+  // tail is truncated to the valid prefix that was replayed, so the record
+  // plus the kept deltas replay to exactly the session served from here
+  // on, and later updates append after them. Known gap (ROADMAP,
+  // "Recovery that reproduces what was acknowledged"): the replay mines
+  // the snapshot cold, so when the record itself was saved after kFast
+  // updates, the live session's model is a cold mine, not the
   // path-dependent fast model the registry was serving. Only a record
   // whose model came from a cold mine or a kExact update replays
   // bit-identically.
   CSPM_ASSIGN_OR_RETURN(engine::ReplayedModel replayed,
                         engine::ReplayModel(*store_, model));
   if (replayed.truncated) {
-    CSPM_RETURN_IF_ERROR(
-        engine::CheckpointModel(*store_, model, replayed.session));
+    CSPM_RETURN_IF_ERROR(store_->TruncateWal(model, replayed.deltas));
   }
   CSPM_RETURN_IF_ERROR(replayed.session.Publish(registry_, model).status());
   sessions_.insert_or_assign(model, std::move(replayed.session));

@@ -542,7 +542,7 @@ Status ModelStore::Put(const std::string& name, const StoredModel& stored) {
     }
     // Compaction: the fresh record reflects whatever the pending deltas
     // described, so the WAL restarts empty.
-    DropWalChains(&it->second);
+    DropWalChains(&it->second, 0);
     it->second = entry;
   } else {
     catalog_.emplace(name, entry);
@@ -573,7 +573,7 @@ Status ModelStore::PutMany(
       if (it->second.plan_extent.num_pages > 0) {
         (void)pager_.FreeExtent(it->second.plan_extent);
       }
-      DropWalChains(&it->second);
+      DropWalChains(&it->second, 0);
       it->second = entry;
     } else {
       catalog_.emplace(name, entry);
@@ -582,13 +582,13 @@ Status ModelStore::PutMany(
   return SaveCatalogAndCommit();
 }
 
-void ModelStore::DropWalChains(Entry* entry) {
-  for (const WalRecord& rec : entry->wal) {
+void ModelStore::DropWalChains(Entry* entry, size_t kept) {
+  for (size_t i = kept; i < entry->wal.size(); ++i) {
     // Best-effort, like record chains: a damaged WAL chain leaks its tail
     // but must never block compaction.
-    (void)pager_.FreeChain(rec.head);
+    (void)pager_.FreeChain(entry->wal[i].head);
   }
-  entry->wal.clear();
+  entry->wal.resize(std::min(kept, entry->wal.size()));
 }
 
 Status ModelStore::AppendDelta(const std::string& name,
@@ -673,15 +673,15 @@ StatusOr<ModelStore::WalReplay> ModelStore::ReadWal(const std::string& name) {
   return replay;
 }
 
-Status ModelStore::ClearWal(const std::string& name) {
+Status ModelStore::TruncateWal(const std::string& name, size_t kept) {
   CSPM_RETURN_IF_ERROR(EnsureLoaded());
   auto it = catalog_.find(name);
   if (it == catalog_.end()) {
     return Status::NotFound("no model named '" + name + "' in " +
                             pager_.path());
   }
-  if (it->second.wal.empty()) return Status::OK();
-  DropWalChains(&it->second);
+  if (it->second.wal.size() <= kept) return Status::OK();
+  DropWalChains(&it->second, kept);
   return SaveCatalogAndCommit();
 }
 
@@ -726,7 +726,7 @@ Status ModelStore::Delete(const std::string& name) {
   if (it->second.plan_extent.num_pages > 0) {
     (void)pager_.FreeExtent(it->second.plan_extent);
   }
-  DropWalChains(&it->second);
+  DropWalChains(&it->second, 0);
   catalog_.erase(it);
   return SaveCatalogAndCommit();
 }
@@ -738,6 +738,7 @@ bool ModelStore::Contains(const std::string& name) {
 
 Status ModelStore::CheckInvariants() {
   CSPM_RETURN_IF_ERROR(EnsureLoaded());
+  CSPM_RETURN_IF_ERROR(pager_.CheckHeaderPage());
   const uint32_t num_pages = pager_.num_pages();
   // Owner label per page; empty = unclaimed so far. Every data page of a
   // healthy store is claimed by exactly one chain.
@@ -848,8 +849,13 @@ Status ModelStore::CheckInvariants() {
     }
   }
 
+  // Free pages are claimed one by one; the v4 chain that lists them is a
+  // chain like any other.
+  for (uint32_t id : pager_.FreePages()) {
+    CSPM_RETURN_IF_ERROR(claim(id, "the free list"));
+  }
   CSPM_RETURN_IF_ERROR(
-      claim_chain(pager_.free_head(), "the free list", nullptr));
+      claim_chain(pager_.free_list_head(), "the free-list chain", nullptr));
   for (const auto& [name, entry] : catalog_) {
     uint64_t record_bytes = 0;
     CSPM_RETURN_IF_ERROR(claim_chain(

@@ -1,11 +1,11 @@
 // Multi-model store file: a catalog of named model records on top of the
 // Pager. Each record is a self-contained blob (embedded attribute
 // dictionary, model, optional graph snapshot) living in its own page
-// chain, and — format v3 — each model additionally carries an
-// mmap-native plan section (see plan_section.h) in a raw page extent, so
-// serving can open a model in microseconds without decoding the record.
+// chain, and each model additionally carries an mmap-native plan section
+// (see plan_section.h) in a raw page extent, so serving can open a model
+// in microseconds without decoding the record.
 //
-// The catalog itself (v3) is a bulk-loaded static B-tree over the pager:
+// The catalog itself is a bulk-loaded static B-tree over the pager:
 // sorted leaf pages chained left-to-right through the page-header `next`
 // link, interior pages holding (separator, child) fans, the root page id
 // in the store header. Opening a store reads the header and the root
@@ -13,23 +13,25 @@
 // by `store.catalog.index_page_reads`) instead of decoding a linear
 // catalog chain — the difference between "open one of 10k tenant models"
 // and "decode 10k entries to find one". Mutations load the full catalog
-// once, rebuild the index wholesale (it is small: entries are tens of
-// bytes) and commit atomically. v2 files (linear catalog chain, no plan
-// sections) still open read-only; the first mutation upgrades the file
-// to v3 in place through the same atomic-rename commit.
+// once and rebuild the index wholesale (it is small: entries are tens of
+// bytes). v2 files (linear catalog chain, no plan sections) and v3 files
+// open read-only; the first mutation upgrades the file to v4 through the
+// pager's whole-image rename.
 //
 // Each model also carries a write-ahead log of graph deltas: the
 // mutations applied since its record was Put. AppendDelta writes one
 // small WAL record chain per delta (the multi-MB model record is not
 // rewritten); ReadWal hands the pending deltas back for replay on open,
 // salvaging the valid prefix when the tail record is corrupt or
-// truncated; Put compacts — the fresh record reflects the deltas, so the
-// log is cleared (see DESIGN.md §9).
+// truncated; TruncateWal drops such a tail; Put compacts — the fresh
+// record reflects the deltas, so the log is cleared (see DESIGN.md §9).
 //
-// Mutations (Put / Delete / AppendDelta / ClearWal) rewrite the catalog
-// index and commit the pager atomically, so a crash never leaves a
-// half-updated store and concurrent readers of the old file image are
-// unaffected.
+// Every mutation (Put / PutMany / Delete / AppendDelta / TruncateWal /
+// ClearWal) is one pager commit: it writes its new pages plus the
+// rebuilt catalog index and free list in place, then flips the header
+// slot (pager.h). A crash never leaves a half-updated store, a commit
+// costs the pages it changed rather than the file, and a reader that
+// opened the store before a commit keeps its snapshot through it.
 #ifndef CSPM_STORE_MODEL_STORE_H_
 #define CSPM_STORE_MODEL_STORE_H_
 
@@ -136,9 +138,16 @@ class ModelStore {
   /// Decodes the model's pending deltas (replay-on-open path).
   StatusOr<WalReplay> ReadWal(const std::string& name);
 
-  /// Drops the model's pending deltas (compaction), committing. Also run
-  /// implicitly by Put: a fresh record already reflects its deltas.
-  Status ClearWal(const std::string& name);
+  /// Keeps the model's first `kept` pending deltas and drops the rest,
+  /// committing (a no-op when the WAL holds no more than `kept`). After a
+  /// replay salvaged a torn tail, truncating to the replayed count makes
+  /// the record plus the WAL reproduce exactly the replayed session.
+  Status TruncateWal(const std::string& name, size_t kept);
+
+  /// Drops all of the model's pending deltas (compaction): TruncateWal to
+  /// zero. Also run implicitly by Put: a fresh record already reflects its
+  /// deltas.
+  Status ClearWal(const std::string& name) { return TruncateWal(name, 0); }
 
   struct Info {
     std::string name;
@@ -153,7 +162,8 @@ class ModelStore {
 
   /// Deep structural audit of the page graph: walks the catalog index
   /// (validating separator/leaf ordering and the leaf level links),
-  /// every record, WAL chain and plan extent and the free list, checking
+  /// every record, WAL chain and plan extent, the free list and its
+  /// chain, and the header page's zero padding, checking
   /// that each page of the file is claimed by exactly one owner, that no
   /// chain cycles or escapes the file, and that every chain's payload
   /// size matches what the catalog promises. Catches pointer-level
@@ -230,8 +240,9 @@ class ModelStore {
   Status SaveCatalogAndCommit();
   /// Writes `stored`'s record chain and plan section; fills `entry`.
   Status WriteModelRecord(const StoredModel& stored, Entry* entry);
-  /// Frees every WAL chain of `entry` (best-effort) and clears the list.
-  void DropWalChains(Entry* entry);
+  /// Frees the WAL chains of `entry` after its first `kept` records
+  /// (best-effort) and drops them from the list.
+  void DropWalChains(Entry* entry, size_t kept);
 
   Pager pager_;
   /// All entries when catalog_loaded_; otherwise empty (see

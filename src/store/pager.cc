@@ -1,24 +1,35 @@
 #include "store/pager.h"
 
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
-#include <vector>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "store/codec.h"
+#include "store/plan_section.h"
 #include "util/crc32.h"
 #include "util/string_util.h"
 
 namespace cspm::store {
 namespace {
 
-constexpr size_t kHeaderCrcOffset = Pager::kPageSize - 4;
+// v2/v3 header: one field set sealed by a CRC of the whole page.
+constexpr size_t kLegacyHeaderCrcOffset = Pager::kPageSize - 4;
+// v4 header: the prefix (magic, version, page size), then two slots.
+constexpr size_t kHeaderPrefixBytes = 16;
+constexpr size_t kSlotBytes = 24;
+constexpr size_t kSlotCrcOffset = 20;
+constexpr size_t kHeaderUsedBytes = kHeaderPrefixBytes + 2 * kSlotBytes;
+// Whole-image commits write at most this many pages per write call.
+constexpr uint32_t kMaxPagesPerWrite = 64;
 
 void PutU32(char* dst, uint32_t v) {
   dst[0] = static_cast<char>(v & 0xFF);
@@ -34,7 +45,109 @@ uint32_t GetU32(const char* src) {
          (static_cast<uint32_t>(p[3]) << 24);
 }
 
+void PutU64(char* dst, uint64_t v) {
+  PutU32(dst, static_cast<uint32_t>(v));
+  PutU32(dst + 4, static_cast<uint32_t>(v >> 32));
+}
+
+uint64_t GetU64(const char* src) {
+  return static_cast<uint64_t>(GetU32(src)) |
+         (static_cast<uint64_t>(GetU32(src + 4)) << 32);
+}
+
 std::string ErrnoText() { return std::strerror(errno); }
+
+/// The fields one v4 header slot carries.
+struct Slot {
+  uint32_t num_pages = 0;
+  uint32_t free_head = Pager::kNoPage;
+  uint32_t catalog_head = Pager::kNoPage;
+  uint64_t sequence = 0;
+};
+
+uint32_t SlotCrc(const char* prefix, const char* slot) {
+  char sealed[kHeaderPrefixBytes + kSlotCrcOffset];
+  std::memcpy(sealed, prefix, kHeaderPrefixBytes);
+  std::memcpy(sealed + kHeaderPrefixBytes, slot, kSlotCrcOffset);
+  return Crc32(sealed, sizeof(sealed));
+}
+
+void WriteHeaderPrefix(char* header) {
+  std::memcpy(header, Pager::kMagic.data(), Pager::kMagic.size());
+  PutU32(header + 8, Pager::kFormatVersion);
+  PutU32(header + 12, Pager::kPageSize);
+}
+
+/// Encodes `slot` into `out` (kSlotBytes), sealed against `prefix`.
+void RenderSlot(const Slot& slot, const char* prefix, char* out) {
+  PutU32(out, slot.num_pages);
+  PutU32(out + 4, slot.free_head);
+  PutU32(out + 8, slot.catalog_head);
+  PutU64(out + 12, slot.sequence);
+  PutU32(out + kSlotCrcOffset, SlotCrc(prefix, out));
+}
+
+/// A slot that was written whole and not since damaged: CRC holds and
+/// the sequence is set. A torn or never-written slot fails this.
+bool ParseSlot(const char* header, int index, Slot* slot) {
+  const char* raw = header + kHeaderPrefixBytes + index * kSlotBytes;
+  if (GetU32(raw + kSlotCrcOffset) != SlotCrc(header, raw)) return false;
+  slot->num_pages = GetU32(raw);
+  slot->free_head = GetU32(raw + 4);
+  slot->catalog_head = GetU32(raw + 8);
+  slot->sequence = GetU64(raw + 12);
+  return slot->sequence != 0;
+}
+
+// --- write seam -------------------------------------------------------------
+
+std::atomic<uint64_t> g_writes{0};
+std::atomic<uint64_t> g_fail_at{0};
+std::atomic<bool> g_tear{false};
+
+/// Claims the next write number; true when the seam says it must fail.
+bool WriteFaults(uint64_t* number) {
+  *number = ++g_writes;
+  const uint64_t fail_at = g_fail_at.load();
+  return fail_at != 0 && *number >= fail_at;
+}
+
+Status InjectedFault(const std::string& path, uint64_t number) {
+  return Status::IOError(StrFormat("injected fault at write %llu to %s",
+                                   static_cast<unsigned long long>(number),
+                                   path.c_str()));
+}
+
+/// Every page, slot and image write goes through here (see
+/// SetWriteFaultForTesting).
+Status WriteAt(int fd, const char* data, size_t len, uint64_t offset,
+               const std::string& path) {
+  uint64_t number = 0;
+  if (WriteFaults(&number)) {
+    if (number == g_fail_at.load() && g_tear.load()) {
+      (void)::pwrite(fd, data, len / 2, static_cast<off_t>(offset));
+    }
+    return InjectedFault(path, number);
+  }
+  while (len > 0) {
+    const ssize_t n = ::pwrite(fd, data, len, static_cast<off_t>(offset));
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      return Status::IOError("write to " + path + " failed: " + ErrnoText());
+    }
+    data += n;
+    len -= static_cast<size_t>(n);
+    offset += static_cast<uint64_t>(n);
+  }
+  return Status::OK();
+}
+
+Status SyncData(int fd, const std::string& path) {
+  if (::fdatasync(fd) != 0) {
+    return Status::IOError("fdatasync of " + path + " failed: " + ErrnoText());
+  }
+  return Status::OK();
+}
 
 /// fsyncs the directory that holds `path` ("." when it names none), so a
 /// rename into it survives a power loss.
@@ -57,12 +170,30 @@ Status SyncParentDirectory(const std::string& path) {
 
 }  // namespace
 
+uint64_t Pager::SetWriteFaultForTesting(uint64_t fail_at, bool tear) {
+  g_tear = tear;
+  g_fail_at = fail_at;
+  return g_writes.exchange(0);
+}
+
+Pager::FileHandle& Pager::FileHandle::operator=(FileHandle&& other) noexcept {
+  if (this != &other) {
+    if (fd_ >= 0) ::close(fd_);
+    fd_ = std::exchange(other.fd_, -1);
+  }
+  return *this;
+}
+
+Pager::FileHandle::~FileHandle() {
+  if (fd_ >= 0) ::close(fd_);
+}
+
 bool Pager::FileHasMagic(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return false;
+  const FileHandle fd(::open(path.c_str(), O_RDONLY));
+  if (fd.get() < 0) return false;
   char head[8] = {};
-  in.read(head, sizeof(head));
-  return in.gcount() == sizeof(head) &&
+  return ::pread(fd.get(), head, sizeof(head), 0) ==
+             static_cast<ssize_t>(sizeof(head)) &&
          std::string_view(head, sizeof(head)) == kMagic;
 }
 
@@ -74,16 +205,32 @@ StatusOr<Pager> Pager::Create(const std::string& path) {
   return pager;
 }
 
+Status Pager::OpenFile(uint64_t* file_bytes) {
+  int fd = ::open(path_.c_str(), O_RDWR | O_CLOEXEC);
+  // A read-only file (or file system) still opens for reading; a commit
+  // then fails with the write error.
+  if (fd < 0) fd = ::open(path_.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) {
+    return Status::IOError("cannot open store file " + path_ + ": " +
+                           ErrnoText());
+  }
+  fd_ = FileHandle(fd);
+  struct stat st{};
+  if (::fstat(fd, &st) != 0) {
+    return Status::IOError("cannot stat " + path_ + ": " + ErrnoText());
+  }
+  file_dev_ = static_cast<uint64_t>(st.st_dev);
+  file_ino_ = static_cast<uint64_t>(st.st_ino);
+  file_pages_ = static_cast<uint64_t>(st.st_size) / kPageSize;
+  if (file_bytes != nullptr) *file_bytes = static_cast<uint64_t>(st.st_size);
+  return Status::OK();
+}
+
 StatusOr<Pager> Pager::Open(const std::string& path) {
   Pager pager;
   pager.path_ = path;
-  pager.file_.open(path, std::ios::binary);
-  if (!pager.file_) {
-    return Status::IOError("cannot open store file " + path + ": " +
-                           ErrnoText());
-  }
-  pager.file_.seekg(0, std::ios::end);
-  const uint64_t file_bytes = static_cast<uint64_t>(pager.file_.tellg());
+  uint64_t file_bytes = 0;
+  CSPM_RETURN_IF_ERROR(pager.OpenFile(&file_bytes));
   if (file_bytes < kPageSize) {
     return Status::IOError(
         StrFormat("truncated store file %s: %llu bytes, need at least one "
@@ -91,15 +238,18 @@ StatusOr<Pager> Pager::Open(const std::string& path) {
                   path.c_str(), static_cast<unsigned long long>(file_bytes),
                   kPageSize));
   }
-
   char header[kPageSize];
-  pager.file_.seekg(0);
-  pager.file_.read(header, kPageSize);
-  if (pager.file_.gcount() != kPageSize) {
+  if (::pread(pager.fd_.get(), header, kPageSize, 0) !=
+      static_cast<ssize_t>(kPageSize)) {
     return Status::IOError("short read of store header in " + path);
   }
+  CSPM_RETURN_IF_ERROR(pager.ParseHeader(header, file_bytes));
+  return pager;
+}
+
+Status Pager::ParseHeader(const char* header, uint64_t file_bytes) {
   if (std::string_view(header, kMagic.size()) != kMagic) {
-    return Status::IOError("not a cspm store file (bad magic): " + path);
+    return Status::IOError("not a cspm store file (bad magic): " + path_);
   }
   const uint32_t version = GetU32(header + 8);
   if (version < kMinFormatVersion || version > kFormatVersion) {
@@ -108,53 +258,127 @@ StatusOr<Pager> Pager::Open(const std::string& path) {
     return Status::IOError(
         StrFormat("store file %s has format version %u, this build reads "
                   "%u..%u",
-                  path.c_str(), version, kMinFormatVersion, kFormatVersion));
+                  path_.c_str(), version, kMinFormatVersion, kFormatVersion));
   }
-  pager.version_ = version;
+  version_ = version;
   const uint32_t page_size = GetU32(header + 12);
   if (page_size != kPageSize) {
     return Status::IOError(StrFormat("store file %s declares page size %u, "
                                      "expected %u",
-                                     path.c_str(), page_size, kPageSize));
+                                     path_.c_str(), page_size, kPageSize));
   }
-  const uint32_t stored_crc = GetU32(header + kHeaderCrcOffset);
-  const uint32_t actual_crc = Crc32(header, kHeaderCrcOffset);
-  if (stored_crc != actual_crc) {
-    return Status::IOError("store header checksum mismatch in " + path);
+  uint32_t free_head = kNoPage;
+  if (version < 4) {
+    if (GetU32(header + kLegacyHeaderCrcOffset) !=
+        Crc32(header, kLegacyHeaderCrcOffset)) {
+      return Status::IOError("store header checksum mismatch in " + path_);
+    }
+    num_pages_ = GetU32(header + 16);
+    free_head = GetU32(header + 20);
+    catalog_head_ = GetU32(header + 24);
+    whole_image_ = true;  // the first commit upgrades to v4
+  } else {
+    Slot slots[2];
+    const bool valid[2] = {ParseSlot(header, 0, &slots[0]),
+                           ParseSlot(header, 1, &slots[1])};
+    if (!valid[0] && !valid[1]) {
+      return Status::IOError("store header checksum mismatch in " + path_ +
+                             " (no valid header slot)");
+    }
+    active_slot_ =
+        valid[0] && (!valid[1] || slots[0].sequence > slots[1].sequence) ? 0
+                                                                         : 1;
+    const Slot& slot = slots[active_slot_];
+    num_pages_ = slot.num_pages;
+    free_head = slot.free_head;
+    catalog_head_ = slot.catalog_head;
+    sequence_ = slot.sequence;
+    whole_image_ = false;
   }
-  pager.num_pages_ = GetU32(header + 16);
-  pager.free_head_ = GetU32(header + 20);
-  pager.catalog_head_ = GetU32(header + 24);
-  if (pager.num_pages_ == 0 || pager.free_head_ >= pager.num_pages_ ||
-      pager.catalog_head_ >= pager.num_pages_) {
+  if (num_pages_ == 0 || free_head >= num_pages_ ||
+      catalog_head_ >= num_pages_) {
     return Status::IOError("store header page references out of range in " +
-                           path);
+                           path_);
   }
-  const uint64_t expected_bytes =
-      static_cast<uint64_t>(pager.num_pages_) * kPageSize;
-  if (file_bytes != expected_bytes) {
+  // A longer file is the tail of a commit that never landed; a shorter
+  // one lost committed pages.
+  const uint64_t expected_bytes = static_cast<uint64_t>(num_pages_) * kPageSize;
+  if (file_bytes < expected_bytes) {
     return Status::IOError(StrFormat(
         "truncated store file %s: header declares %u pages (%llu bytes) but "
         "file has %llu bytes",
-        path.c_str(), pager.num_pages_,
+        path_.c_str(), num_pages_,
         static_cast<unsigned long long>(expected_bytes),
         static_cast<unsigned long long>(file_bytes)));
   }
-  return pager;
+  return LoadFreeList(free_head);
+}
+
+Status Pager::LoadFreeList(uint32_t head) {
+  if (head == kNoPage) return Status::OK();
+  if (version_ < 4) {
+    // Legacy: the free pages link themselves through their `next` field.
+    uint32_t id = head;
+    while (id != kNoPage) {
+      if (!free_.insert(id).second) {
+        return Status::IOError("free list cycles in " + path_);
+      }
+      CSPM_ASSIGN_OR_RETURN(PageHeader page, ReadPageHeader(id));
+      id = page.next;
+    }
+    return Status::OK();
+  }
+  CSPM_ASSIGN_OR_RETURN(std::string bytes, ReadChainPages(head, &free_chain_));
+  Decoder dec(bytes);
+  std::vector<uint32_t> ids;
+  Status decoded = dec.ReadDeltaIds(&ids);
+  if (!decoded.ok() || !dec.AtEnd()) {
+    return Status::IOError("free list of " + path_ + " does not decode");
+  }
+  for (size_t i = 0; i < ids.size(); ++i) {
+    if (ids[i] == kNoPage || ids[i] >= num_pages_ ||
+        (i > 0 && ids[i] <= ids[i - 1])) {
+      return Status::IOError(StrFormat(
+          "free list of %s holds page %u out of order or range", path_.c_str(),
+          ids[i]));
+    }
+  }
+  free_.insert(ids.begin(), ids.end());
+  return Status::OK();
+}
+
+std::vector<uint32_t> Pager::FreePages() const {
+  std::vector<uint32_t> out(free_.begin(), free_.end());
+  out.insert(out.end(), pending_free_.begin(), pending_free_.end());
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+Status Pager::CheckHeaderPage() {
+  if (version_ < 4 || fd_.get() < 0) return Status::OK();
+  char header[kPageSize];
+  CSPM_RETURN_IF_ERROR(ReadRawPage(0, header));
+  for (size_t i = kHeaderUsedBytes; i < kPageSize; ++i) {
+    if (header[i] != '\0') {
+      return Status::Internal(StrFormat(
+          "header page of %s has nonzero padding at byte %zu", path_.c_str(),
+          i));
+    }
+  }
+  return Status::OK();
 }
 
 Status Pager::ReadRawPage(uint32_t page_id, char* out) {
   static auto* const page_reads = obs::GetCounter("store.page_reads");
   page_reads->Add(1);
-  if (!file_.is_open()) {
+  if (fd_.get() < 0) {
     return Status::Internal(
         StrFormat("page %u requested but store %s has no committed image",
                   page_id, path_.c_str()));
   }
-  file_.clear();
-  file_.seekg(static_cast<std::streamoff>(page_id) * kPageSize);
-  file_.read(out, kPageSize);
-  if (file_.gcount() != kPageSize) {
+  if (::pread(fd_.get(), out, kPageSize,
+              static_cast<off_t>(page_id) * kPageSize) !=
+      static_cast<ssize_t>(kPageSize)) {
     return Status::IOError(
         StrFormat("short read of page %u in %s", page_id, path_.c_str()));
   }
@@ -181,13 +405,18 @@ Status Pager::ValidateRawPage(uint32_t page_id, const char* raw,
   return Status::OK();
 }
 
-StatusOr<Pager::PageHeader> Pager::ReadPageHeader(uint32_t page_id) {
+Status Pager::CheckPageId(uint32_t page_id) const {
   if (page_id == kNoPage || page_id >= num_pages_) {
     return Status::IOError(StrFormat("page %u out of range in %s (%u pages)",
                                      page_id, path_.c_str(), num_pages_));
   }
-  auto it = cache_.find(page_id);
-  if (it != cache_.end()) {
+  return Status::OK();
+}
+
+StatusOr<Pager::PageHeader> Pager::ReadPageHeader(uint32_t page_id) {
+  CSPM_RETURN_IF_ERROR(CheckPageId(page_id));
+  auto it = dirty_.find(page_id);
+  if (it != dirty_.end()) {
     return PageHeader{it->second.next, it->second.payload_len};
   }
   char raw[kPageSize];
@@ -198,55 +427,11 @@ StatusOr<Pager::PageHeader> Pager::ReadPageHeader(uint32_t page_id) {
   return header;
 }
 
-StatusOr<Pager::Page*> Pager::FetchPage(uint32_t page_id) {
-  if (page_id == kNoPage || page_id >= num_pages_) {
-    return Status::IOError(StrFormat("page %u out of range in %s (%u pages)",
-                                     page_id, path_.c_str(), num_pages_));
-  }
-  auto it = cache_.find(page_id);
-  if (it != cache_.end()) return &it->second;
-
-  char raw[kPageSize];
-  CSPM_RETURN_IF_ERROR(ReadRawPage(page_id, raw));
-  Page page;
-  CSPM_RETURN_IF_ERROR(
-      ValidateRawPage(page_id, raw, &page.next, &page.payload_len));
-  std::memcpy(page.payload.data(), raw + kPageHeaderBytes, kPagePayload);
-  return &cache_.emplace(page_id, page).first->second;
-}
-
-StatusOr<uint32_t> Pager::AllocatePage() {
-  if (free_head_ != kNoPage) {
-    const uint32_t id = free_head_;
-    CSPM_ASSIGN_OR_RETURN(Page * page, FetchPage(id));
-    free_head_ = page->next;
-    *page = Page{};
-    page->dirty = true;
-    return id;
-  }
-  const uint32_t id = num_pages_++;
-  Page& page = cache_[id];
-  page = Page{};
-  page.dirty = true;
-  return id;
-}
-
-void Pager::FreePage(uint32_t page_id) {
-  Page& page = cache_[page_id];
-  page = Page{};
-  page.next = free_head_;
-  page.dirty = true;
-  free_head_ = page_id;
-}
-
 StatusOr<Pager::DataPage> Pager::ReadDataPage(uint32_t page_id) {
-  if (page_id == kNoPage || page_id >= num_pages_) {
-    return Status::IOError(StrFormat("page %u out of range in %s (%u pages)",
-                                     page_id, path_.c_str(), num_pages_));
-  }
-  auto it = cache_.find(page_id);
-  if (it != cache_.end()) {
-    DataPage out;
+  CSPM_RETURN_IF_ERROR(CheckPageId(page_id));
+  DataPage out;
+  auto it = dirty_.find(page_id);
+  if (it != dirty_.end()) {
     out.payload.assign(
         reinterpret_cast<const char*>(it->second.payload.data()),
         it->second.payload_len);
@@ -255,12 +440,87 @@ StatusOr<Pager::DataPage> Pager::ReadDataPage(uint32_t page_id) {
   }
   char raw[kPageSize];
   CSPM_RETURN_IF_ERROR(ReadRawPage(page_id, raw));
-  DataPage out;
   uint32_t payload_len = 0;
   CSPM_RETURN_IF_ERROR(
       ValidateRawPage(page_id, raw, &out.next, &payload_len));
   out.payload.assign(raw + kPageHeaderBytes, payload_len);
   return out;
+}
+
+const std::vector<std::pair<uint32_t, uint32_t>>& Pager::Pins() {
+  // Read once per transaction: a view only ever maps pages that are live
+  // in some commit, so no free page gains a pin while one is open.
+  if (!pins_loaded_) {
+    pins_.clear();
+    if (fd_.get() >= 0) {
+      for (const auto& [begin, end] : MappedPlanRanges(file_dev_, file_ino_)) {
+        pins_.emplace_back(static_cast<uint32_t>(begin / kPageSize),
+                           static_cast<uint32_t>((end + kPageSize - 1) /
+                                                 kPageSize));
+      }
+      std::sort(pins_.begin(), pins_.end());
+    }
+    pins_loaded_ = true;
+  }
+  return pins_;
+}
+
+uint32_t Pager::FirstAllocatable() {
+  const auto& pins = Pins();
+  auto it = free_.begin();
+  while (it != free_.end()) {
+    uint32_t pinned_until = 0;
+    for (const auto& [first, end] : pins) {
+      if (first <= *it && *it < end) pinned_until = std::max(pinned_until, end);
+    }
+    if (pinned_until == 0) return *it;
+    it = free_.lower_bound(pinned_until);
+  }
+  return kNoPage;
+}
+
+uint32_t Pager::AllocatePage() {
+  uint32_t id = FirstAllocatable();
+  if (id == kNoPage) {
+    id = num_pages_++;
+  } else {
+    free_.erase(id);
+  }
+  dirty_[id] = Page{};
+  return id;
+}
+
+uint32_t Pager::AllocateExtentRun(uint32_t n) {
+  const auto& pins = Pins();
+  uint32_t run_start = kNoPage;
+  uint32_t run = 0;
+  uint32_t prev = kNoPage;
+  for (uint32_t id : free_) {
+    const bool pinned =
+        std::any_of(pins.begin(), pins.end(), [id](const auto& pin) {
+          return pin.first <= id && id < pin.second;
+        });
+    if (pinned) {
+      run = 0;
+      continue;
+    }
+    if (run == 0 || id != prev + 1) {
+      run_start = id;
+      run = 0;
+    }
+    prev = id;
+    if (++run == n) {
+      for (uint32_t i = 0; i < n; ++i) free_.erase(run_start + i);
+      return run_start;
+    }
+  }
+  return kNoPage;
+}
+
+void Pager::FreePage(uint32_t page_id) {
+  dirty_.erase(page_id);
+  raw_pages_.erase(page_id);
+  pending_free_.insert(page_id);
 }
 
 StatusOr<uint32_t> Pager::WriteDataPage(std::string_view payload,
@@ -271,8 +531,8 @@ StatusOr<uint32_t> Pager::WriteDataPage(std::string_view payload,
                   "page payload",
                   payload.size(), kPagePayload));
   }
-  CSPM_ASSIGN_OR_RETURN(uint32_t id, AllocatePage());
-  Page& page = cache_.at(id);
+  const uint32_t id = AllocatePage();
+  Page& page = dirty_.at(id);
   if (!payload.empty()) {
     std::memcpy(page.payload.data(), payload.data(), payload.size());
   }
@@ -282,54 +542,9 @@ StatusOr<uint32_t> Pager::WriteDataPage(std::string_view payload,
 }
 
 Status Pager::FreeSinglePage(uint32_t page_id) {
-  if (page_id == kNoPage || page_id >= num_pages_) {
-    return Status::IOError(StrFormat("page %u out of range in %s (%u pages)",
-                                     page_id, path_.c_str(), num_pages_));
-  }
+  CSPM_RETURN_IF_ERROR(CheckPageId(page_id));
   FreePage(page_id);
   return Status::OK();
-}
-
-StatusOr<uint32_t> Pager::AllocateExtentRun(uint32_t n) {
-  if (free_head_ == kNoPage) return kNoPage;
-  // Materialize the free list (it is short: freed chains and sections of
-  // this store, not a global heap) and look for n consecutive ids.
-  std::vector<uint32_t> free_ids;
-  uint32_t id = free_head_;
-  uint32_t visited = 0;
-  while (id != kNoPage) {
-    if (++visited > num_pages_) {
-      return Status::IOError("free list cycles in " + path_);
-    }
-    CSPM_ASSIGN_OR_RETURN(Page * page, FetchPage(id));
-    free_ids.push_back(id);
-    id = page->next;
-  }
-  std::sort(free_ids.begin(), free_ids.end());
-  uint32_t run_start = kNoPage;
-  for (size_t i = 0, run = 1; i < free_ids.size(); ++i, ++run) {
-    if (i > 0 && free_ids[i] != free_ids[i - 1] + 1) run = 1;
-    if (run >= n) {
-      run_start = free_ids[i] - (n - 1);
-      break;
-    }
-  }
-  if (run_start == kNoPage) return kNoPage;
-  // Rebuild the free list without the claimed run; the run's pages leave
-  // the header-carrying world entirely (their cache entries go away — as
-  // raw extent pages they must not be committed with a page header).
-  free_head_ = kNoPage;
-  for (auto it = free_ids.rbegin(); it != free_ids.rend(); ++it) {
-    if (*it >= run_start && *it < run_start + n) {
-      cache_.erase(*it);
-      continue;
-    }
-    Page& page = cache_.at(*it);
-    page.next = free_head_;
-    page.dirty = true;
-    free_head_ = *it;
-  }
-  return run_start;
 }
 
 StatusOr<Pager::Extent> Pager::WriteExtent(std::string_view bytes) {
@@ -339,15 +554,14 @@ StatusOr<Pager::Extent> Pager::WriteExtent(std::string_view bytes) {
   Extent extent;
   extent.num_pages =
       static_cast<uint32_t>((bytes.size() + kPageSize - 1) / kPageSize);
-  CSPM_ASSIGN_OR_RETURN(extent.first_page,
-                        AllocateExtentRun(extent.num_pages));
+  extent.first_page = AllocateExtentRun(extent.num_pages);
   if (extent.first_page == kNoPage) {
     extent.first_page = num_pages_;
     num_pages_ += extent.num_pages;
   }
   size_t offset = 0;
   for (uint32_t i = 0; i < extent.num_pages; ++i) {
-    auto raw = std::make_unique<std::array<char, kPageSize>>();
+    auto raw = std::make_unique<RawPage>();
     raw->fill(0);
     const size_t n = std::min<size_t>(kPageSize, bytes.size() - offset);
     std::memcpy(raw->data(), bytes.data() + offset, n);
@@ -391,9 +605,7 @@ Status Pager::FreeExtent(Extent extent) {
                   num_pages_));
   }
   for (uint32_t i = 0; i < extent.num_pages; ++i) {
-    const uint32_t id = extent.first_page + i;
-    raw_pages_.erase(id);
-    FreePage(id);
+    FreePage(extent.first_page + i);
   }
   return Status::OK();
 }
@@ -406,13 +618,13 @@ StatusOr<uint32_t> Pager::WriteChain(std::string_view bytes) {
   Page* prev = nullptr;
   size_t offset = 0;
   do {
-    CSPM_ASSIGN_OR_RETURN(uint32_t id, AllocatePage());
+    const uint32_t id = AllocatePage();
     if (prev != nullptr) {
       prev->next = id;
     } else {
       head = id;
     }
-    Page& page = cache_.at(id);
+    Page& page = dirty_.at(id);
     const size_t n = std::min<size_t>(kPagePayload, bytes.size() - offset);
     std::memcpy(page.payload.data(), bytes.data() + offset, n);
     page.payload_len = static_cast<uint32_t>(n);
@@ -425,6 +637,11 @@ StatusOr<uint32_t> Pager::WriteChain(std::string_view bytes) {
 StatusOr<std::string> Pager::ReadChain(uint32_t head) {
   static auto* const read_hist = obs::GetHistogram("phase.store.read_chain");
   obs::ScopedPhaseTimer read_timer(read_hist);
+  return ReadChainPages(head, nullptr);
+}
+
+StatusOr<std::string> Pager::ReadChainPages(uint32_t head,
+                                            std::vector<uint32_t>* pages) {
   std::string out;
   uint32_t id = head;
   uint32_t visited = 0;
@@ -435,15 +652,10 @@ StatusOr<std::string> Pager::ReadChain(uint32_t head) {
           StrFormat("page chain starting at %u cycles in %s", head,
                     path_.c_str()));
     }
-    if (id >= num_pages_) {
-      return Status::IOError(StrFormat("page %u out of range in %s (%u pages)",
-                                       id, path_.c_str(), num_pages_));
-    }
-    // Fast path: untouched pages stream straight from the file, validated
-    // but never copied into the cache — a chain is typically decoded once
-    // per Get and caching megabytes of record pages would be pure waste.
-    auto it = cache_.find(id);
-    if (it != cache_.end()) {
+    CSPM_RETURN_IF_ERROR(CheckPageId(id));
+    if (pages != nullptr) pages->push_back(id);
+    auto it = dirty_.find(id);
+    if (it != dirty_.end()) {
       out.append(reinterpret_cast<const char*>(it->second.payload.data()),
                  it->second.payload_len);
       id = it->second.next;
@@ -468,106 +680,245 @@ Status Pager::FreeChain(uint32_t head) {
           StrFormat("page chain starting at %u cycles in %s", head,
                     path_.c_str()));
     }
-    CSPM_ASSIGN_OR_RETURN(Page * page, FetchPage(id));
-    const uint32_t next = page->next;
+    CSPM_ASSIGN_OR_RETURN(PageHeader page, ReadPageHeader(id));
     FreePage(id);
-    id = next;
+    id = page.next;
   }
   return Status::OK();
 }
 
+std::vector<uint32_t> Pager::StageFreeList() {
+  // The list this commit publishes: what is free now, what this
+  // transaction freed, and the committed list's own chain — minus the
+  // pages the new chain takes. Taking a page never lengthens the encoding
+  // (varint(a + b) <= varint(a) + varint(b)), so the loop ends.
+  std::vector<uint32_t> chain;
+  std::string bytes;
+  for (;;) {
+    std::vector<uint32_t> ids(free_.begin(), free_.end());
+    ids.insert(ids.end(), pending_free_.begin(), pending_free_.end());
+    ids.insert(ids.end(), free_chain_.begin(), free_chain_.end());
+    std::sort(ids.begin(), ids.end());
+    if (ids.empty() && chain.empty()) return chain;
+    Encoder enc;
+    enc.PutDeltaIds(ids);
+    bytes = enc.Release();
+    const size_t needed =
+        std::max<size_t>(1, (bytes.size() + kPagePayload - 1) / kPagePayload);
+    if (chain.size() >= needed) break;
+    const uint32_t id = FirstAllocatable();
+    if (id != kNoPage) {
+      free_.erase(id);
+      chain.push_back(id);
+    } else {
+      // Growing for the chain: add a free twin page too. This commit's
+      // chain is reusable only from the commit after next, so without a
+      // twin the next commit would have to grow the file again.
+      free_.insert(num_pages_++);
+      chain.push_back(num_pages_++);
+    }
+  }
+  size_t offset = 0;
+  for (size_t i = 0; i < chain.size(); ++i) {
+    Page& page = dirty_[chain[i]];
+    page = Page{};
+    const size_t n = std::min<size_t>(kPagePayload, bytes.size() - offset);
+    std::memcpy(page.payload.data(), bytes.data() + offset, n);
+    page.payload_len = static_cast<uint32_t>(n);
+    page.next = i + 1 < chain.size() ? chain[i + 1] : kNoPage;
+    offset += n;
+  }
+  return chain;
+}
+
+void Pager::UnstageFreeList(const std::vector<uint32_t>& chain) {
+  for (uint32_t id : chain) {
+    dirty_.erase(id);
+    free_.insert(id);
+  }
+}
+
+void Pager::RenderPage(uint32_t page_id, char* out) const {
+  auto raw = raw_pages_.find(page_id);
+  if (raw != raw_pages_.end()) {
+    // Raw extent page: its bytes go to disk exactly as given — no
+    // header, no per-page CRC (the plan section checksums itself).
+    std::memcpy(out, raw->second->data(), kPageSize);
+    return;
+  }
+  const Page& page = dirty_.at(page_id);
+  PutU32(out + 4, page.next);
+  PutU32(out + 8, page.payload_len);
+  std::memcpy(out + kPageHeaderBytes, page.payload.data(), kPagePayload);
+  PutU32(out, Crc32(out + 4, kPageSize - 4));
+}
+
 Status Pager::Commit() {
   static auto* const commit_hist = obs::GetHistogram("phase.store.commit");
-  static auto* const pages_written = obs::GetCounter("store.pages_written");
   obs::ScopedPhaseTimer commit_timer(commit_hist);
-  pages_written->Add(num_pages_);
-  const std::string tmp_path = path_ + ".tmp";
-  std::FILE* out = std::fopen(tmp_path.c_str(), "wb");
-  if (out == nullptr) {
-    return Status::IOError("cannot open " + tmp_path + " for writing: " +
-                           ErrnoText());
-  }
-  auto fail = [&](std::string msg) {
-    std::fclose(out);
-    std::remove(tmp_path.c_str());
-    return Status::IOError(std::move(msg));
+  Status committed = whole_image_ ? CommitWholeImage() : CommitInPlace();
+  pins_loaded_ = false;
+  return committed;
+}
+
+Status Pager::CommitInPlace() {
+  static auto* const pages_written = obs::GetCounter("store.pages_written");
+  const std::vector<uint32_t> chain = StageFreeList();
+  auto fail = [&](Status status) {
+    UnstageFreeList(chain);
+    return status;
   };
+  const int fd = fd_.get();
 
-  char raw[kPageSize];
-  // Header page.
-  std::memset(raw, 0, kPageSize);
-  std::memcpy(raw, kMagic.data(), kMagic.size());
-  PutU32(raw + 8, kFormatVersion);
-  PutU32(raw + 12, kPageSize);
-  PutU32(raw + 16, num_pages_);
-  PutU32(raw + 20, free_head_);
-  PutU32(raw + 24, catalog_head_);
-  PutU32(raw + kHeaderCrcOffset, Crc32(raw, kHeaderCrcOffset));
-  if (std::fwrite(raw, 1, kPageSize, out) != kPageSize) {
-    return fail("write failed for " + tmp_path + ": " + ErrnoText());
-  }
+  std::vector<uint32_t> ids;
+  ids.reserve(dirty_.size() + raw_pages_.size());
+  for (const auto& [id, page] : dirty_) ids.push_back(id);
+  for (const auto& [id, page] : raw_pages_) ids.push_back(id);
+  std::sort(ids.begin(), ids.end());
 
-  for (uint32_t id = 1; id < num_pages_; ++id) {
-    auto rit = raw_pages_.find(id);
-    if (rit != raw_pages_.end()) {
-      // Dirty raw-extent page: its bytes go to disk exactly as given —
-      // no header, no per-page CRC (the plan section checksums itself).
-      if (std::fwrite(rit->second->data(), 1, kPageSize, out) != kPageSize) {
-        return fail("write failed for " + tmp_path + ": " + ErrnoText());
-      }
-      continue;
-    }
-    auto it = cache_.find(id);
-    if (it == cache_.end()) {
-      // Untouched page: copy the committed bytes through verbatim.
-      Status st = ReadRawPage(id, raw);
-      if (!st.ok()) return fail(st.message());
-    } else {
-      const Page& page = it->second;
-      PutU32(raw + 4, page.next);
-      PutU32(raw + 8, page.payload_len);
-      std::memcpy(raw + kPageHeaderBytes, page.payload.data(), kPagePayload);
-      PutU32(raw, Crc32(raw + 4, kPageSize - 4));
-    }
-    if (std::fwrite(raw, 1, kPageSize, out) != kPageSize) {
-      return fail("write failed for " + tmp_path + ": " + ErrnoText());
+  // 1. Grow the file to num_pages when no page write below reaches its
+  // end (a free twin, or a page freed before it was ever written).
+  const uint64_t file_bytes = static_cast<uint64_t>(num_pages_) * kPageSize;
+  if (file_pages_ < num_pages_ &&
+      (ids.empty() || ids.back() + 1 < num_pages_)) {
+    uint64_t number = 0;
+    if (WriteFaults(&number)) return fail(InjectedFault(path_, number));
+    if (::ftruncate(fd, static_cast<off_t>(file_bytes)) != 0) {
+      return fail(Status::IOError("cannot extend " + path_ + ": " +
+                                  ErrnoText()));
     }
   }
 
-  if (std::fflush(out) != 0 || ::fsync(::fileno(out)) != 0) {
-    return fail("flush failed for " + tmp_path + ": " + ErrnoText());
+  // 2. The dirty pages, one write per run of consecutive ids. None of them
+  // is reachable from the committed header.
+  std::string buffer;
+  for (size_t i = 0; i < ids.size();) {
+    size_t j = i + 1;
+    while (j < ids.size() && ids[j] == ids[j - 1] + 1 &&
+           j - i < kMaxPagesPerWrite) {
+      ++j;
+    }
+    buffer.resize((j - i) * kPageSize);
+    for (size_t k = i; k < j; ++k) {
+      RenderPage(ids[k], buffer.data() + (k - i) * kPageSize);
+    }
+    Status written = WriteAt(fd, buffer.data(), buffer.size(),
+                             ExtentFileOffset(ids[i]), path_);
+    if (!written.ok()) return fail(written);
+    i = j;
   }
-  if (std::fclose(out) != 0) {
+  Status synced = SyncData(fd, path_);
+  if (!synced.ok()) return fail(synced);
+
+  // 3. The commit point: the older slot, then its sync.
+  char prefix[kHeaderPrefixBytes];
+  WriteHeaderPrefix(prefix);
+  Slot slot;
+  slot.num_pages = num_pages_;
+  slot.free_head = chain.empty() ? kNoPage : chain.front();
+  slot.catalog_head = catalog_head_;
+  slot.sequence = sequence_ + 1;
+  const int target = 1 - active_slot_;
+  char raw_slot[kSlotBytes];
+  RenderSlot(slot, prefix, raw_slot);
+  Status flipped = WriteAt(fd, raw_slot, kSlotBytes,
+                           kHeaderPrefixBytes + target * kSlotBytes, path_);
+  if (flipped.ok()) flipped = SyncData(fd, path_);
+  if (!flipped.ok()) return fail(flipped);
+
+  pages_written->Add(ids.size() + 1);
+  sequence_ = slot.sequence;
+  active_slot_ = target;
+  file_pages_ = std::max<uint64_t>(file_pages_, num_pages_);
+  FinishCommit(chain);
+  return Status::OK();
+}
+
+Status Pager::CommitWholeImage() {
+  static auto* const pages_written = obs::GetCounter("store.pages_written");
+  // A fresh file replaces this one atomically, so nothing it held needs
+  // protecting: every freed page is free in the new image at once.
+  free_.insert(pending_free_.begin(), pending_free_.end());
+  free_.insert(free_chain_.begin(), free_chain_.end());
+  pending_free_.clear();
+  free_chain_.clear();
+  const std::vector<uint32_t> chain = StageFreeList();
+
+  const std::string tmp_path = path_ + ".tmp";
+  FileHandle out(
+      ::open(tmp_path.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644));
+  auto fail = [&](Status status) {
+    UnstageFreeList(chain);
     std::remove(tmp_path.c_str());
-    return Status::IOError("close failed for " + tmp_path + ": " +
-                           ErrnoText());
+    return status;
+  };
+  if (out.get() < 0) {
+    return fail(Status::IOError("cannot open " + tmp_path +
+                                " for writing: " + ErrnoText()));
   }
+
+  std::string buffer;
+  for (uint32_t first = 0; first < num_pages_; first += kMaxPagesPerWrite) {
+    const uint32_t end = std::min(num_pages_, first + kMaxPagesPerWrite);
+    buffer.assign(static_cast<size_t>(end - first) * kPageSize, '\0');
+    for (uint32_t id = first; id < end; ++id) {
+      char* raw = buffer.data() + static_cast<size_t>(id - first) * kPageSize;
+      if (id == 0) {
+        WriteHeaderPrefix(raw);
+        Slot slot;
+        slot.num_pages = num_pages_;
+        slot.free_head = chain.empty() ? kNoPage : chain.front();
+        slot.catalog_head = catalog_head_;
+        slot.sequence = 1;
+        RenderSlot(slot, raw, raw + kHeaderPrefixBytes);
+      } else if (dirty_.count(id) > 0 || raw_pages_.count(id) > 0) {
+        RenderPage(id, raw);
+      } else if (free_.count(id) == 0) {
+        // Untouched live page: copy the committed bytes through verbatim.
+        Status read = ReadRawPage(id, raw);
+        if (!read.ok()) return fail(read);
+      }
+    }
+    Status written = WriteAt(out.get(), buffer.data(), buffer.size(),
+                             ExtentFileOffset(first), tmp_path);
+    if (!written.ok()) return fail(written);
+  }
+  if (::fsync(out.get()) != 0) {
+    return fail(
+        Status::IOError("flush failed for " + tmp_path + ": " + ErrnoText()));
+  }
+  out = FileHandle();
   std::error_code ec;
   std::filesystem::rename(tmp_path, path_, ec);
   if (ec) {
-    std::remove(tmp_path.c_str());
-    return Status::IOError("rename " + tmp_path + " -> " + path_ +
-                           " failed: " + ec.message());
+    return fail(Status::IOError("rename " + tmp_path + " -> " + path_ +
+                                " failed: " + ec.message()));
   }
-  // The rename is durable only once the directory entry is. On failure the
-  // in-memory state still describes the previous commit, so a retry
-  // rewrites the whole image.
+  // The rename is durable only once the directory entry is.
   CSPM_RETURN_IF_ERROR(SyncParentDirectory(path_));
+  CSPM_RETURN_IF_ERROR(OpenFile(nullptr));
 
-  for (auto& [id, page] : cache_) page.dirty = false;
-  // Raw extent pages are durable now; drop the in-memory images (plan
-  // sections can be large) — ReadExtent streams from the file again.
-  raw_pages_.clear();
-  version_ = kFormatVersion;  // Commit always writes the current format
-  // Re-point the read handle at the newly committed image.
-  if (file_.is_open()) file_.close();
-  file_.clear();
-  file_.open(path_, std::ios::binary);
-  if (!file_) {
-    return Status::IOError("cannot reopen committed store " + path_ + ": " +
-                           ErrnoText());
-  }
+  pages_written->Add(num_pages_);
+  version_ = kFormatVersion;
+  whole_image_ = false;
+  sequence_ = 1;
+  active_slot_ = 0;
+  FinishCommit(chain);
   return Status::OK();
+}
+
+void Pager::FinishCommit(std::vector<uint32_t> chain) {
+  // Pages this commit freed, and the previous list's chain, were reachable
+  // from the header just replaced; from the next commit on nothing can
+  // reach them.
+  free_.insert(pending_free_.begin(), pending_free_.end());
+  free_.insert(free_chain_.begin(), free_chain_.end());
+  pending_free_.clear();
+  free_chain_ = std::move(chain);
+  dirty_.clear();
+  // Raw extent pages are durable now; drop the in-memory images (plan
+  // sections can be large) — ReadExtent reads the file again.
+  raw_pages_.clear();
 }
 
 }  // namespace cspm::store

@@ -1,38 +1,64 @@
 // Paged store file, following the classic database pager idiom: the file
-// is an array of fixed 4 KiB pages, page 0 is the header, every page
-// carries a CRC-32, freed pages are recycled through an on-disk free list,
-// and Commit() is atomic via write-to-temp + fsync + rename (readers of
-// the old file are never exposed to a half-written state).
+// is an array of fixed 4 KiB pages, page 0 is the header, every data page
+// carries a CRC-32, and a commit is shadow-paged: it writes only the pages
+// it changed, each to a page the last committed header cannot reach, and
+// then flips one of two header slots. Readers of the committed state are
+// never exposed to a half-written one.
 //
-// File layout (see DESIGN.md §6 for the full table):
+// File layout, format v4 (see DESIGN.md §6 for the full table):
 //
 //   page 0 (header):
 //     [0..7]     magic "CSPMSTR1"
 //     [8..11]    format version        (u32 LE)
 //     [12..15]   page size             (u32 LE, 4096)
-//     [16..19]   num_pages             (u32 LE, header included)
-//     [20..23]   free-list head page   (u32 LE, 0 = empty)
-//     [24..27]   catalog head page     (u32 LE, 0 = none)
-//     [28..4091] reserved (zero)
-//     [4092..]   CRC-32 of bytes [0, 4092)
+//     [16..39]   header slot 0
+//     [40..63]   header slot 1
+//     [64..4095] zero (fsck checks it)
 //
-//   page k > 0 (data / free):
+//   header slot (24 bytes, offsets within the slot):
+//     [0..3]     num_pages             (u32 LE, header page included)
+//     [4..7]     free-list chain head  (u32 LE, 0 = no free pages)
+//     [8..11]    catalog root page     (u32 LE, 0 = none)
+//     [12..19]   sequence number       (u64 LE, 0 = never written)
+//     [20..23]   CRC-32 of page bytes [0, 16) then slot bytes [0, 20)
+//
+//   Open uses the slot with the highest sequence number whose CRC holds.
+//   (Slot 0's fields sit where v2/v3 kept the single header's.)
+//
+//   page k > 0 (data):
 //     [0..3]     CRC-32 of bytes [4, 4096)
 //     [4..7]     next page in chain    (u32 LE, 0 = end)
 //     [8..11]    payload length        (u32 LE, <= 4084)
 //     [12..]     payload
 //
-//   raw extent pages (v3): runs of whole pages carrying verbatim bytes —
-//     no page header, no per-page CRC. Used for the mmap-native plan
+//   free-list chain: a data-page chain whose payload is the ascending ids
+//     of every free page (varint count, then varint deltas). Each commit
+//     writes it afresh; the free pages themselves carry nothing.
+//
+//   raw extent pages: runs of whole pages carrying verbatim bytes — no
+//     page header, no per-page CRC. Used for the mmap-native plan
 //     sections, whose file bytes must be exactly the bytes ScoreInto
 //     reads (the section carries its own header + per-slab CRCs, see
 //     plan_section.h). Which pages are extents is recorded by the owner
 //     (the ModelStore catalog), never guessed by the pager.
 //
-// v3 keeps the v2 page geometry; it adds raw extents and switches the
-// catalog to a paged index. v2 files open fine (version recorded on the
-// pager); Commit always writes v3, so the first mutation upgrades in
-// place through the usual atomic rename.
+// Commit: pwrite the dirty pages, fdatasync, pwrite the older header slot
+// with sequence + 1, fdatasync. A crash anywhere before the slot write
+// completes leaves the newer slot describing the previous commit, whose
+// pages no write touched; a torn slot fails its CRC and loses to it.
+//
+// Page reuse: a page freed by commit N is still reachable from header
+// N - 1, which stays on disk until commit N + 1 overwrites its slot, so
+// the page is allocated from commit N + 1 on. A reader that opened the
+// file before commit N therefore keeps a consistent view through that
+// one commit. Free pages that a live MmapPlanView of the same file (same
+// device and inode, this process) still maps are never allocated: on
+// Linux, file writes show through MAP_PRIVATE pages that were not copied.
+//
+// Legacy formats: v2 and v3 files (one header, free pages linked through
+// their own `next` fields) open for reading. Create() and the first
+// commit over a legacy file write a whole v4 image to `path + ".tmp"`,
+// fsync it and rename it over `path` — the only use of that path.
 //
 // The pager is a single-writer structure: concurrent *readers* open their
 // own Pager over the same path (pages are read lazily and validated on
@@ -42,11 +68,13 @@
 
 #include <array>
 #include <cstdint>
-#include <fstream>
+#include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <string_view>
-#include <unordered_map>
+#include <utility>
+#include <vector>
 
 #include "util/status.h"
 
@@ -58,8 +86,9 @@ class Pager {
   static constexpr uint32_t kPageHeaderBytes = 12;
   static constexpr uint32_t kPagePayload = kPageSize - kPageHeaderBytes;
   static constexpr uint32_t kNoPage = 0;
-  /// v3: raw extents (mmap-native plan sections) + paged catalog index.
-  static constexpr uint32_t kFormatVersion = 3;
+  /// v4: double-buffered header slots + free-list chain (in-place
+  /// commits). v3 added raw extents and the paged catalog index.
+  static constexpr uint32_t kFormatVersion = 4;
   /// Oldest version Open still reads (v2: per-model WAL catalog lists).
   static constexpr uint32_t kMinFormatVersion = 2;
   static constexpr std::string_view kMagic = "CSPMSTR1";  // 8 bytes
@@ -68,9 +97,9 @@ class Pager {
   /// replacing any existing file.
   static StatusOr<Pager> Create(const std::string& path);
 
-  /// Opens an existing store: validates magic, version, page size, header
-  /// CRC and file length. Cost is one page read regardless of store size;
-  /// data pages are read (and CRC-checked) lazily.
+  /// Opens an existing store: validates magic, version, page size, the
+  /// header CRC and file length, and loads the free list. Data pages are
+  /// read (and CRC-checked) lazily.
   static StatusOr<Pager> Open(const std::string& path);
 
   /// True if the file starts with the store magic (cheap format sniff; a
@@ -89,17 +118,26 @@ class Pager {
   uint32_t catalog_head() const { return catalog_head_; }
   void set_catalog_head(uint32_t page_id) { catalog_head_ = page_id; }
 
-  uint32_t free_head() const { return free_head_; }
+  /// Free pages of the last commit, ascending (the audit's view; on a v2
+  /// or v3 file, the pages its linked free list holds).
+  std::vector<uint32_t> FreePages() const;
+  /// Head of the committed free-list chain (kNoPage on v2/v3 files, whose
+  /// free pages link themselves).
+  uint32_t free_list_head() const {
+    return free_chain_.empty() ? kNoPage : free_chain_.front();
+  }
+  /// Fsck's check of page 0: bytes outside the magic, version, page size
+  /// and the two slots must be zero (a flip there trips no CRC).
+  Status CheckHeaderPage();
 
   /// Validated header fields of one data page.
   struct PageHeader {
     uint32_t next = kNoPage;
     uint32_t payload_len = 0;
   };
-  /// Reads and CRC-validates one page, returning only its header fields
-  /// without caching the payload. The audit surface used by
-  /// ModelStore::CheckInvariants to walk every chain of the file without
-  /// decoding (or retaining) any record bytes.
+  /// Reads and CRC-validates one page, returning only its header fields.
+  /// The audit surface used by ModelStore::CheckInvariants to walk every
+  /// chain of the file without decoding (or retaining) any record bytes.
   StatusOr<PageHeader> ReadPageHeader(uint32_t page_id);
 
   // --- single-page API (catalog index nodes) -----------------------------
@@ -119,8 +157,8 @@ class Pager {
   /// nodes, whose links are page-level rather than chain-level.
   StatusOr<uint32_t> WriteDataPage(std::string_view payload, uint32_t next);
 
-  /// Returns exactly one page to the free list (index nodes are freed
-  /// per page; FreeChain would walk a leaf's level link as a chain).
+  /// Frees exactly one page (index nodes are freed per page; FreeChain
+  /// would walk a leaf's level link as a chain).
   Status FreeSinglePage(uint32_t page_id);
 
   // --- raw extent API (mmap-native plan sections) ------------------------
@@ -132,19 +170,16 @@ class Pager {
   };
 
   /// Writes `bytes` as a fresh extent (zero-padded to whole pages),
-  /// reusing a contiguous run of free pages when one is long enough and
-  /// growing the file at the tail otherwise — so replacing a model's
-  /// section steadily recycles the old one's pages instead of bloating
-  /// the file. Durable after the next Commit.
+  /// reusing a contiguous run of allocatable free pages when one is long
+  /// enough and growing the file at the tail otherwise. Durable after the
+  /// next Commit.
   StatusOr<Extent> WriteExtent(std::string_view bytes);
 
   /// Reads an extent back verbatim (num_pages * kPageSize bytes, padding
   /// included). The fsck path; serving maps the committed file instead.
   StatusOr<std::string> ReadExtent(Extent extent);
 
-  /// Returns an extent's pages to the free list, where chain allocation
-  /// can recycle them (future extents still append; contiguity would be
-  /// lost otherwise).
+  /// Frees an extent's pages.
   Status FreeExtent(Extent extent);
 
   /// Byte offset of an extent's first page in the committed file — the
@@ -161,61 +196,120 @@ class Pager {
   /// Reads a whole chain back as the concatenation of its page payloads.
   StatusOr<std::string> ReadChain(uint32_t head);
 
-  /// Returns the pages of the chain to the free list. If a page fails
-  /// validation the walk stops there (its `next` cannot be trusted) and
-  /// an error describes the corrupt page; pages freed before the stop
-  /// stay freed, the unreachable tail leaks. Callers removing a record
-  /// ignore the error — dropping the catalog reference matters more than
-  /// reclaiming a damaged chain.
+  /// Frees the pages of the chain. If a page fails validation the walk
+  /// stops there (its `next` cannot be trusted) and an error describes the
+  /// corrupt page; pages freed before the stop stay freed, the unreachable
+  /// tail leaks. Callers removing a record ignore the error — dropping the
+  /// catalog reference matters more than reclaiming a damaged chain.
   Status FreeChain(uint32_t head);
 
-  /// Flushes all dirty state atomically: the full page image is written to
-  /// `path + ".tmp"`, fsynced, and renamed over `path`, and then the
-  /// directory is fsynced so the rename survives a power loss.
+  /// Makes every change since the last commit durable, atomically: the
+  /// in-place protocol above on a v4 file, the whole-image rename on a
+  /// Create()d or legacy one. On error the file still holds the previous
+  /// commit and the changes stay pending for a retry.
   Status Commit();
+
+  /// Test-only crash seam. Every write the pager issues (a run of pages,
+  /// a header slot, a file extension, a piece of a whole image) is
+  /// counted process-wide. When `fail_at` > 0, the write with that number
+  /// is dropped — or, with `tear`, only its first half reaches the file —
+  /// and it and every later write fail, as if the process died there.
+  /// `fail_at` == 0 disarms the seam. Returns the number of writes counted
+  /// since the previous call and restarts the count.
+  static uint64_t SetWriteFaultForTesting(uint64_t fail_at, bool tear);
 
  private:
   struct Page {
     uint32_t next = kNoPage;
     uint32_t payload_len = 0;
     std::array<uint8_t, kPagePayload> payload{};
-    bool dirty = false;
+  };
+  using RawPage = std::array<char, kPageSize>;
+
+  /// Owns the store's one file descriptor.
+  class FileHandle {
+   public:
+    FileHandle() = default;
+    explicit FileHandle(int fd) : fd_(fd) {}
+    FileHandle(FileHandle&& other) noexcept
+        : fd_(std::exchange(other.fd_, -1)) {}
+    FileHandle& operator=(FileHandle&& other) noexcept;
+    FileHandle(const FileHandle&) = delete;
+    FileHandle& operator=(const FileHandle&) = delete;
+    ~FileHandle();
+    int get() const { return fd_; }
+
+   private:
+    int fd_ = -1;
   };
 
   Pager() = default;
 
+  /// Parses page 0 (any supported version) into the header fields.
+  Status ParseHeader(const char* header, uint64_t file_bytes);
+  /// Loads the committed free list: the v4 chain, or a legacy linked list.
+  Status LoadFreeList(uint32_t head);
+  /// Points fd_ at the file at path_ and records its identity and length
+  /// (in bytes into `file_bytes` when non-null).
+  Status OpenFile(uint64_t* file_bytes);
   /// CRC-checks a raw page image and extracts its header fields.
   Status ValidateRawPage(uint32_t page_id, const char* raw, uint32_t* next,
                          uint32_t* payload_len) const;
-  /// Returns the cached page, reading + CRC-validating it on first touch.
-  StatusOr<Page*> FetchPage(uint32_t page_id);
-  /// Allocates a page from the free list (or grows the file).
-  StatusOr<uint32_t> AllocatePage();
-  /// Claims `n` *contiguous* pages from the free list for an extent,
-  /// relinking the remainder; kNoPage when no run is long enough.
-  StatusOr<uint32_t> AllocateExtentRun(uint32_t n);
-  /// Pushes a page onto the free list.
-  void FreePage(uint32_t page_id);
   Status ReadRawPage(uint32_t page_id, char* out);
+  Status CheckPageId(uint32_t page_id) const;
+  /// Reads a chain, optionally collecting its page ids.
+  StatusOr<std::string> ReadChainPages(uint32_t head,
+                                       std::vector<uint32_t>* pages);
+  /// Ranges [first, end) of page ids that live plan views map.
+  const std::vector<std::pair<uint32_t, uint32_t>>& Pins();
+  /// Lowest allocatable free page (free and not pinned); kNoPage if none.
+  uint32_t FirstAllocatable();
+  /// Allocates a page (allocatable free page, or grows the file).
+  uint32_t AllocatePage();
+  /// Claims `n` contiguous allocatable free pages; kNoPage when no run is
+  /// long enough.
+  uint32_t AllocateExtentRun(uint32_t n);
+  void FreePage(uint32_t page_id);
+  /// Allocates this commit's free-list chain and stages its pages.
+  std::vector<uint32_t> StageFreeList();
+  /// Undoes StageFreeList after a failed commit.
+  void UnstageFreeList(const std::vector<uint32_t>& chain);
+  /// Serializes one dirty page (data or raw) into `out`.
+  void RenderPage(uint32_t page_id, char* out) const;
+  Status CommitInPlace();
+  Status CommitWholeImage();
+  /// Bookkeeping after a commit landed.
+  void FinishCommit(std::vector<uint32_t> chain);
 
   std::string path_;
+  FileHandle fd_;
+  /// Identity of the committed file, matched against plan-view pins.
+  uint64_t file_dev_ = 0;
+  uint64_t file_ino_ = 0;
+  /// Whole pages the file holds on disk (may exceed num_pages_ after a
+  /// crash left a tail).
+  uint64_t file_pages_ = 0;
   uint32_t version_ = kFormatVersion;
+  /// The next Commit writes a whole image: a Create()d or legacy file.
+  bool whole_image_ = true;
   uint32_t num_pages_ = 1;
-  uint32_t free_head_ = kNoPage;
   uint32_t catalog_head_ = kNoPage;
-  /// Lazily populated page cache; page 0 (the header) is never cached —
-  /// its fields live directly on the Pager and are re-serialized on
-  /// Commit().
-  std::unordered_map<uint32_t, Page> cache_;
-  /// Dirty raw-extent pages: full verbatim page images awaiting Commit.
-  /// Disjoint from cache_ by construction (WriteExtent only uses fresh
-  /// tail pages; FreeExtent erases here before the page re-enters the
-  /// header-carrying world).
-  std::unordered_map<uint32_t, std::unique_ptr<std::array<char, kPageSize>>>
-      raw_pages_;
-  /// Read handle on the last committed file image; absent for a Create()d
-  /// store that was never committed (then every page is cached).
-  mutable std::ifstream file_;
+  /// Sequence number and slot of the committed header.
+  uint64_t sequence_ = 0;
+  int active_slot_ = 0;
+  /// Free pages that may be allocated now.
+  std::set<uint32_t> free_;
+  /// Pages freed since the last commit: still reachable from its header.
+  std::set<uint32_t> pending_free_;
+  /// Pages of the committed free-list chain, in chain order.
+  std::vector<uint32_t> free_chain_;
+  /// Dirty data pages and dirty raw-extent page images, awaiting Commit;
+  /// disjoint. Clean pages are never cached.
+  std::map<uint32_t, Page> dirty_;
+  std::map<uint32_t, std::unique_ptr<RawPage>> raw_pages_;
+  /// Plan-view pins of this file, read once per transaction.
+  std::vector<std::pair<uint32_t, uint32_t>> pins_;
+  bool pins_loaded_ = false;
 };
 
 }  // namespace cspm::store

@@ -8,8 +8,10 @@
 #include <cerrno>
 #include <cstddef>
 #include <cstring>
+#include <mutex>
 #include <span>
 #include <type_traits>
+#include <vector>
 
 #include "obs/metrics.h"
 #include "util/crc32.h"
@@ -102,18 +104,59 @@ std::span<const T> SlabSpan(const char* base, size_t i,
           SlabElements(i, counts)};
 }
 
-/// POSIX mapping owner: unmaps on destruction. Held behind the plan's
-/// type-erased storage pointer.
+/// One live mapping of a store file: the pager never allocates a free
+/// page inside it (see MappedPlanRanges).
+struct Pin {
+  uint64_t dev;
+  uint64_t ino;
+  uint64_t begin;
+  uint64_t end;
+};
+
+/// The process-wide pin table. Views come and go with registry handles,
+/// so it stays small; a linear scan is enough.
+struct PinTable {
+  std::mutex mu;
+  std::vector<Pin> pins;
+};
+
+PinTable& Pins() {
+  // Leaky: a view may outlive static destruction.
+  static auto* table = new PinTable();  // lint:allow naked-new
+  return *table;
+}
+
+/// POSIX mapping owner: pins its file range while mapped, unmaps on
+/// destruction. Held behind the plan's type-erased storage pointer.
 class MappedRegion {
  public:
-  MappedRegion(void* base, size_t length) : base_(base), length_(length) {}
-  ~MappedRegion() { ::munmap(base_, length_); }
+  MappedRegion(void* base, size_t length, Pin pin)
+      : base_(base), length_(length), pin_(pin) {
+    PinTable& table = Pins();
+    std::lock_guard<std::mutex> lock(table.mu);
+    table.pins.push_back(pin_);
+  }
+  ~MappedRegion() {
+    ::munmap(base_, length_);
+    PinTable& table = Pins();
+    std::lock_guard<std::mutex> lock(table.mu);
+    for (size_t i = 0; i < table.pins.size(); ++i) {
+      const Pin& p = table.pins[i];
+      if (p.dev == pin_.dev && p.ino == pin_.ino && p.begin == pin_.begin &&
+          p.end == pin_.end) {
+        table.pins[i] = table.pins.back();
+        table.pins.pop_back();
+        break;
+      }
+    }
+  }
   MappedRegion(const MappedRegion&) = delete;
   MappedRegion& operator=(const MappedRegion&) = delete;
 
  private:
   void* base_;
   size_t length_;
+  Pin pin_;
 };
 
 }  // namespace
@@ -263,6 +306,17 @@ StatusOr<std::shared_ptr<const ScoringPlan>> PlanFromSectionBytes(
   return std::make_shared<const ScoringPlan>(std::move(plan));
 }
 
+std::vector<std::pair<uint64_t, uint64_t>> MappedPlanRanges(uint64_t dev,
+                                                          uint64_t ino) {
+  std::vector<std::pair<uint64_t, uint64_t>> out;
+  PinTable& table = Pins();
+  std::lock_guard<std::mutex> lock(table.mu);
+  for (const Pin& pin : table.pins) {
+    if (pin.dev == dev && pin.ino == ino) out.emplace_back(pin.begin, pin.end);
+  }
+  return out;
+}
+
 StatusOr<std::shared_ptr<const ScoringPlan>> MmapPlanView::Open(
     const std::string& path, uint64_t offset, size_t section_bytes) {
   static auto* const mmap_opens = obs::GetCounter("store.plan_mmap_opens");
@@ -303,7 +357,10 @@ StatusOr<std::shared_ptr<const ScoringPlan>> MmapPlanView::Open(
     return Status::IOError("mmap of " + path + " failed: " +
                            std::strerror(errno));
   }
-  auto region = std::make_shared<MappedRegion>(mapped, map_length);
+  const Pin pin{static_cast<uint64_t>(st.st_dev),
+                static_cast<uint64_t>(st.st_ino), map_offset,
+                map_offset + map_length};
+  auto region = std::make_shared<MappedRegion>(mapped, map_length, pin);
   CSPM_ASSIGN_OR_RETURN(
       auto plan, PlanFromSectionBytes(static_cast<const char*>(mapped) + delta,
                                       section_bytes, std::move(region)));

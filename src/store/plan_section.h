@@ -42,6 +42,8 @@
 #include <memory>
 #include <string>
 #include <string_view>
+#include <utility>
+#include <vector>
 
 #include "cspm/scoring_plan.h"
 #include "util/status.h"
@@ -90,11 +92,21 @@ StatusOr<std::shared_ptr<const core::ScoringPlan>> PlanFromSectionBytes(
 /// last plan copy (or engine pinning it) goes away — evicting from a
 /// cache while a ServingEngine still scores through the plan is safe.
 /// `offset` need not be page-aligned (the mapping rounds down).
+///
+/// While mapped, the view pins its byte range of the file (by device and
+/// inode) in a process-wide table: the pager never allocates a free page
+/// a live view maps, because on Linux later writes to the file show
+/// through MAP_PRIVATE pages that were not copied.
 class MmapPlanView {
  public:
   static StatusOr<std::shared_ptr<const core::ScoringPlan>> Open(
       const std::string& path, uint64_t offset, size_t section_bytes);
 };
+
+/// Byte ranges [begin, end) of the file with device `dev` and inode `ino`
+/// that live MmapPlanView mappings in this process cover.
+std::vector<std::pair<uint64_t, uint64_t>> MappedPlanRanges(uint64_t dev,
+                                                          uint64_t ino);
 
 }  // namespace cspm::store
 

@@ -699,7 +699,7 @@ TEST(ModelHost, ReplaysPendingWalOnOpen) {
   }
 }
 
-TEST(ModelHost, OpenCheckpointsTornWalTail) {
+TEST(ModelHost, OpenTruncatesTornWalTail) {
   const std::string path = MakeServedStore("net_host_torn.cspm", "paper");
   graph::AttributedGraph g = PaperExampleGraph();
   auto d1 = graph::MakeRandomEdgeRewires(g, 2, /*seed=*/11);
@@ -729,17 +729,18 @@ TEST(ModelHost, OpenCheckpointsTornWalTail) {
     out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
   }
 
-  // Open replays the valid prefix (d1) and checkpoints it: the WAL is
-  // empty and readable afterwards.
+  // Open replays the valid prefix (d1) and truncates the WAL to it: the
+  // record is untouched, d1 stays logged, and the torn record is gone.
   auto host = ModelHost::Open(path);
   ASSERT_TRUE(host.ok()) << host.status().ToString();
   auto wal = host.value()->store().ReadWal("paper");
   ASSERT_TRUE(wal.ok());
-  EXPECT_EQ(wal.value().deltas.size(), 0u);
+  ASSERT_EQ(wal.value().deltas.size(), 1u);
   EXPECT_FALSE(wal.value().truncated);
+  EXPECT_EQ(wal.value().deltas[0].num_ops(), d1.value().num_ops());
 
-  // The next update appends after the checkpoint, not after the torn
-  // record, so a later replay sees it.
+  // The next update appends after d1, not after the torn record, so a
+  // later replay sees both.
   auto applied = graph::ApplyDelta(g, d1.value());
   ASSERT_TRUE(applied.ok());
   auto d3 = graph::MakeRandomEdgeRewires(applied.value().graph, 2,
@@ -750,11 +751,14 @@ TEST(ModelHost, OpenCheckpointsTornWalTail) {
           .ok());
   wal = host.value()->store().ReadWal("paper");
   ASSERT_TRUE(wal.ok());
-  ASSERT_EQ(wal.value().deltas.size(), 1u);
+  ASSERT_EQ(wal.value().deltas.size(), 2u);
   EXPECT_FALSE(wal.value().truncated);
-  EXPECT_EQ(wal.value().deltas[0].num_ops(), d3.value().num_ops());
+  EXPECT_EQ(wal.value().deltas[0].num_ops(), d1.value().num_ops());
+  EXPECT_EQ(wal.value().deltas[1].num_ops(), d3.value().num_ops());
+  // The record plus d1, d3 replay to exactly the model being served.
   auto replayed = engine::ReplayModel(host.value()->store(), "paper");
   ASSERT_TRUE(replayed.ok()) << replayed.status().ToString();
+  EXPECT_EQ(replayed.value().deltas, 2u);
   std::vector<graph::VertexId> vertices = {graph::VertexId(0),
                                            graph::VertexId(3)};
   auto served = host.value()->Score("paper", vertices);

@@ -20,6 +20,7 @@
 #include "engine/model_registry.h"
 #include "engine/session.h"
 #include "graph/generators.h"
+#include "graph/graph_delta.h"
 #include "store/model_store.h"
 #include "store/plan_section.h"
 #include "util/check.h"
@@ -222,6 +223,47 @@ TEST(PlanSection, MmapViewBitIdenticalOnServingStandIn) {
   EXPECT_TRUE(view->is_view());
   EXPECT_TRUE(view->CheckInvariants().ok());
   ExpectBitIdenticalScores(g, compiled, *view);
+  std::remove(path.c_str());
+}
+
+// --- mapped plans across in-place commits ----------------------------------
+
+TEST(PlanSection, MappedOldPlanSurvivesRePutAndPageReuse) {
+  // Commits write in place, and on Linux a write shows through the
+  // MAP_PRIVATE pages of a view that were not copied. The old section's
+  // pages are freed by the re-Put; its pin must keep every later commit —
+  // WAL appends and Puts of same-sized models that would fit its run
+  // exactly — off them for as long as the view lives.
+  const graph::AttributedGraph g_old = SmallGraph(7);
+  const graph::AttributedGraph g_new = SmallGraph(8);
+  const core::CspmModel old_model = Mine(g_old);
+  const core::CspmModel new_model = Mine(g_new);
+  const std::string path = TempPath("plan_section_pinned.cspm");
+  std::remove(path.c_str());
+  auto store = ModelStore::Create(path);
+  ASSERT_TRUE(store.ok());
+  ASSERT_TRUE(store->Put("m", {old_model, g_old.dict(), g_old}).ok());
+  auto old_view = store->OpenPlan("m");
+  ASSERT_TRUE(old_view.ok()) << old_view.status().ToString();
+  ASSERT_TRUE((*old_view)->is_view());
+
+  ASSERT_TRUE(store->Put("m", {new_model, g_new.dict(), g_new}).ok());
+  graph::GraphDelta delta;
+  delta.AddEdge(graph::VertexId(0), graph::VertexId(1));
+  for (int i = 0; i < 200; ++i) {
+    ASSERT_TRUE(store->AppendDelta("m", delta).ok()) << i;
+    ASSERT_TRUE(store
+                    ->Put(StrFormat("other%d", i % 4),
+                          {old_model, g_old.dict(), std::nullopt})
+                    .ok())
+        << i;
+  }
+  ExpectServesLikeFreshCompile(g_old, old_model, **old_view);
+  EXPECT_TRUE(store->Fsck().ok());
+
+  auto new_view = store->OpenPlan("m");
+  ASSERT_TRUE(new_view.ok());
+  ExpectServesLikeFreshCompile(g_new, new_model, **new_view);
   std::remove(path.c_str());
 }
 

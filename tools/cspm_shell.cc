@@ -310,11 +310,10 @@ Status CmdReplay(Shell& sh, const std::vector<std::string>& args) {
   CSPM_RETURN_IF_ERROR(
       AdoptSession(sh, std::move(replayed.session), args[1]));
   if (replayed.truncated) {
-    CSPM_RETURN_IF_ERROR(
-        engine::CheckpointModel(*sh.store, args[1], *sh.session));
+    CSPM_RETURN_IF_ERROR(sh.store->TruncateWal(args[1], replayed.deltas));
     std::printf(
         "warning: WAL tail unreadable, %zu record(s) dropped — replayed "
-        "the valid prefix and checkpointed it as the new snapshot\n",
+        "the valid prefix and truncated the WAL to it\n",
         replayed.dropped);
   }
   const auto& m = sh.current->model;
