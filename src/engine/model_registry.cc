@@ -13,9 +13,7 @@
 namespace cspm::engine {
 namespace {
 
-/// Builds a ServableModel from a decoded record. `plan` is the mapped plan
-/// when the store had a current section — then no compile happens; null
-/// compiles it here from the record.
+/// Builds a ServableModel from a decoded record and its mapped plan.
 ServableModel FromStored(store::StoredModel stored,
                          std::shared_ptr<const core::ScoringPlan> plan) {
   ServableModel m;
@@ -26,7 +24,6 @@ ServableModel FromStored(store::StoredModel stored,
         std::move(*stored.graph));
   }
   m.plan = std::move(plan);
-  m.CompilePlan();  // no-op when a plan was supplied
   return m;
 }
 
@@ -75,15 +72,8 @@ StatusOr<ServingEngine> ServableModel::Serve(ServingOptions options) const {
 Status ModelRegistry::LoadModel(store::ModelStore& store,
                                 const std::string& name) {
   CSPM_ASSIGN_OR_RETURN(store::StoredModel stored, store.Get(name));
-  std::shared_ptr<const core::ScoringPlan> plan;
-  auto mapped = store.OpenPlan(name);
-  if (mapped.ok()) {
-    plan = *std::move(mapped);
-  } else if (mapped.status().code() != StatusCode::kNotFound) {
-    return mapped.status();
-  }
-  // NotFound: a v2 entry or a legacy section version. FromStored compiles
-  // the plan from the record decoded above.
+  CSPM_ASSIGN_OR_RETURN(std::shared_ptr<const core::ScoringPlan> plan,
+                        store.OpenPlan(name));
   auto handle = std::make_shared<const ServableModel>(
       FromStored(std::move(stored), std::move(plan)));
   std::unique_lock lock(mu_);

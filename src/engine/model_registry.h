@@ -10,10 +10,10 @@
 //    against a consistent model for as long as they like.
 //  - Lookups take a shared lock; Put/Remove/Load take an exclusive lock
 //    only for the map mutation (record decoding happens outside the lock).
-//  - LoadModel() maps a stored model's plan section (or compiles a legacy
-//    entry's plan from the one decoded record). The handle is the only
-//    pin on that mapping: it stays valid, even after the store is closed
-//    or the model re-saved, until the last handle and engine drop it.
+//  - LoadModel() maps a stored model's plan section. The handle is the
+//    only pin on that mapping: it stays valid, even after the store is
+//    closed or the model re-saved, until the last handle and engine drop
+//    it.
 #ifndef CSPM_ENGINE_MODEL_REGISTRY_H_
 #define CSPM_ENGINE_MODEL_REGISTRY_H_
 
@@ -53,8 +53,7 @@ struct ServableModel : std::enable_shared_from_this<ServableModel> {
   std::shared_ptr<const graph::AttributedGraph> graph;
   /// Compiled from `model` against `dict` by CompilePlan(), or mapped from
   /// the store's plan section. Every registry handle has one: Put and
-  /// PutPrecompiled compile it, LoadModel maps (or compiles) it. Scoring
-  /// requires it.
+  /// PutPrecompiled compile it, LoadModel maps it. Scoring requires it.
   std::shared_ptr<const core::ScoringPlan> plan;
 
   /// Compiles `plan` from the current model + dict (no-op when already
@@ -81,9 +80,8 @@ class ModelRegistry {
 
   /// Loads one named model from the caller's open store, replacing any
   /// entry of that name. The record is decoded once; the plan is the
-  /// store's mmap plan section, or, for an entry without a current
-  /// section (v2, or a legacy section version), compiled from that
-  /// record. NotFound when the store has no such model.
+  /// store's mmap plan section, never a compile. Returns the store's error
+  /// (NotFound when it has no such model) and registers nothing then.
   Status LoadModel(store::ModelStore& store, const std::string& name);
 
   /// Registers (or replaces) a model under `name`. Handles previously

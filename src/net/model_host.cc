@@ -111,8 +111,18 @@ StatusOr<engine::UpdateStats> ModelHost::Update(
     const std::string& model, const graph::GraphDelta& delta,
     engine::UpdateMode mode) {
   CSPM_RETURN_IF_ERROR(EnsureLive(model));
-  return engine::UpdateAndLog(sessions_.at(model), delta, mode, store_.get(),
-                              registry_, model);
+  engine::MiningSession& session = sessions_.at(model);
+  // Held so the identity check below cannot see a reused address.
+  const std::shared_ptr<const graph::AttributedGraph> before =
+      session.shared_graph();
+  StatusOr<engine::UpdateStats> stats = engine::UpdateAndLog(
+      session, delta, mode, store_.get(), registry_, model);
+  if (!stats.ok() && session.shared_graph() != before) {
+    // The session took the delta but the store or the registry did not:
+    // drop it, so the next update replays what the store holds.
+    sessions_.erase(model);
+  }
+  return stats;
 }
 
 }  // namespace cspm::net

@@ -74,9 +74,12 @@ class ModelHost {
   /// Applies a graph delta (executor thread only) through
   /// engine::UpdateAndLog, the shell's update sequence: ApplyUpdates →
   /// AppendDelta in the mode that actually ran → Publish (hot swap). If
-  /// the WAL append fails the swap does not happen — the registry keeps
-  /// serving the model the store can still reproduce, and the error says
-  /// so.
+  /// the WAL append fails the swap does not happen and the error says so;
+  /// the session, which already holds the unlogged delta, is dropped, so
+  /// the next update first replays the model from the store (EnsureLive).
+  /// The registry thus keeps serving the model the store can reproduce,
+  /// now and after that update. A delta the session rejects changes
+  /// nothing and keeps the session.
   StatusOr<engine::UpdateStats> Update(const std::string& model,
                                        const graph::GraphDelta& delta,
                                        engine::UpdateMode mode);
@@ -91,7 +94,8 @@ class ModelHost {
 
   /// Ensures a live MiningSession exists for `model`, replaying it from
   /// the store (engine::ReplayModel) and publishing it when it does not.
-  /// A salvaged torn WAL tail is checkpointed before the publish.
+  /// A salvaged torn WAL tail is dropped (ModelStore::TruncateWal) before
+  /// the publish.
   Status EnsureLive(const std::string& model);
 
   /// The cached engine for `model`, rebuilt when the registry handle

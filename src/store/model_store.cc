@@ -19,9 +19,8 @@ namespace {
 constexpr uint8_t kRecordVersion = 1;
 constexpr uint8_t kFlagHasGraph = 0x01;
 
-// WAL record layout: version byte, then (v2+) a WalDeltaMode byte, then
-// one encoded graph delta. v1 records have no mode byte and replay as
-// kExact.
+// WAL record layout: version byte, then a WalDeltaMode byte, then one
+// encoded graph delta.
 constexpr uint8_t kWalRecordVersion = 2;
 
 // Catalog index node kinds (first payload byte of every index page).
@@ -65,13 +64,30 @@ StatusOr<StoredModel> DecodeRecord(const std::string& bytes) {
   return stored;
 }
 
+/// Decodes one WAL record into its mode and delta. A record of any other
+/// version fails like a torn one.
+Status DecodeWalRecord(const std::string& bytes, WalDeltaMode* mode,
+                       graph::GraphDelta* delta) {
+  Decoder dec(bytes);
+  CSPM_ASSIGN_OR_RETURN(uint8_t version, dec.ReadU8());
+  CSPM_ASSIGN_OR_RETURN(uint8_t raw_mode, dec.ReadU8());
+  if (version != kWalRecordVersion ||
+      raw_mode > static_cast<uint8_t>(WalDeltaMode::kFast)) {
+    return Status::IOError(StrFormat("WAL record version %u, mode %u", version,
+                                     raw_mode));
+  }
+  CSPM_ASSIGN_OR_RETURN(*delta, DecodeGraphDelta(&dec));
+  if (!dec.AtEnd()) return Status::IOError("WAL record has trailing bytes");
+  *mode = static_cast<WalDeltaMode>(raw_mode);
+  return Status::OK();
+}
+
 }  // namespace
 
 StatusOr<ModelStore> ModelStore::Create(const std::string& path) {
   CSPM_ASSIGN_OR_RETURN(Pager pager, Pager::Create(path));
   ModelStore store(std::move(pager));
   store.catalog_loaded_ = true;
-  store.disk_catalog_is_index_ = true;
   return store;
 }
 
@@ -96,60 +112,13 @@ Status ModelStore::LoadCatalog() {
   lookup_cache_.clear();
   catalog_loaded_ = false;
   catalog_count_ = 0;
-  disk_catalog_is_index_ = pager_.format_version() >= 3;
   if (pager_.catalog_head() == Pager::kNoPage) {
     catalog_loaded_ = true;
     return Status::OK();
   }
 
-  if (!disk_catalog_is_index_) {
-    // v2: one linear catalog chain, decoded eagerly (such files are small
-    // by construction — the format predates many-thousand-model stores).
-    CSPM_ASSIGN_OR_RETURN(std::string bytes,
-                          pager_.ReadChain(pager_.catalog_head()));
-    Decoder dec(bytes);
-    CSPM_ASSIGN_OR_RETURN(uint64_t count, dec.ReadVarint());
-    for (uint64_t i = 0; i < count; ++i) {
-      CSPM_ASSIGN_OR_RETURN(std::string_view name, dec.ReadString());
-      Entry entry;
-      CSPM_ASSIGN_OR_RETURN(uint64_t head, dec.ReadVarint());
-      if (head == Pager::kNoPage || head >= pager_.num_pages()) {
-        return Status::IOError("catalog entry points outside the store");
-      }
-      entry.head = static_cast<uint32_t>(head);
-      CSPM_ASSIGN_OR_RETURN(entry.bytes, dec.ReadVarint());
-      CSPM_ASSIGN_OR_RETURN(entry.num_astars, dec.ReadVarint());
-      CSPM_ASSIGN_OR_RETURN(uint8_t flags, dec.ReadU8());
-      entry.has_graph = (flags & kFlagHasGraph) != 0;
-      CSPM_ASSIGN_OR_RETURN(uint64_t wal_count, dec.ReadVarint());
-      // Bound by the bytes left: a corrupt count must fail on decode, not
-      // abort on allocation.
-      entry.wal.reserve(std::min<uint64_t>(wal_count, dec.remaining() / 2));
-      for (uint64_t w = 0; w < wal_count; ++w) {
-        WalRecord rec;
-        CSPM_ASSIGN_OR_RETURN(uint64_t wal_head, dec.ReadVarint());
-        if (wal_head == Pager::kNoPage || wal_head >= pager_.num_pages()) {
-          return Status::IOError("WAL record points outside the store");
-        }
-        rec.head = static_cast<uint32_t>(wal_head);
-        CSPM_ASSIGN_OR_RETURN(rec.bytes, dec.ReadVarint());
-        entry.wal.push_back(rec);
-      }
-      if (!catalog_.emplace(std::string(name), std::move(entry)).second) {
-        return Status::IOError("duplicate catalog entry: " +
-                               std::string(name));
-      }
-    }
-    if (!dec.AtEnd()) {
-      return Status::IOError("catalog has trailing bytes (corrupt store)");
-    }
-    catalog_loaded_ = true;
-    catalog_count_ = catalog_.size();
-    return Status::OK();
-  }
-
-  // v3: read the index root only — the open cost is O(1) regardless of
-  // how many models the file holds.
+  // Read the index root only — the open cost is O(1) regardless of how
+  // many models the file holds.
   CSPM_ASSIGN_OR_RETURN(IndexNode root, ReadIndexNode(pager_.catalog_head()));
   if (root.leaf) {
     if (root.next != Pager::kNoPage) {
@@ -198,19 +167,15 @@ StatusOr<ModelStore::IndexNode> ModelStore::ReadIndexNode(uint32_t page_id) {
       CSPM_ASSIGN_OR_RETURN(uint64_t plan_first, dec.ReadVarint());
       CSPM_ASSIGN_OR_RETURN(uint64_t plan_pages, dec.ReadVarint());
       CSPM_ASSIGN_OR_RETURN(entry.plan_bytes, dec.ReadVarint());
-      if (plan_pages > 0) {
-        if (plan_first == Pager::kNoPage ||
-            plan_first >= pager_.num_pages() ||
-            pager_.num_pages() - plan_first < plan_pages) {
-          return Status::IOError(
-              "catalog plan extent points outside the store");
-        }
-        entry.plan_extent.first_page = static_cast<uint32_t>(plan_first);
-        entry.plan_extent.num_pages = static_cast<uint32_t>(plan_pages);
-      } else if (entry.plan_bytes != 0) {
+      // Every entry carries a plan section: Put writes one with the record.
+      if (plan_pages == 0 || plan_first == Pager::kNoPage ||
+          plan_first >= pager_.num_pages() ||
+          pager_.num_pages() - plan_first < plan_pages) {
         return Status::IOError(
-            "catalog entry declares plan bytes without a plan extent");
+            "catalog plan extent is missing or points outside the store");
       }
+      entry.plan_extent.first_page = static_cast<uint32_t>(plan_first);
+      entry.plan_extent.num_pages = static_cast<uint32_t>(plan_pages);
       CSPM_ASSIGN_OR_RETURN(uint64_t wal_count, dec.ReadVarint());
       entry.wal.reserve(std::min<uint64_t>(wal_count, dec.remaining() / 2));
       for (uint64_t w = 0; w < wal_count; ++w) {
@@ -376,15 +341,11 @@ Status ModelStore::CollectIndexPages(uint32_t root,
 void ModelStore::FreeDiskCatalog() {
   const uint32_t head = pager_.catalog_head();
   if (head == Pager::kNoPage) return;
-  if (!disk_catalog_is_index_) {
-    // Best-effort, like record chains: a damaged catalog must not block
-    // the rewrite that repairs it.
-    (void)pager_.FreeChain(head);
-  } else {
-    std::vector<uint32_t> pages;
-    (void)CollectIndexPages(head, &pages);
-    for (uint32_t id : pages) (void)pager_.FreeSinglePage(id);
-  }
+  // Best-effort, like record chains: a damaged index must not block the
+  // rewrite that repairs it.
+  std::vector<uint32_t> pages;
+  (void)CollectIndexPages(head, &pages);
+  for (uint32_t id : pages) (void)pager_.FreeSinglePage(id);
   pager_.set_catalog_head(Pager::kNoPage);
 }
 
@@ -497,7 +458,6 @@ Status ModelStore::SaveCatalogAndCommit() {
   }
 
   catalog_count_ = catalog_.size();
-  disk_catalog_is_index_ = true;
   return pager_.Commit();
 }
 
@@ -537,9 +497,7 @@ Status ModelStore::Put(const std::string& name, const StoredModel& stored) {
     // The catalog drops the old head either way, so no later allocation
     // can cross-link into a still-referenced chain.
     (void)pager_.FreeChain(it->second.head);
-    if (it->second.plan_extent.num_pages > 0) {
-      (void)pager_.FreeExtent(it->second.plan_extent);
-    }
+    (void)pager_.FreeExtent(it->second.plan_extent);
     // Compaction: the fresh record reflects whatever the pending deltas
     // described, so the WAL restarts empty.
     DropWalChains(&it->second, 0);
@@ -570,9 +528,7 @@ Status ModelStore::PutMany(
     auto it = catalog_.find(name);
     if (it != catalog_.end()) {
       (void)pager_.FreeChain(it->second.head);
-      if (it->second.plan_extent.num_pages > 0) {
-        (void)pager_.FreeExtent(it->second.plan_extent);
-      }
+      (void)pager_.FreeExtent(it->second.plan_extent);
       DropWalChains(&it->second, 0);
       it->second = entry;
     } else {
@@ -637,36 +593,15 @@ StatusOr<ModelStore::WalReplay> ModelStore::ReadWal(const std::string& name) {
     // after it was written later, so the valid prefix is still a
     // consistent history (the crash-recovery contract).
     StatusOr<std::string> bytes_or = pager_.ReadChain(wal[i].head);
-    if (!bytes_or.ok() || bytes_or->size() != wal[i].bytes) {
+    WalDeltaMode mode = WalDeltaMode::kExact;
+    graph::GraphDelta delta;
+    if (!bytes_or.ok() || bytes_or->size() != wal[i].bytes ||
+        !DecodeWalRecord(*bytes_or, &mode, &delta).ok()) {
       replay.truncated = true;
       replay.dropped = wal.size() - i;
       break;
     }
-    Decoder dec(*bytes_or);
-    StatusOr<uint8_t> version_or = dec.ReadU8();
-    if (!version_or.ok() || *version_or > kWalRecordVersion) {
-      replay.truncated = true;
-      replay.dropped = wal.size() - i;
-      break;
-    }
-    WalDeltaMode mode = WalDeltaMode::kExact;  // v1: no mode byte
-    if (*version_or >= 2) {
-      StatusOr<uint8_t> mode_or = dec.ReadU8();
-      if (!mode_or.ok() ||
-          *mode_or > static_cast<uint8_t>(WalDeltaMode::kFast)) {
-        replay.truncated = true;
-        replay.dropped = wal.size() - i;
-        break;
-      }
-      mode = static_cast<WalDeltaMode>(*mode_or);
-    }
-    StatusOr<graph::GraphDelta> delta_or = DecodeGraphDelta(&dec);
-    if (!delta_or.ok() || !dec.AtEnd()) {
-      replay.truncated = true;
-      replay.dropped = wal.size() - i;
-      break;
-    }
-    replay.deltas.push_back(std::move(delta_or).value());
+    replay.deltas.push_back(std::move(delta));
     replay.modes.push_back(mode);
   }
   obs::GetCounter("store.wal_replayed_records")->Add(replay.deltas.size());
@@ -701,12 +636,6 @@ StatusOr<StoredModel> ModelStore::Get(const std::string& name) {
 StatusOr<std::shared_ptr<const core::ScoringPlan>> ModelStore::OpenPlan(
     const std::string& name) {
   CSPM_ASSIGN_OR_RETURN(const Entry* entry, LookupEntry(name));
-  if (entry->plan_extent.num_pages == 0) {
-    return Status::NotFound(
-        StrFormat("model '%s' has no plan section (saved by a v2 binary; "
-                  "re-save to upgrade)",
-                  name.c_str()));
-  }
   return MmapPlanView::Open(
       pager_.path(), Pager::ExtentFileOffset(entry->plan_extent.first_page),
       entry->plan_bytes);
@@ -723,9 +652,7 @@ Status ModelStore::Delete(const std::string& name) {
   // corrupt page must still remove it from the catalog — leaking its
   // unreachable pages beats a store that can never drop the entry.
   (void)pager_.FreeChain(it->second.head);
-  if (it->second.plan_extent.num_pages > 0) {
-    (void)pager_.FreeExtent(it->second.plan_extent);
-  }
+  (void)pager_.FreeExtent(it->second.plan_extent);
   DropWalChains(&it->second, 0);
   catalog_.erase(it);
   return SaveCatalogAndCommit();
@@ -777,79 +704,74 @@ Status ModelStore::CheckInvariants() {
   // --- catalog index: claim every node, validate separators and the
   // leaf level links ------------------------------------------------------
   if (pager_.catalog_head() != Pager::kNoPage) {
-    if (!disk_catalog_is_index_) {
-      CSPM_RETURN_IF_ERROR(
-          claim_chain(pager_.catalog_head(), "the catalog chain", nullptr));
-    } else {
-      // Depth-first tree walk collecting the leaf sequence in key order.
-      struct LeafRef {
-        uint32_t id;
-        uint32_t next;
-        std::string first_name;
-      };
-      std::vector<LeafRef> leaves;
-      uint64_t entries_seen = 0;
-      std::string prev_name;
-      auto walk = [&](auto&& self, uint32_t id, uint32_t depth) -> Status {
-        if (depth >= kMaxIndexDepth) {
-          return Status::Internal("the catalog index is deeper than any "
-                                  "bulk load produces (corrupt tree)");
+    // Depth-first tree walk collecting the leaf sequence in key order.
+    struct LeafRef {
+      uint32_t id;
+      uint32_t next;
+      std::string first_name;
+    };
+    std::vector<LeafRef> leaves;
+    uint64_t entries_seen = 0;
+    std::string prev_name;
+    auto walk = [&](auto&& self, uint32_t id, uint32_t depth) -> Status {
+      if (depth >= kMaxIndexDepth) {
+        return Status::Internal("the catalog index is deeper than any "
+                                "bulk load produces (corrupt tree)");
+      }
+      CSPM_RETURN_IF_ERROR(claim(id, "the catalog index"));
+      CSPM_ASSIGN_OR_RETURN(IndexNode node, ReadIndexNode(id));
+      if (node.leaf) {
+        if (node.entries.empty()) {
+          return Status::Internal(
+              StrFormat("catalog index leaf %u is empty", id));
         }
-        CSPM_RETURN_IF_ERROR(claim(id, "the catalog index"));
-        CSPM_ASSIGN_OR_RETURN(IndexNode node, ReadIndexNode(id));
-        if (node.leaf) {
-          if (node.entries.empty()) {
-            return Status::Internal(
-                StrFormat("catalog index leaf %u is empty", id));
-          }
-          for (const auto& [name, entry] : node.entries) {
-            if (entries_seen > 0 && name <= prev_name) {
-              return Status::Internal(StrFormat(
-                  "catalog index entries out of order at '%s'",
-                  name.c_str()));
-            }
-            prev_name = name;
-            ++entries_seen;
-          }
-          leaves.push_back({id, node.next, node.entries.front().first});
-          return Status::OK();
-        }
-        for (const auto& [sep, child] : node.children) {
-          // The separator must be the first name of the child's subtree —
-          // the bulk loader guarantees it, and descent correctness
-          // depends on it.
-          const size_t before = leaves.size();
-          CSPM_RETURN_IF_ERROR(self(self, child, depth + 1));
-          if (leaves.size() > before && leaves[before].first_name != sep) {
+        for (const auto& [name, entry] : node.entries) {
+          if (entries_seen > 0 && name <= prev_name) {
             return Status::Internal(StrFormat(
-                "catalog index separator '%s' disagrees with its subtree's "
-                "first entry '%s'",
-                sep.c_str(), leaves[before].first_name.c_str()));
+                "catalog index entries out of order at '%s'",
+                name.c_str()));
           }
+          prev_name = name;
+          ++entries_seen;
         }
+        leaves.push_back({id, node.next, node.entries.front().first});
         return Status::OK();
-      };
-      CSPM_RETURN_IF_ERROR(walk(walk, pager_.catalog_head(), 0));
-      // The leaf level links must thread the leaves exactly in key order.
-      for (size_t i = 0; i < leaves.size(); ++i) {
-        const uint32_t expected_next =
-            i + 1 < leaves.size() ? leaves[i + 1].id : Pager::kNoPage;
-        if (leaves[i].next != expected_next) {
+      }
+      for (const auto& [sep, child] : node.children) {
+        // The separator must be the first name of the child's subtree —
+        // the bulk loader guarantees it, and descent correctness
+        // depends on it.
+        const size_t before = leaves.size();
+        CSPM_RETURN_IF_ERROR(self(self, child, depth + 1));
+        if (leaves.size() > before && leaves[before].first_name != sep) {
           return Status::Internal(StrFormat(
-              "catalog index leaf %u links to page %u, expected %u (bent "
-              "leaf level)",
-              leaves[i].id, leaves[i].next, expected_next));
+              "catalog index separator '%s' disagrees with its subtree's "
+              "first entry '%s'",
+              sep.c_str(), leaves[before].first_name.c_str()));
         }
       }
-      if (entries_seen != catalog_.size()) {
+      return Status::OK();
+    };
+    CSPM_RETURN_IF_ERROR(walk(walk, pager_.catalog_head(), 0));
+    // The leaf level links must thread the leaves exactly in key order.
+    for (size_t i = 0; i < leaves.size(); ++i) {
+      const uint32_t expected_next =
+          i + 1 < leaves.size() ? leaves[i + 1].id : Pager::kNoPage;
+      if (leaves[i].next != expected_next) {
         return Status::Internal(StrFormat(
-            "catalog index holds %llu entries, the loaded catalog %zu",
-            static_cast<unsigned long long>(entries_seen), catalog_.size()));
+            "catalog index leaf %u links to page %u, expected %u (bent "
+            "leaf level)",
+            leaves[i].id, leaves[i].next, expected_next));
       }
+    }
+    if (entries_seen != catalog_.size()) {
+      return Status::Internal(StrFormat(
+          "catalog index holds %llu entries, the loaded catalog %zu",
+          static_cast<unsigned long long>(entries_seen), catalog_.size()));
     }
   }
 
-  // Free pages are claimed one by one; the v4 chain that lists them is a
+  // Free pages are claimed one by one; the chain that lists them is a
   // chain like any other.
   for (uint32_t id : pager_.FreePages()) {
     CSPM_RETURN_IF_ERROR(claim(id, "the free list"));
@@ -869,22 +791,18 @@ Status ModelStore::CheckInvariants() {
     }
     // Plan extents are raw pages — claimed whole, never header-validated
     // (they carry no page header; the section checksums itself).
-    if (entry.plan_extent.num_pages > 0) {
-      const uint64_t extent_bytes =
-          static_cast<uint64_t>(entry.plan_extent.num_pages) *
-          Pager::kPageSize;
-      if (entry.plan_bytes > extent_bytes ||
-          extent_bytes - entry.plan_bytes >= Pager::kPageSize) {
-        return Status::Internal(StrFormat(
-            "plan section of '%s' is %llu bytes but its extent spans %u "
-            "pages",
-            name.c_str(), static_cast<unsigned long long>(entry.plan_bytes),
-            entry.plan_extent.num_pages));
-      }
-      for (uint32_t i = 0; i < entry.plan_extent.num_pages; ++i) {
-        CSPM_RETURN_IF_ERROR(claim(entry.plan_extent.first_page + i,
-                                   "the plan section of '" + name + "'"));
-      }
+    const uint64_t extent_bytes =
+        static_cast<uint64_t>(entry.plan_extent.num_pages) * Pager::kPageSize;
+    if (entry.plan_bytes > extent_bytes ||
+        extent_bytes - entry.plan_bytes >= Pager::kPageSize) {
+      return Status::Internal(StrFormat(
+          "plan section of '%s' is %llu bytes but its extent spans %u pages",
+          name.c_str(), static_cast<unsigned long long>(entry.plan_bytes),
+          entry.plan_extent.num_pages));
+    }
+    for (uint32_t i = 0; i < entry.plan_extent.num_pages; ++i) {
+      CSPM_RETURN_IF_ERROR(claim(entry.plan_extent.first_page + i,
+                                 "the plan section of '" + name + "'"));
     }
     for (size_t w = 0; w < entry.wal.size(); ++w) {
       uint64_t wal_bytes = 0;
@@ -961,52 +879,45 @@ Status ModelStore::Fsck() {
     // the deep plan invariants, and the on-disk bit-identity contract —
     // the stored slabs must equal a recompile of the decoded model, byte
     // for byte.
-    if (entry.plan_extent.num_pages > 0) {
-      CSPM_ASSIGN_OR_RETURN(std::string extent,
-                            pager_.ReadExtent(entry.plan_extent));
-      if (entry.plan_bytes > extent.size()) {
+    CSPM_ASSIGN_OR_RETURN(std::string extent,
+                          pager_.ReadExtent(entry.plan_extent));
+    if (entry.plan_bytes > extent.size()) {
+      return Status::Internal(
+          StrFormat("plan section of '%s' escapes its extent", name.c_str()));
+    }
+    const std::string_view section(extent.data(), entry.plan_bytes);
+    Status section_ok =
+        ValidatePlanSection(section, /*verify_slab_crcs=*/true);
+    if (!section_ok.ok()) {
+      return Status::Internal(StrFormat("plan section of '%s': %s",
+                                        name.c_str(),
+                                        section_ok.message().c_str()));
+    }
+    CSPM_ASSIGN_OR_RETURN(
+        auto plan, PlanFromSectionBytes(section.data(), section.size(),
+                                        /*storage=*/nullptr));
+    Status plan_ok = plan->CheckInvariants();
+    if (!plan_ok.ok()) {
+      return Status::Internal(
+          StrFormat("plan section of '%s' fails plan validation: %s",
+                    name.c_str(), plan_ok.message().c_str()));
+    }
+    const std::string recompiled = EncodePlanSection(
+        core::ScoringPlan::Compile(stored.model, stored.dict.size()));
+    if (recompiled != section) {
+      return Status::Internal(StrFormat(
+          "plan section of '%s' does not match a recompile of its record "
+          "(stale or corrupt section)",
+          name.c_str()));
+    }
+    // The extent's tail padding is written as zeros; anything else means
+    // the extent was scribbled on (slab CRCs cannot see past the section,
+    // so this closes the only unchecksummed byte range).
+    for (size_t i = entry.plan_bytes; i < extent.size(); ++i) {
+      if (extent[i] != '\0') {
         return Status::Internal(StrFormat(
-            "plan section of '%s' escapes its extent", name.c_str()));
-      }
-      const std::string_view section(extent.data(), entry.plan_bytes);
-      Status section_ok =
-          ValidatePlanSection(section, /*verify_slab_crcs=*/true);
-      // A legacy-version section (NotFound) is well-formed but never read
-      // by this build — serving compiles from the record instead — so it
-      // has no slabs to cross-check.
-      if (!section_ok.ok() && section_ok.code() != StatusCode::kNotFound) {
-        return Status::Internal(
-            StrFormat("plan section of '%s': %s", name.c_str(),
-                      section_ok.message().c_str()));
-      }
-      if (section_ok.ok()) {
-        CSPM_ASSIGN_OR_RETURN(
-            auto plan, PlanFromSectionBytes(section.data(), section.size(),
-                                            /*storage=*/nullptr));
-        Status plan_ok = plan->CheckInvariants();
-        if (!plan_ok.ok()) {
-          return Status::Internal(
-              StrFormat("plan section of '%s' fails plan validation: %s",
-                        name.c_str(), plan_ok.message().c_str()));
-        }
-        const std::string recompiled = EncodePlanSection(
-            core::ScoringPlan::Compile(stored.model, stored.dict.size()));
-        if (recompiled != section) {
-          return Status::Internal(StrFormat(
-              "plan section of '%s' does not match a recompile of its "
-              "record (stale or corrupt section)",
-              name.c_str()));
-        }
-      }
-      // The extent's tail padding is written as zeros; anything else means
-      // the extent was scribbled on (slab CRCs cannot see past the
-      // section, so this closes the only unchecksummed byte range).
-      for (size_t i = entry.plan_bytes; i < extent.size(); ++i) {
-        if (extent[i] != '\0') {
-          return Status::Internal(StrFormat(
-              "plan extent of '%s' has nonzero padding at byte %zu",
-              name.c_str(), i));
-        }
+            "plan extent of '%s' has nonzero padding at byte %zu",
+            name.c_str(), i));
       }
     }
     CSPM_ASSIGN_OR_RETURN(WalReplay replay, ReadWal(name));

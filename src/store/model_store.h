@@ -14,9 +14,8 @@
 // catalog chain — the difference between "open one of 10k tenant models"
 // and "decode 10k entries to find one". Mutations load the full catalog
 // once and rebuild the index wholesale (it is small: entries are tens of
-// bytes). v2 files (linear catalog chain, no plan sections) and v3 files
-// open read-only; the first mutation upgrades the file to v4 through the
-// pager's whole-image rename.
+// bytes). Every entry carries a plan section; a file of any format but
+// the current one is refused at open (pager.h).
 //
 // Each model also carries a write-ahead log of graph deltas: the
 // mutations applied since its record was Put. AppendDelta writes one
@@ -106,10 +105,8 @@ class ModelStore {
 
   /// Opens the model's plan section as a ready-to-serve mmap view: zero
   /// decode, zero allocation beyond the mapping itself, scores
-  /// bit-identical to a freshly compiled plan. NotFound when the entry
-  /// has no section this build can view — saved by a v2 binary, or its
-  /// section is a legacy version (DESIGN.md §12) — and has not been
-  /// re-Put since; the caller falls back to Get + Compile.
+  /// bit-identical to a freshly compiled plan. NotFound when no model has
+  /// that name; IOError when the section fails validation.
   StatusOr<std::shared_ptr<const core::ScoringPlan>> OpenPlan(
       const std::string& name);
 
@@ -127,8 +124,7 @@ class ModelStore {
 
   struct WalReplay {
     std::vector<graph::GraphDelta> deltas;  ///< oldest first
-    /// modes[i] is how deltas[i] was re-mined when appended (kExact for
-    /// records written before the mode byte existed).
+    /// modes[i] is how deltas[i] was re-mined when appended.
     std::vector<WalDeltaMode> modes;
     /// True when a corrupt or truncated tail record stopped the walk; the
     /// valid prefix is still returned, `dropped` counts the lost records.
@@ -154,7 +150,7 @@ class ModelStore {
     uint64_t bytes = 0;      ///< encoded record size
     uint64_t num_astars = 0;
     uint64_t wal_records = 0;  ///< pending deltas in the WAL
-    uint64_t plan_bytes = 0;   ///< plan section size (0: v2 entry, none)
+    uint64_t plan_bytes = 0;   ///< plan section size
     bool has_graph = false;
   };
   /// Catalog listing, sorted by name. Loads the full catalog.
@@ -200,8 +196,7 @@ class ModelStore {
     uint64_t bytes = 0;
     uint64_t num_astars = 0;
     bool has_graph = false;
-    /// Raw extent holding the mmap-native plan section; num_pages == 0
-    /// for entries written by v2 binaries (no section).
+    /// Raw extent holding the mmap-native plan section.
     Pager::Extent plan_extent;
     /// Exact encoded section size (the extent is zero-padded to pages).
     uint64_t plan_bytes = 0;
@@ -230,8 +225,8 @@ class ModelStore {
   StatusOr<const Entry*> LookupEntry(const std::string& name);
   /// Reads and parses one index node, counting the page read.
   StatusOr<IndexNode> ReadIndexNode(uint32_t page_id);
-  /// Frees the on-disk catalog representation (chain or index),
-  /// best-effort, and clears the header reference.
+  /// Frees the on-disk catalog index, best-effort, and clears the header
+  /// reference.
   void FreeDiskCatalog();
   /// Collects every page of the index rooted at `root` (interior nodes
   /// and leaves; cycle-guarded). Pages found before an error are kept.
@@ -253,8 +248,6 @@ class ModelStore {
   bool catalog_loaded_ = false;
   /// Total entries, from the index root (meaningful when not loaded).
   uint64_t catalog_count_ = 0;
-  /// Whether the committed file's catalog is a v3 index (vs. v2 chain).
-  bool disk_catalog_is_index_ = false;
 };
 
 }  // namespace cspm::store

@@ -21,14 +21,12 @@
 namespace cspm::store {
 namespace {
 
-// v2/v3 header: one field set sealed by a CRC of the whole page.
-constexpr size_t kLegacyHeaderCrcOffset = Pager::kPageSize - 4;
-// v4 header: the prefix (magic, version, page size), then two slots.
+// Header page: the prefix (magic, version, page size), then two slots.
 constexpr size_t kHeaderPrefixBytes = 16;
 constexpr size_t kSlotBytes = 24;
 constexpr size_t kSlotCrcOffset = 20;
 constexpr size_t kHeaderUsedBytes = kHeaderPrefixBytes + 2 * kSlotBytes;
-// Whole-image commits write at most this many pages per write call.
+// A commit writes at most this many pages per write call.
 constexpr uint32_t kMaxPagesPerWrite = 64;
 
 void PutU32(char* dst, uint32_t v) {
@@ -198,10 +196,49 @@ bool Pager::FileHasMagic(const std::string& path) {
 }
 
 StatusOr<Pager> Pager::Create(const std::string& path) {
+  // The one-page image (prefix plus slot 0 at sequence 1) is written to a
+  // temporary file, fsynced and renamed over `path`, so an existing store
+  // there is replaced whole or not at all.
+  char header[kPageSize] = {};
+  WriteHeaderPrefix(header);
+  Slot slot;
+  slot.num_pages = 1;
+  slot.sequence = 1;
+  RenderSlot(slot, header, header + kHeaderPrefixBytes);
+  const std::string tmp_path = path + ".tmp";
+  Status written = [&]() -> Status {
+    const FileHandle out(::open(tmp_path.c_str(),
+                                O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC,
+                                0644));
+    if (out.get() < 0) {
+      return Status::IOError("cannot open " + tmp_path + " for writing: " +
+                             ErrnoText());
+    }
+    CSPM_RETURN_IF_ERROR(WriteAt(out.get(), header, kPageSize, 0, tmp_path));
+    if (::fsync(out.get()) != 0) {
+      return Status::IOError("flush failed for " + tmp_path + ": " +
+                             ErrnoText());
+    }
+    std::error_code ec;
+    std::filesystem::rename(tmp_path, path, ec);
+    if (ec) {
+      return Status::IOError("rename " + tmp_path + " -> " + path +
+                             " failed: " + ec.message());
+    }
+    return Status::OK();
+  }();
+  if (!written.ok()) {
+    std::remove(tmp_path.c_str());
+    return written;
+  }
+  // The rename is durable only once the directory entry is.
+  CSPM_RETURN_IF_ERROR(SyncParentDirectory(path));
   Pager pager;
   pager.path_ = path;
-  pager.num_pages_ = 1;
-  CSPM_RETURN_IF_ERROR(pager.Commit());
+  pager.sequence_ = 1;
+  CSPM_RETURN_IF_ERROR(pager.OpenFile(nullptr));
+  static auto* const pages_written = obs::GetCounter("store.pages_written");
+  pages_written->Add(1);
   return pager;
 }
 
@@ -252,50 +289,34 @@ Status Pager::ParseHeader(const char* header, uint64_t file_bytes) {
     return Status::IOError("not a cspm store file (bad magic): " + path_);
   }
   const uint32_t version = GetU32(header + 8);
-  if (version < kMinFormatVersion || version > kFormatVersion) {
-    // v2 changed the catalog layout (per-model WAL lists), so v1 files
-    // are rejected here with a format error rather than misparsed below.
+  if (version != kFormatVersion) {
+    // Older layouts (one header, linked free list, linear catalog) are
+    // refused here rather than misparsed below.
     return Status::IOError(
         StrFormat("store file %s has format version %u, this build reads "
-                  "%u..%u",
-                  path_.c_str(), version, kMinFormatVersion, kFormatVersion));
+                  "only version %u",
+                  path_.c_str(), version, kFormatVersion));
   }
-  version_ = version;
   const uint32_t page_size = GetU32(header + 12);
   if (page_size != kPageSize) {
     return Status::IOError(StrFormat("store file %s declares page size %u, "
                                      "expected %u",
                                      path_.c_str(), page_size, kPageSize));
   }
-  uint32_t free_head = kNoPage;
-  if (version < 4) {
-    if (GetU32(header + kLegacyHeaderCrcOffset) !=
-        Crc32(header, kLegacyHeaderCrcOffset)) {
-      return Status::IOError("store header checksum mismatch in " + path_);
-    }
-    num_pages_ = GetU32(header + 16);
-    free_head = GetU32(header + 20);
-    catalog_head_ = GetU32(header + 24);
-    whole_image_ = true;  // the first commit upgrades to v4
-  } else {
-    Slot slots[2];
-    const bool valid[2] = {ParseSlot(header, 0, &slots[0]),
-                           ParseSlot(header, 1, &slots[1])};
-    if (!valid[0] && !valid[1]) {
-      return Status::IOError("store header checksum mismatch in " + path_ +
-                             " (no valid header slot)");
-    }
-    active_slot_ =
-        valid[0] && (!valid[1] || slots[0].sequence > slots[1].sequence) ? 0
-                                                                         : 1;
-    const Slot& slot = slots[active_slot_];
-    num_pages_ = slot.num_pages;
-    free_head = slot.free_head;
-    catalog_head_ = slot.catalog_head;
-    sequence_ = slot.sequence;
-    whole_image_ = false;
+  Slot slots[2];
+  const bool valid[2] = {ParseSlot(header, 0, &slots[0]),
+                         ParseSlot(header, 1, &slots[1])};
+  if (!valid[0] && !valid[1]) {
+    return Status::IOError("store header checksum mismatch in " + path_ +
+                           " (no valid header slot)");
   }
-  if (num_pages_ == 0 || free_head >= num_pages_ ||
+  active_slot_ =
+      valid[0] && (!valid[1] || slots[0].sequence > slots[1].sequence) ? 0 : 1;
+  const Slot& slot = slots[active_slot_];
+  num_pages_ = slot.num_pages;
+  catalog_head_ = slot.catalog_head;
+  sequence_ = slot.sequence;
+  if (num_pages_ == 0 || slot.free_head >= num_pages_ ||
       catalog_head_ >= num_pages_) {
     return Status::IOError("store header page references out of range in " +
                            path_);
@@ -311,23 +332,11 @@ Status Pager::ParseHeader(const char* header, uint64_t file_bytes) {
         static_cast<unsigned long long>(expected_bytes),
         static_cast<unsigned long long>(file_bytes)));
   }
-  return LoadFreeList(free_head);
+  return LoadFreeList(slot.free_head);
 }
 
 Status Pager::LoadFreeList(uint32_t head) {
   if (head == kNoPage) return Status::OK();
-  if (version_ < 4) {
-    // Legacy: the free pages link themselves through their `next` field.
-    uint32_t id = head;
-    while (id != kNoPage) {
-      if (!free_.insert(id).second) {
-        return Status::IOError("free list cycles in " + path_);
-      }
-      CSPM_ASSIGN_OR_RETURN(PageHeader page, ReadPageHeader(id));
-      id = page.next;
-    }
-    return Status::OK();
-  }
   CSPM_ASSIGN_OR_RETURN(std::string bytes, ReadChainPages(head, &free_chain_));
   Decoder dec(bytes);
   std::vector<uint32_t> ids;
@@ -355,7 +364,6 @@ std::vector<uint32_t> Pager::FreePages() const {
 }
 
 Status Pager::CheckHeaderPage() {
-  if (version_ < 4 || fd_.get() < 0) return Status::OK();
   char header[kPageSize];
   CSPM_RETURN_IF_ERROR(ReadRawPage(0, header));
   for (size_t i = kHeaderUsedBytes; i < kPageSize; ++i) {
@@ -371,11 +379,6 @@ Status Pager::CheckHeaderPage() {
 Status Pager::ReadRawPage(uint32_t page_id, char* out) {
   static auto* const page_reads = obs::GetCounter("store.page_reads");
   page_reads->Add(1);
-  if (fd_.get() < 0) {
-    return Status::Internal(
-        StrFormat("page %u requested but store %s has no committed image",
-                  page_id, path_.c_str()));
-  }
   if (::pread(fd_.get(), out, kPageSize,
               static_cast<off_t>(page_id) * kPageSize) !=
       static_cast<ssize_t>(kPageSize)) {
@@ -452,14 +455,12 @@ const std::vector<std::pair<uint32_t, uint32_t>>& Pager::Pins() {
   // in some commit, so no free page gains a pin while one is open.
   if (!pins_loaded_) {
     pins_.clear();
-    if (fd_.get() >= 0) {
-      for (const auto& [begin, end] : MappedPlanRanges(file_dev_, file_ino_)) {
-        pins_.emplace_back(static_cast<uint32_t>(begin / kPageSize),
-                           static_cast<uint32_t>((end + kPageSize - 1) /
-                                                 kPageSize));
-      }
-      std::sort(pins_.begin(), pins_.end());
+    for (const auto& [begin, end] : MappedPlanRanges(file_dev_, file_ino_)) {
+      pins_.emplace_back(static_cast<uint32_t>(begin / kPageSize),
+                         static_cast<uint32_t>((end + kPageSize - 1) /
+                                               kPageSize));
     }
+    std::sort(pins_.begin(), pins_.end());
     pins_loaded_ = true;
   }
   return pins_;
@@ -756,7 +757,7 @@ void Pager::RenderPage(uint32_t page_id, char* out) const {
 Status Pager::Commit() {
   static auto* const commit_hist = obs::GetHistogram("phase.store.commit");
   obs::ScopedPhaseTimer commit_timer(commit_hist);
-  Status committed = whole_image_ ? CommitWholeImage() : CommitInPlace();
+  Status committed = CommitInPlace();
   pins_loaded_ = false;
   return committed;
 }
@@ -830,95 +831,18 @@ Status Pager::CommitInPlace() {
   sequence_ = slot.sequence;
   active_slot_ = target;
   file_pages_ = std::max<uint64_t>(file_pages_, num_pages_);
-  FinishCommit(chain);
-  return Status::OK();
-}
-
-Status Pager::CommitWholeImage() {
-  static auto* const pages_written = obs::GetCounter("store.pages_written");
-  // A fresh file replaces this one atomically, so nothing it held needs
-  // protecting: every freed page is free in the new image at once.
-  free_.insert(pending_free_.begin(), pending_free_.end());
-  free_.insert(free_chain_.begin(), free_chain_.end());
-  pending_free_.clear();
-  free_chain_.clear();
-  const std::vector<uint32_t> chain = StageFreeList();
-
-  const std::string tmp_path = path_ + ".tmp";
-  FileHandle out(
-      ::open(tmp_path.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644));
-  auto fail = [&](Status status) {
-    UnstageFreeList(chain);
-    std::remove(tmp_path.c_str());
-    return status;
-  };
-  if (out.get() < 0) {
-    return fail(Status::IOError("cannot open " + tmp_path +
-                                " for writing: " + ErrnoText()));
-  }
-
-  std::string buffer;
-  for (uint32_t first = 0; first < num_pages_; first += kMaxPagesPerWrite) {
-    const uint32_t end = std::min(num_pages_, first + kMaxPagesPerWrite);
-    buffer.assign(static_cast<size_t>(end - first) * kPageSize, '\0');
-    for (uint32_t id = first; id < end; ++id) {
-      char* raw = buffer.data() + static_cast<size_t>(id - first) * kPageSize;
-      if (id == 0) {
-        WriteHeaderPrefix(raw);
-        Slot slot;
-        slot.num_pages = num_pages_;
-        slot.free_head = chain.empty() ? kNoPage : chain.front();
-        slot.catalog_head = catalog_head_;
-        slot.sequence = 1;
-        RenderSlot(slot, raw, raw + kHeaderPrefixBytes);
-      } else if (dirty_.count(id) > 0 || raw_pages_.count(id) > 0) {
-        RenderPage(id, raw);
-      } else if (free_.count(id) == 0) {
-        // Untouched live page: copy the committed bytes through verbatim.
-        Status read = ReadRawPage(id, raw);
-        if (!read.ok()) return fail(read);
-      }
-    }
-    Status written = WriteAt(out.get(), buffer.data(), buffer.size(),
-                             ExtentFileOffset(first), tmp_path);
-    if (!written.ok()) return fail(written);
-  }
-  if (::fsync(out.get()) != 0) {
-    return fail(
-        Status::IOError("flush failed for " + tmp_path + ": " + ErrnoText()));
-  }
-  out = FileHandle();
-  std::error_code ec;
-  std::filesystem::rename(tmp_path, path_, ec);
-  if (ec) {
-    return fail(Status::IOError("rename " + tmp_path + " -> " + path_ +
-                                " failed: " + ec.message()));
-  }
-  // The rename is durable only once the directory entry is.
-  CSPM_RETURN_IF_ERROR(SyncParentDirectory(path_));
-  CSPM_RETURN_IF_ERROR(OpenFile(nullptr));
-
-  pages_written->Add(num_pages_);
-  version_ = kFormatVersion;
-  whole_image_ = false;
-  sequence_ = 1;
-  active_slot_ = 0;
-  FinishCommit(chain);
-  return Status::OK();
-}
-
-void Pager::FinishCommit(std::vector<uint32_t> chain) {
   // Pages this commit freed, and the previous list's chain, were reachable
   // from the header just replaced; from the next commit on nothing can
   // reach them.
   free_.insert(pending_free_.begin(), pending_free_.end());
   free_.insert(free_chain_.begin(), free_chain_.end());
   pending_free_.clear();
-  free_chain_ = std::move(chain);
+  free_chain_ = chain;
   dirty_.clear();
   // Raw extent pages are durable now; drop the in-memory images (plan
   // sections can be large) — ReadExtent reads the file again.
   raw_pages_.clear();
+  return Status::OK();
 }
 
 }  // namespace cspm::store

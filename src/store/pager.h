@@ -23,7 +23,6 @@
 //     [20..23]   CRC-32 of page bytes [0, 16) then slot bytes [0, 20)
 //
 //   Open uses the slot with the highest sequence number whose CRC holds.
-//   (Slot 0's fields sit where v2/v3 kept the single header's.)
 //
 //   page k > 0 (data):
 //     [0..3]     CRC-32 of bytes [4, 4096)
@@ -55,10 +54,10 @@
 // device and inode, this process) still maps are never allocated: on
 // Linux, file writes show through MAP_PRIVATE pages that were not copied.
 //
-// Legacy formats: v2 and v3 files (one header, free pages linked through
-// their own `next` fields) open for reading. Create() and the first
-// commit over a legacy file write a whole v4 image to `path + ".tmp"`,
-// fsync it and rename it over `path` — the only use of that path.
+// v4 is the only format this build opens: a file of any other version is
+// refused at Open. Create() writes the one-page image to a temporary
+// file, fsyncs it and renames it over `path`; every later commit is in
+// place.
 //
 // The pager is a single-writer structure: concurrent *readers* open their
 // own Pager over the same path (pages are read lazily and validated on
@@ -86,20 +85,18 @@ class Pager {
   static constexpr uint32_t kPageHeaderBytes = 12;
   static constexpr uint32_t kPagePayload = kPageSize - kPageHeaderBytes;
   static constexpr uint32_t kNoPage = 0;
-  /// v4: double-buffered header slots + free-list chain (in-place
-  /// commits). v3 added raw extents and the paged catalog index.
+  /// Double-buffered header slots + free-list chain (in-place commits);
+  /// the only version Open accepts.
   static constexpr uint32_t kFormatVersion = 4;
-  /// Oldest version Open still reads (v2: per-model WAL catalog lists).
-  static constexpr uint32_t kMinFormatVersion = 2;
   static constexpr std::string_view kMagic = "CSPMSTR1";  // 8 bytes
 
-  /// Starts a fresh store at `path` (header page only) and commits it,
+  /// Starts a fresh store at `path` (header page only), atomically
   /// replacing any existing file.
   static StatusOr<Pager> Create(const std::string& path);
 
   /// Opens an existing store: validates magic, version, page size, the
-  /// header CRC and file length, and loads the free list. Data pages are
-  /// read (and CRC-checked) lazily.
+  /// header slot CRCs and file length, and loads the free list. Data pages
+  /// are read (and CRC-checked) lazily.
   static StatusOr<Pager> Open(const std::string& path);
 
   /// True if the file starts with the store magic (cheap format sniff; a
@@ -111,18 +108,13 @@ class Pager {
 
   const std::string& path() const { return path_; }
   uint32_t num_pages() const { return num_pages_; }
-  /// Format version of the file this pager was opened over (Create()d
-  /// stores are current). Commit always writes kFormatVersion.
-  uint32_t format_version() const { return version_; }
 
   uint32_t catalog_head() const { return catalog_head_; }
   void set_catalog_head(uint32_t page_id) { catalog_head_ = page_id; }
 
-  /// Free pages of the last commit, ascending (the audit's view; on a v2
-  /// or v3 file, the pages its linked free list holds).
+  /// Free pages, ascending (the audit's view).
   std::vector<uint32_t> FreePages() const;
-  /// Head of the committed free-list chain (kNoPage on v2/v3 files, whose
-  /// free pages link themselves).
+  /// Head of the committed free-list chain (kNoPage when nothing is free).
   uint32_t free_list_head() const {
     return free_chain_.empty() ? kNoPage : free_chain_.front();
   }
@@ -203,14 +195,13 @@ class Pager {
   /// catalog reference matters more than reclaiming a damaged chain.
   Status FreeChain(uint32_t head);
 
-  /// Makes every change since the last commit durable, atomically: the
-  /// in-place protocol above on a v4 file, the whole-image rename on a
-  /// Create()d or legacy one. On error the file still holds the previous
-  /// commit and the changes stay pending for a retry.
+  /// Makes every change since the last commit durable, atomically, by
+  /// the in-place protocol above. On error the file still holds the
+  /// previous commit and the changes stay pending for a retry.
   Status Commit();
 
   /// Test-only crash seam. Every write the pager issues (a run of pages,
-  /// a header slot, a file extension, a piece of a whole image) is
+  /// a header slot, a file extension, Create's image) is
   /// counted process-wide. When `fail_at` > 0, the write with that number
   /// is dropped — or, with `tear`, only its first half reaches the file —
   /// and it and every later write fail, as if the process died there.
@@ -245,9 +236,9 @@ class Pager {
 
   Pager() = default;
 
-  /// Parses page 0 (any supported version) into the header fields.
+  /// Parses page 0 into the header fields.
   Status ParseHeader(const char* header, uint64_t file_bytes);
-  /// Loads the committed free list: the v4 chain, or a legacy linked list.
+  /// Loads the committed free list from its chain.
   Status LoadFreeList(uint32_t head);
   /// Points fd_ at the file at path_ and records its identity and length
   /// (in bytes into `file_bytes` when non-null).
@@ -277,9 +268,6 @@ class Pager {
   /// Serializes one dirty page (data or raw) into `out`.
   void RenderPage(uint32_t page_id, char* out) const;
   Status CommitInPlace();
-  Status CommitWholeImage();
-  /// Bookkeeping after a commit landed.
-  void FinishCommit(std::vector<uint32_t> chain);
 
   std::string path_;
   FileHandle fd_;
@@ -289,9 +277,6 @@ class Pager {
   /// Whole pages the file holds on disk (may exceed num_pages_ after a
   /// crash left a tail).
   uint64_t file_pages_ = 0;
-  uint32_t version_ = kFormatVersion;
-  /// The next Commit writes a whole image: a Create()d or legacy file.
-  bool whole_image_ = true;
   uint32_t num_pages_ = 1;
   uint32_t catalog_head_ = kNoPage;
   /// Sequence number and slot of the committed header.

@@ -30,11 +30,6 @@ static_assert(std::is_trivially_copyable_v<AttrId> && sizeof(AttrId) == 4,
               "mmap-viewed");
 static_assert(sizeof(double) == 8, "plan section assumes 8-byte doubles");
 
-/// Version 1 sections (the six-slab per-star layout) sealed their
-/// header with a CRC of bytes [0, 104) stored at 104.
-constexpr uint32_t kLegacyPlanSectionVersion = 1;
-constexpr size_t kLegacyHeaderCrcOffset = 104;
-
 const char* const kSlabNames[kPlanSlabCount] = {
     "singleton_offsets",  "singleton_cores", "singleton_code_lengths",
     "multi_offsets",      "multi_units",     "multi_cores",
@@ -213,15 +208,6 @@ Status ValidatePlanSection(std::string_view section, bool verify_slab_crcs) {
     return Status::IOError("plan section has bad magic");
   }
   const uint32_t version = GetU32(base + 8);
-  if (version == kLegacyPlanSectionVersion &&
-      section.size() >= kLegacyHeaderCrcOffset + 4 &&
-      GetU32(base + kLegacyHeaderCrcOffset) ==
-          Crc32(base, kLegacyHeaderCrcOffset)) {
-    return Status::NotFound(StrFormat(
-        "legacy plan section (version %u, the per-star layout); this build "
-        "compiles the model from its record until a re-save rewrites it",
-        version));
-  }
   if (version != kPlanSectionVersion) {
     return Status::IOError(
         StrFormat("plan section version %u, this build reads exactly %u",

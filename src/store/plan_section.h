@@ -25,10 +25,8 @@
 //              8-byte doubles of the code-length slabs with room for
 //              wider vector loads later)
 //
-// Version 1 (the six-slab per-star layout) is legacy: the validator
-// recognises a well-formed v1 header and answers NotFound, so the store
-// treats the section as absent and serving falls back to decoding and
-// compiling the record until a re-Put rewrites it.
+// Version 2 is the only version this build reads: any other fails
+// validation with an IOError, as a corrupt header does.
 //
 // Validation is two-tier by design: ValidatePlanSection's default mode
 // checks the header CRC and the slab geometry only — O(1), cheap enough
@@ -75,8 +73,7 @@ std::string EncodePlanSection(const core::ScoringPlan& plan);
 /// alignment, ascending non-overlapping offsets, containment in
 /// `section.size()`); with `verify_slab_crcs` it additionally sweeps all
 /// eight slab CRCs (the fsck tier — deliberately not paid on open).
-/// A well-formed legacy (version 1) section returns NotFound: it is not
-/// corrupt, but this build cannot view it.
+/// Every failure, another section version included, is an IOError.
 Status ValidatePlanSection(std::string_view section, bool verify_slab_crcs);
 
 /// Wraps a validated section image as a ScoringPlan view. `data` must

@@ -29,6 +29,7 @@
 #include "net/model_host.h"
 #include "net/server.h"
 #include "store/model_store.h"
+#include "store/pager.h"
 #include "testing_util.h"
 #include "util/check.h"
 #include "util/status.h"
@@ -770,6 +771,55 @@ TEST(ModelHost, OpenTruncatesTornWalTail) {
     const std::vector<double>& b = expected.value()[i].normalized;
     ASSERT_EQ(a.size(), b.size());
     EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(double)), 0);
+  }
+}
+
+TEST(ModelHost, FailedAppendDoesNotLeakIntoTheNextUpdate) {
+  const std::string path =
+      MakeServedStore("net_host_failed_append.cspm", "paper");
+  auto host = ModelHost::Open(path);
+  ASSERT_TRUE(host.ok()) << host.status().ToString();
+  // d1 brings an attribute value the model has never seen; its WAL append
+  // fails, so no replay of the store can know it.
+  const std::string marker = "UNLOGGED_ATTRIBUTE_VALUE";
+  graph::GraphDelta d1;
+  d1.SetAttribute(graph::VertexId(0), marker);
+  auto d2 = graph::MakeRandomEdgeRewires(PaperExampleGraph(), 2, /*seed=*/11);
+  ASSERT_TRUE(d2.ok());
+
+  store::Pager::SetWriteFaultForTesting(1, false);
+  auto failed = host.value()->Update("paper", d1, engine::UpdateMode::kExact);
+  store::Pager::SetWriteFaultForTesting(0, false);
+  ASSERT_FALSE(failed.ok());
+  ASSERT_TRUE(
+      host.value()->Update("paper", d2.value(), engine::UpdateMode::kExact)
+          .ok());
+
+  auto wal = host.value()->store().ReadWal("paper");
+  ASSERT_TRUE(wal.ok());
+  EXPECT_EQ(wal.value().deltas.size(), 1u);
+  const engine::ModelRegistry::Handle handle =
+      host.value()->registry().Get("paper");
+  ASSERT_NE(handle, nullptr);
+  EXPECT_EQ(handle->dict.Find(marker), graph::AttributeDictionary::kNotFound);
+
+  // What is served is what a restart would serve: the record plus d2.
+  auto replayed = engine::ReplayModel(host.value()->store(), "paper");
+  ASSERT_TRUE(replayed.ok()) << replayed.status().ToString();
+  std::vector<graph::VertexId> vertices;
+  for (graph::VertexId v(0); v < handle->graph->num_vertices(); ++v) {
+    vertices.push_back(v);
+  }
+  auto served = host.value()->Score("paper", vertices);
+  ASSERT_TRUE(served.ok());
+  auto expected = replayed.value().session.ScoreBatch(vertices);
+  ASSERT_TRUE(expected.ok());
+  for (size_t i = 0; i < vertices.size(); ++i) {
+    const std::vector<double>& a = served.value()[i].normalized;
+    const std::vector<double>& b = expected.value()[i].normalized;
+    ASSERT_EQ(a.size(), b.size()) << "vertex " << i;
+    EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(double)), 0)
+        << "vertex " << i;
   }
 }
 

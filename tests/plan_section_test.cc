@@ -1,15 +1,11 @@
-// Tests for the mmap-native plan section (store format v3): the on-disk
-// encode/validate round trip, bit-identity of mmap-view scores against a
-// freshly compiled plan on the n=8000 serving stand-in, and
-// read-compatibility with committed store files produced by older
-// binaries: a v2 store (no plan sections) and a v3 store whose plan
-// section is the legacy version 1 layout, both served by
-// ModelRegistry::LoadModel through its compile fallback.
+// Tests for the mmap-native plan section: the on-disk encode/validate
+// round trip, bit-identity of mmap-view scores against a freshly compiled
+// plan on the n=8000 serving stand-in, and mapped plans surviving a re-Put
+// and the reuse of their pages.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <memory>
 #include <string>
 #include <utility>
@@ -17,7 +13,6 @@
 
 #include "cspm/scoring_plan.h"
 #include "datasets/synthetic.h"
-#include "engine/model_registry.h"
 #include "engine/session.h"
 #include "graph/generators.h"
 #include "graph/graph_delta.h"
@@ -199,6 +194,22 @@ TEST(PlanSection, ValidateRejectsTamperedBytes) {
   bad = section.substr(0, section.size() - 1);
   EXPECT_FALSE(
       store::ValidatePlanSection(bad, /*verify_slab_crcs=*/false).ok());
+
+  // A version-1 header, sealed the way that layout was (CRC of bytes
+  // [0, 104) at 104) and resealed as version 2 too: another version is
+  // an I/O error in both tiers, never a section to skip.
+  bad = section;
+  PutU32(bad.data() + 8, 1);
+  PutU32(bad.data() + 104, Crc32(bad.data(), 104));
+  ResealHeader(&bad);
+  for (const bool verify_slab_crcs : {false, true}) {
+    const Status old_version =
+        store::ValidatePlanSection(bad, verify_slab_crcs);
+    EXPECT_EQ(old_version.code(), StatusCode::kIOError)
+        << old_version.ToString();
+    EXPECT_NE(old_version.message().find("version 1"), std::string::npos)
+        << old_version.ToString();
+  }
 }
 
 // --- mmap view through the store, n=8000 stand-in -------------------------
@@ -264,172 +275,6 @@ TEST(PlanSection, MappedOldPlanSurvivesRePutAndPageReuse) {
   auto new_view = store->OpenPlan("m");
   ASSERT_TRUE(new_view.ok());
   ExpectServesLikeFreshCompile(g_new, new_model, **new_view);
-  std::remove(path.c_str());
-}
-
-// --- v2 read-compatibility -------------------------------------------------
-
-/// Copies a committed store fixture into the temp dir.
-std::string CopyFixture(const std::string& fixture, const std::string& name) {
-  const std::string src = std::string(CSPM_TEST_DATA_DIR) + "/" + fixture;
-  const std::string dst = TempPath(name);
-  std::ifstream in(src, std::ios::binary);
-  CSPM_CHECK(in.good());
-  std::ofstream out(dst, std::ios::binary | std::ios::trunc);
-  out << in.rdbuf();
-  CSPM_CHECK(out.good());
-  return dst;
-}
-
-/// The v2 fixture was written by a pre-v3 binary: linear catalog chain,
-/// no plan sections.
-std::string CopyV2Fixture(const std::string& name) {
-  return CopyFixture("v2_store.cspm", name);
-}
-
-TEST(V2Compat, OpensReadsAndServesWithoutPlanSection) {
-  const std::string path = CopyV2Fixture("v2_compat_read.cspm");
-  auto store = ModelStore::Open(path);
-  ASSERT_TRUE(store.ok()) << store.status().ToString();
-  EXPECT_EQ(store->size(), 1u);
-  EXPECT_TRUE(store->Contains("v2model"));
-  EXPECT_TRUE(store->Fsck().ok());
-
-  auto stored = store->Get("v2model");
-  ASSERT_TRUE(stored.ok());
-  ASSERT_TRUE(stored->graph.has_value());
-  EXPECT_EQ(store->List()[0].plan_bytes, 0u);
-
-  // The WAL written by the old binary is still replayable.
-  auto wal = store->ReadWal("v2model");
-  ASSERT_TRUE(wal.ok());
-  EXPECT_EQ(wal->deltas.size(), 1u);
-  EXPECT_FALSE(wal->truncated);
-
-  // No plan section yet: the direct open refuses with the upgrade hint,
-  // and the registry compiles the plan from the record it decoded.
-  auto direct = store->OpenPlan("v2model");
-  ASSERT_FALSE(direct.ok());
-  EXPECT_NE(direct.status().message().find("no plan section"),
-            std::string::npos)
-      << direct.status().ToString();
-  engine::ModelRegistry registry;
-  const Status loaded = registry.LoadModel(*store, "v2model");
-  ASSERT_TRUE(loaded.ok()) << loaded.ToString();
-  const engine::ModelRegistry::Handle fallback = registry.Get("v2model");
-  EXPECT_FALSE(fallback->plan->is_view());
-  ExpectServesLikeFreshCompile(*stored->graph, stored->model,
-                               *fallback->plan);
-  std::remove(path.c_str());
-}
-
-TEST(V2Compat, FirstMutationUpgradesToV3InPlace) {
-  const std::string path = CopyV2Fixture("v2_compat_upgrade.cspm");
-  core::CspmModel model;
-  graph::AttributedGraph g = [&] {
-    auto store = ModelStore::Open(path);
-    CSPM_CHECK(store.ok());
-    auto stored = store->Get("v2model");
-    CSPM_CHECK(stored.ok());
-    model = stored->model;
-    graph::AttributedGraph graph = std::move(*stored->graph);
-
-    // Scores of the record decoded by this (v3) binary must match what
-    // the v2 binary persisted — then re-Put upgrades the file in place.
-    CSPM_CHECK(store->Put("v2model", {model, graph.dict(), graph}).ok());
-    return graph;
-  }();
-
-  auto upgraded = ModelStore::Open(path);
-  ASSERT_TRUE(upgraded.ok()) << upgraded.status().ToString();
-  EXPECT_TRUE(upgraded->Fsck().ok());
-  ASSERT_FALSE(upgraded->List().empty());
-  EXPECT_GT(upgraded->List()[0].plan_bytes, 0u);
-  // Put compacts the WAL.
-  auto wal = upgraded->ReadWal("v2model");
-  ASSERT_TRUE(wal.ok());
-  EXPECT_TRUE(wal->deltas.empty());
-
-  auto plan_or = upgraded->OpenPlan("v2model");
-  ASSERT_TRUE(plan_or.ok()) << plan_or.status().ToString();
-  EXPECT_TRUE((*plan_or)->is_view());
-  const core::ScoringPlan compiled =
-      core::ScoringPlan::Compile(model, g.num_attribute_values());
-  ExpectBitIdenticalScores(g, compiled, **plan_or);
-  std::remove(path.c_str());
-}
-
-// --- legacy plan-section read-compatibility --------------------------------
-
-/// The plan_v1 fixture was written by a binary that laid plans out per
-/// star (section magic CSPMPLN3, version 1): one model "planv1" with its
-/// graph snapshot, its plan section at the first extent.
-std::string CopyPlanV1Fixture(const std::string& name) {
-  return CopyFixture("plan_v1_store.cspm", name);
-}
-
-TEST(PlanV1Compat, OpensThroughCompileFallbackAndServesBitIdentically) {
-  const std::string path = CopyPlanV1Fixture("plan_v1_read.cspm");
-  {
-    // The fixture really holds a version-1 section.
-    std::ifstream in(path, std::ios::binary);
-    std::string header(12, '\0');
-    in.seekg(4096);
-    in.read(header.data(), 12);
-    ASSERT_TRUE(in.good());
-    EXPECT_EQ(header.compare(0, 8, store::kPlanSectionMagic), 0);
-    EXPECT_EQ(GetU32(header.data() + 8), 1u);
-  }
-  auto store = ModelStore::Open(path);
-  ASSERT_TRUE(store.ok()) << store.status().ToString();
-  ASSERT_TRUE(store->Contains("planv1"));
-  EXPECT_GT(store->List()[0].plan_bytes, 0u);
-  // Legacy is not corrupt: the audit passes.
-  const Status fsck = store->Fsck();
-  EXPECT_TRUE(fsck.ok()) << fsck.ToString();
-
-  // The direct open treats the old section as absent...
-  auto direct = store->OpenPlan("planv1");
-  ASSERT_FALSE(direct.ok());
-  EXPECT_EQ(direct.status().code(), StatusCode::kNotFound);
-  EXPECT_NE(direct.status().message().find("legacy plan section"),
-            std::string::npos)
-      << direct.status().ToString();
-  // ...and the registry compiles the plan from the record it decoded.
-  engine::ModelRegistry registry;
-  const Status loaded = registry.LoadModel(*store, "planv1");
-  ASSERT_TRUE(loaded.ok()) << loaded.ToString();
-  const engine::ModelRegistry::Handle fallback = registry.Get("planv1");
-  EXPECT_FALSE(fallback->plan->is_view());
-
-  auto stored = store->Get("planv1");
-  ASSERT_TRUE(stored.ok());
-  ASSERT_TRUE(stored->graph.has_value());
-  ExpectServesLikeFreshCompile(*stored->graph, stored->model,
-                               *fallback->plan);
-  std::remove(path.c_str());
-}
-
-TEST(PlanV1Compat, RePutWritesCurrentSectionOpenedAsMmapView) {
-  const std::string path = CopyPlanV1Fixture("plan_v1_upgrade.cspm");
-  StoredModel stored = [&] {
-    auto store = ModelStore::Open(path);
-    CSPM_CHECK(store.ok());
-    auto record = store->Get("planv1");
-    CSPM_CHECK(record.ok());
-    CSPM_CHECK(store->Put("planv1", *record).ok());
-    return *std::move(record);
-  }();
-
-  auto upgraded = ModelStore::Open(path);
-  ASSERT_TRUE(upgraded.ok()) << upgraded.status().ToString();
-  const Status fsck = upgraded->Fsck();
-  EXPECT_TRUE(fsck.ok()) << fsck.ToString();
-  auto plan_or = upgraded->OpenPlan("planv1");
-  ASSERT_TRUE(plan_or.ok()) << plan_or.status().ToString();
-  EXPECT_TRUE((*plan_or)->is_view());
-  ASSERT_TRUE(stored.graph.has_value());
-  ExpectServesLikeFreshCompile(*stored.graph, stored.model, **plan_or);
   std::remove(path.c_str());
 }
 

@@ -557,16 +557,20 @@ TEST_F(CorruptionTest, EveryFlippedPageIsDetected) {
 }
 
 TEST_F(CorruptionTest, VersionMismatchFailsCleanly) {
-  // Both a from-the-future and a stale (pre-WAL catalog) version are
-  // rejected at open with a format error, not misparsed.
-  for (const char version : {char{99}, char{1}}) {
+  // A from-the-future version and every older format (v1 to v3) are
+  // rejected at open with a format error naming the version read, not
+  // misparsed.
+  for (const int version : {99, 1, 2, 3}) {
+    SCOPED_TRACE(version);
     std::string corrupt = bytes_;
-    corrupt[8] = version;  // format version field (LE low byte)
+    corrupt[8] = static_cast<char>(version);  // format version (LE low byte)
     WriteFileBytes(path_, corrupt);
     auto opened = ModelStore::Open(path_);
-    EXPECT_FALSE(opened.ok());
-    EXPECT_NE(opened.status().message().find("format version"),
-              std::string::npos);
+    ASSERT_FALSE(opened.ok());
+    EXPECT_NE(opened.status().message().find(
+                  StrFormat("has format version %d,", version)),
+              std::string::npos)
+        << opened.status().ToString();
   }
 }
 
@@ -988,18 +992,6 @@ TEST(CrashSweep, EveryWriteOfEveryMutationRecoversTheLastCommit) {
     SCOPED_TRACE(name);
     SweepCrashes(base, path, op);
   }
-}
-
-TEST(CrashSweep, LegacyUpgradeRecoversTheLegacyFile) {
-  // The first mutation of a v2 file writes a whole v4 image and renames
-  // it over the store: a crash before the rename leaves the v2 file.
-  const std::string path = TempPath("crash_sweep_v2.cspm");
-  const std::string base =
-      ReadFileBytes(std::string(CSPM_TEST_DATA_DIR) + "/v2_store.cspm");
-  SweepCrashes(base, path, [](ModelStore& s) {
-    return s.AppendDelta("v2model", SampleDelta(4));
-  });
-  std::remove((path + ".tmp").c_str());
 }
 
 }  // namespace

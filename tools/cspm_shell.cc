@@ -374,16 +374,12 @@ Status CmdLs(Shell& sh, const std::vector<std::string>&) {
   std::printf("%-24s %10s %8s %6s %4s %10s\n", "name", "bytes", "a-stars",
               "graph", "wal", "plan");
   for (const auto& info : infos) {
-    std::printf("%-24s %10llu %8llu %6s %4llu %10s\n", info.name.c_str(),
+    std::printf("%-24s %10llu %8llu %6s %4llu %10llu\n", info.name.c_str(),
                 static_cast<unsigned long long>(info.bytes),
                 static_cast<unsigned long long>(info.num_astars),
                 info.has_graph ? "yes" : "no",
                 static_cast<unsigned long long>(info.wal_records),
-                info.plan_bytes > 0
-                    ? StrFormat("%llu", static_cast<unsigned long long>(
-                                            info.plan_bytes))
-                          .c_str()
-                    : "v2");
+                static_cast<unsigned long long>(info.plan_bytes));
   }
   return Status::OK();
 }
