@@ -69,7 +69,8 @@ void BM_SweepMergeGains(benchmark::State& state) {
   };
   uint64_t pairs = 0;
   for (auto _ : state) {
-    pairs += core::SweepMergeGains(idb, cm, idb.active_leafsets(), count);
+    pairs += core::SweepMergeGains(idb, cm, core::XLogTable(idb),
+                                   idb.active_leafsets(), count);
   }
   benchmark::DoNotOptimize(feasible);
   state.SetItemsProcessed(static_cast<int64_t>(pairs));

@@ -11,7 +11,7 @@ the consolidated BENCH_PR.json artifact, and exits non-zero when:
     absolute vertices/s are reported alongside for humans.
 
   * the fast (continue-from-final-model) re-mine is less than
-    baseline `min_warm_remine_speedup` (5x) faster end-to-end than a
+    baseline `min_warm_remine_speedup` (8.5x) faster end-to-end than a
     cold re-mine at 1% dirty vertices, or its model quality slips: the
     dl_ratio_vs_cold counter (fast model DL / cold model DL on the same
     mutated graph) exceeds `max_fast_dl_ratio` (1.01, the DL-epsilon

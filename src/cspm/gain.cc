@@ -31,12 +31,6 @@ uint64_t IntersectionSize(PosListView a, PosListView b) {
 
 double DirectXLog2X(uint64_t n) { return mdl::XLog2X(static_cast<double>(n)); }
 
-std::vector<double> TabulateXLog2X(uint64_t max_n) {
-  std::vector<double> table(max_n + 1);
-  for (uint64_t n = 0; n < table.size(); ++n) table[n] = DirectXLog2X(n);
-  return table;
-}
-
 /// The pair-level inputs every gain of (x, y) shares: the union leafset's
 /// id (kNotFound when it is not interned) and its ST cost. When the union
 /// is x or y itself (y ⊆ x or x ⊆ y) the pair is infeasible: by the
@@ -106,7 +100,6 @@ struct CooccurrenceIndex {
   /// Per entry: its row, and the size of that row's line.
   std::vector<uint32_t> entry_row;
   std::vector<uint32_t> entry_line_size;
-  uint64_t max_core_total = 0;
 
   CooccurrenceIndex(const InvertedDatabase& idb,
                     std::span<const LeafsetId> rows);
@@ -129,7 +122,6 @@ CooccurrenceIndex::CooccurrenceIndex(const InvertedDatabase& idb,
       CSPM_CHECK(positions < std::numeric_limits<uint32_t>::max());
       line_begin.push_back(static_cast<uint32_t>(positions));
       num_vertices = std::max(num_vertices, line.back().index() + 1);
-      max_core_total = std::max(max_core_total, idb.CoreLineTotal(e));
     });
   }
   row_first_line.push_back(static_cast<uint32_t>(views.size()));
@@ -188,12 +180,16 @@ CooccurrenceIndex::CooccurrenceIndex(const InvertedDatabase& idb,
 
 }  // namespace
 
-std::vector<double> TabulateXLog2X(const InvertedDatabase& idb) {
+XLogTable::XLogTable(const InvertedDatabase& idb) { Cover(idb); }
+
+void XLogTable::Cover(const InvertedDatabase& idb) {
   uint64_t max_core_total = 0;
   for (CoreId e(0); e.index() < idb.num_coresets(); ++e) {
     max_core_total = std::max(max_core_total, idb.CoreLineTotal(e));
   }
-  return TabulateXLog2X(max_core_total);
+  for (uint64_t n = table_.size(); n <= max_core_total; ++n) {
+    table_.push_back(DirectXLog2X(n));
+  }
 }
 
 GainResult ComputeMergeGain(const InvertedDatabase& idb, const CodeModel& cm,
@@ -226,12 +222,13 @@ GainResult ComputeMergeGain(const InvertedDatabase& idb, const CodeModel& cm,
 }
 
 uint64_t SweepMergeGains(const InvertedDatabase& idb, const CodeModel& cm,
+                         const XLogTable& table,
                          std::span<const LeafsetId> rows,
                          const PairGainSink& sink) {
   const CooccurrenceIndex index(idb, rows);
   // Every argument of Eqs. 10-15 lies in 0..f_e.
-  const std::vector<double> xlog_table = TabulateXLog2X(index.max_core_total);
-  const auto xlog = [&xlog_table](uint64_t n) { return xlog_table[n]; };
+  const std::span<const double> xlog_table = table.values();
+  const auto xlog = [xlog_table](uint64_t n) { return xlog_table[n]; };
   std::vector<double> st_costs(rows.size());
   for (size_t i = 0; i < rows.size(); ++i) {
     st_costs[i] = cm.StCost(idb.leafsets().Values(rows[i]));
@@ -273,6 +270,7 @@ uint64_t SweepMergeGains(const InvertedDatabase& idb, const CodeModel& cm,
       // accumulates them in ComputeMergeGain's order.
       const CoreId e = index.line_core[l];
       const uint64_t fe = idb.CoreLineTotal(e);
+      CSPM_DCHECK(fe < xlog_table.size());
       const uint64_t xe = index.line_begin[l + 1] - index.line_begin[l];
       const double core_code = cm.CoreCodeLength(e);
       for (uint32_t j : touched) {
@@ -306,10 +304,11 @@ uint64_t SweepMergeGains(const InvertedDatabase& idb, const CodeModel& cm,
   return evaluated;
 }
 
-RowRescorer::RowRescorer(const InvertedDatabase& idb, const CodeModel& cm)
+RowRescorer::RowRescorer(const InvertedDatabase& idb, const CodeModel& cm,
+                         const XLogTable& xlog)
     : idb_(idb),
       cm_(cm),
-      xlog_table_(TabulateXLog2X(idb)),
+      xlog_(xlog),
       core_slot_(idb.num_coresets(), kNoSlot),
       mark_(idb.vertex_coresets().size(), 0) {}
 
@@ -354,7 +353,8 @@ void RowRescorer::Score(LeafsetId row, RowSide side,
 
   const double row_st_cost = cm_.StCost(idb_.leafsets().Values(row));
   partners_.assign(partners.size(), Partner{});
-  const auto xlog = [this](uint64_t n) { return xlog_table_[n]; };
+  const std::span<const double> xlog_table = xlog_.values();
+  const auto xlog = [xlog_table](uint64_t n) { return xlog_table[n]; };
   uint32_t begin = 0;
   for (size_t s = 0; s < row_lines_.size(); ++s) {
     const uint32_t end = slot_begin_[s];
@@ -367,7 +367,7 @@ void RowRescorer::Score(LeafsetId row, RowSide side,
     }
     for (VertexId v : row_line) mark_[v.index()] = stamp_;
     const uint64_t fe = idb_.CoreLineTotal(e);
-    CSPM_DCHECK(fe < xlog_table_.size());
+    CSPM_DCHECK(fe < xlog_table.size());
     const double core_code = cm_.CoreCodeLength(e);
     for (uint32_t k = begin; k < end; ++k) {
       const Entry& entry = bucketed_[k];
@@ -405,19 +405,34 @@ void RowRescorer::Meet(LeafsetId row, LeafsetId y, Partner* p) {
   p->st_cost = cm_.StCost(idb_.leafsets().Values(y));
 }
 
+SingletonLineSizes::SingletonLineSizes(const InvertedDatabase& idb)
+    : num_attrs_(idb.num_coresets()), sizes_(num_attrs_ * num_attrs_, 0) {
+  for (AttrId a(0); a.index() < num_attrs_; ++a) {
+    const LeafsetId s = idb.leafsets().Singleton(a);
+    if (s == LeafsetRegistry::kNotFound) continue;
+    idb.ForEachLineOf(s, [&](CoreId e, PosListView line) {
+      sizes_[e.index() * num_attrs_ + a.index()] =
+          static_cast<uint32_t>(line.size());
+    });
+  }
+}
+
+void SingletonLineSizes::AddSplit(CoreId e, std::span<const AttrId> values,
+                                  uint64_t fl) {
+  for (AttrId a : values) {
+    sizes_[e.index() * num_attrs_ + a.index()] += static_cast<uint32_t>(fl);
+  }
+}
+
 GainResult ComputeSplitGain(const InvertedDatabase& idb, const CodeModel& cm,
-                            CoreId e, LeafsetId l,
-                            std::span<const double> xlog_table) {
-  const auto xlog = [xlog_table](uint64_t n) {
-    return n < xlog_table.size() ? xlog_table[n] : DirectXLog2X(n);
-  };
+                            const SingletonLineSizes& singles,
+                            const XLogTable& xlog, CoreId e, LeafsetId l,
+                            uint64_t fl) {
   GainResult result;
-  const PosListView line = idb.FindLine(e, l);
-  if (line.empty()) return result;
+  if (fl == 0) return result;
   const std::vector<AttrId>& values = idb.leafsets().Values(l);
   if (values.size() < 2) return result;
 
-  const uint64_t fl = line.size();
   const uint64_t fe = idb.CoreLineTotal(e);
   const uint64_t grown = fe + (static_cast<uint64_t>(values.size()) - 1) * fl;
 
@@ -431,9 +446,7 @@ GainResult ComputeSplitGain(const InvertedDatabase& idb, const CodeModel& cm,
   result.model_delta_bits = -cm.LineModelCost(values, e);
   const double core_code = cm.CoreCodeLength(e);
   for (AttrId a : values) {
-    uint64_t se = 0;
-    const LeafsetId s = idb.leafsets().Singleton(a);
-    if (s != LeafsetRegistry::kNotFound) se = idb.FindLine(e, s).size();
+    const uint64_t se = singles.Get(e, a);
     result.data_gain_bits += xlog(se + fl) - xlog(se);
     if (se == 0) {
       result.model_delta_bits +=

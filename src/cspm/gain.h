@@ -9,8 +9,36 @@
 
 #include "cspm/code_model.h"
 #include "cspm/inverted_database.h"
+#include "mdl/codes.h"
 
 namespace cspm::core {
+
+/// mdl::XLog2X over 0..max f_e of a database, indexed by n. A mine and a
+/// fast resume each build one and share it between the unmerge pass, the
+/// candidate sweep and the merge loop's RowRescorer. XLog2X is a pure
+/// function of an integer, so a read returns the bits of the direct call.
+class XLogTable {
+ public:
+  /// Tabulates 0..max f_e of `idb` as it is now.
+  explicit XLogTable(const InvertedDatabase& idb);
+
+  /// Extends the table to 0..max f_e of `idb`. Merges only shrink f_e; a
+  /// SplitLine grows it, so a resume calls this after its unmerge pass.
+  void Cover(const InvertedDatabase& idb);
+
+  /// XLog2X(n); arguments past the end are computed directly.
+  double operator()(uint64_t n) const {
+    return n < table_.size() ? table_[n] : mdl::XLog2X(static_cast<double>(n));
+  }
+
+  /// The table itself, for the sweep's and the rescorer's inner loops:
+  /// they read it unchecked (a bounds check there costs ~15% of a sweep),
+  /// so their database's f_e must be covered.
+  std::span<const double> values() const { return table_; }
+
+ private:
+  std::vector<double> table_;
+};
 
 /// Which terms the acceptance test uses.
 enum class GainPolicy {
@@ -70,13 +98,14 @@ using PairGainSink =
 /// walks its own lines once over a per-(coreset, vertex) index of the
 /// rows' lines, counting |P_x ∩ P_y| for every partner, then evaluates
 /// Eqs. 10-15 per shared coreset in ascending coreset order from those
-/// integer counts, with XLog2X read from a table over 0..max f_e. Same
-/// integer inputs, same per-pair operation order and a tabulated pure
-/// function: every result is bit-identical to the single-pair call
-/// (DESIGN.md §4). `sink` is called for each row with at least one
-/// partner, in ascending row order. Returns the number of pairs evaluated
-/// (the pairs delivered to `sink`).
+/// integer counts, with XLog2X read from `xlog`, which must cover max f_e
+/// of `idb`. Same integer inputs, same per-pair operation order and a
+/// tabulated pure function: every result is bit-identical to the
+/// single-pair call (DESIGN.md §4). `sink` is called for each row with at
+/// least one partner, in ascending row order. Returns the number of pairs
+/// evaluated (the pairs delivered to `sink`).
 uint64_t SweepMergeGains(const InvertedDatabase& idb, const CodeModel& cm,
+                         const XLogTable& xlog,
                          std::span<const LeafsetId> rows,
                          const PairGainSink& sink);
 
@@ -98,10 +127,11 @@ enum class RowSide { kX, kY };
 /// database; not thread-safe.
 class RowRescorer {
  public:
-  /// Tabulates XLog2X over 0..max f_e of `idb` as it is now. Merges only
-  /// shrink f_e, so the table covers a whole merge loop over `idb`; it
-  /// does not cover a SplitLine (which grows f_e).
-  RowRescorer(const InvertedDatabase& idb, const CodeModel& cm);
+  /// Reads XLog2X from `xlog`, which must outlive the rescorer and cover
+  /// max f_e of `idb` (merges only shrink it).
+  RowRescorer(const InvertedDatabase& idb, const CodeModel& cm,
+              const XLogTable& xlog);
+  RowRescorer(const InvertedDatabase&, const CodeModel&, XLogTable&&) = delete;
 
   /// Replaces `out` with one result per partner, in partner order:
   /// ComputeMergeGain(row, partners[j]) under RowSide::kX, and
@@ -132,7 +162,7 @@ class RowRescorer {
 
   const InvertedDatabase& idb_;
   const CodeModel& cm_;
-  std::vector<double> xlog_table_;
+  const XLogTable& xlog_;
   std::vector<uint32_t> core_slot_;  // per coreset; kNoSlot off the row
   std::vector<uint32_t> mark_;       // per vertex; == stamp_ on the row line
   uint32_t stamp_ = 0;
@@ -143,27 +173,45 @@ class RowRescorer {
   std::vector<AttrId> union_;
 };
 
-/// Computes the exact gain of *undoing* line (e, l) of a merged leafset
-/// via InvertedDatabase::SplitLine (no mutation): its positions return to
-/// the member singleton lines, so f_e grows by (|values| - 1) * fL. Uses
-/// the same conventions as ComputeMergeGain — data_gain_bits is the exact
+/// Sizes of the singleton lines (e, {a}) of a single-value-coreset
+/// database, one dense uint32_t cell per (coreset, attribute value): 4·A²
+/// bytes for A attribute values (attribute ids are coreset ids here).
+/// Cells without a line read 0. Built from the singleton lines; the
+/// caller keeps it current across its own SplitLine calls with AddSplit.
+/// The unmerge pass reads it instead of binary-searching each member's
+/// line: one split term costs O(|values|).
+class SingletonLineSizes {
+ public:
+  explicit SingletonLineSizes(const InvertedDatabase& idb);
+
+  uint32_t Get(CoreId e, AttrId a) const {
+    return sizes_[e.index() * num_attrs_ + a.index()];
+  }
+
+  /// Records InvertedDatabase::SplitLine(e, l) of a line of `fl`
+  /// positions: each member singleton line of `values` (l's values) grew
+  /// by fl.
+  void AddSplit(CoreId e, std::span<const AttrId> values, uint64_t fl);
+
+ private:
+  size_t num_attrs_;
+  std::vector<uint32_t> sizes_;  // [coreset][attribute value]
+};
+
+/// Computes the exact gain of *undoing* line (e, l) of `fl` positions via
+/// InvertedDatabase::SplitLine (no mutation): its positions return to the
+/// member singleton lines, so f_e grows by (|values| - 1) * fl. Uses the
+/// same conventions as ComputeMergeGain — data_gain_bits is the exact
 /// drop of Eq. 8's data term (positive = splitting shrinks it) and
 /// model_delta_bits counts ST + Code_c per created/removed line, ignoring
-/// Code_L drift. Infeasible when the line does not exist or l is a
-/// singleton. Total(policy) > 0 means the split pays for itself — the
-/// fast re-mine's undo criterion.
-///
-/// `xlog_table`, when given, holds XLog2X over 0..size-1 (see
-/// TabulateXLog2X); arguments beyond it are computed directly. A table
-/// read returns the same bits as the call, so the result is the same.
+/// Code_L drift. Infeasible when fl is 0 (no line) or l is a singleton.
+/// Total(policy) > 0 means the split pays for itself — the fast re-mine's
+/// undo criterion. The member singleton line sizes come from `singles`,
+/// which must match `idb`.
 GainResult ComputeSplitGain(const InvertedDatabase& idb, const CodeModel& cm,
-                            CoreId e, LeafsetId l,
-                            std::span<const double> xlog_table = {});
-
-/// mdl::XLog2X of 0..max f_e of `idb`, indexed by n. XLog2X is a pure
-/// function of an integer, so a table read returns the bits of the direct
-/// call.
-std::vector<double> TabulateXLog2X(const InvertedDatabase& idb);
+                            const SingletonLineSizes& singles,
+                            const XLogTable& xlog, CoreId e, LeafsetId l,
+                            uint64_t fl);
 
 }  // namespace cspm::core
 

@@ -249,10 +249,14 @@ Status InvertedDatabase::ApplyDeltaMerged(
     return Status::InvalidArgument(
         "ApplyDeltaMerged: graphs do not bracket this database");
   }
-  for (VertexId u : dirty_vertices) {
-    if (u >= n_new) {
+  for (size_t i = 0; i < dirty_vertices.size(); ++i) {
+    if (dirty_vertices[i] >= n_new) {
       return Status::InvalidArgument(
           "ApplyDeltaMerged: dirty vertex out of range");
+    }
+    if (i > 0 && !(dirty_vertices[i - 1] < dirty_vertices[i])) {
+      return Status::InvalidArgument(
+          "ApplyDeltaMerged: dirty vertices must ascend strictly");
     }
   }
 
@@ -270,15 +274,16 @@ Status InvertedDatabase::ApplyDeltaMerged(
   const size_t num_cores = coreset_values_.size();
   vertex_coresets_.resize(n_new.index());
 
-  // Both indexes below are built once, from the leafsets active now.
-  // Lines erased later read as absent, and lines created later only ever
-  // hold already-processed dirty vertices, so staleness never hides a
-  // position the removal must find.
+  // Both indexes below are built once, from the leafsets active now; no
+  // line changes until the edits are applied at the end. A singleton the
+  // re-cover interns is in neither index: no old line holds it, and the
+  // leftover path re-interns it to the same id.
   //
   // Per value the removal probes (an old neighbour value of a dirty
   // vertex), the leafsets that contain it, ascending id. Per core the
   // re-cover walks (a new core of a dirty vertex), the leafsets with a
-  // line under it, largest value set first then lowest id.
+  // line under it, largest value set first then lowest id: packed keys
+  // (~size << 32 | id), so a plain sort gives that order.
   std::vector<char> removal_value(num_attrs_new, 0);
   std::vector<char> recover_core(num_cores, 0);
   std::vector<AttrId> nbr_old;
@@ -290,44 +295,44 @@ Status InvertedDatabase::ApplyDeltaMerged(
     for (AttrId a : new_graph.Attributes(u)) recover_core[a.index()] = 1;
   }
   std::vector<std::vector<LeafsetId>> leafsets_with(num_attrs_new);
-  std::vector<std::vector<LeafsetId>> leafsets_under(num_cores);
+  std::vector<std::vector<uint64_t>> leafsets_under(num_cores);
   for (LeafsetId l : active_leafsets_) {
-    for (AttrId a : leafsets_.Values(l)) {
+    const std::vector<AttrId>& values = leafsets_.Values(l);
+    for (AttrId a : values) {
       if (removal_value[a.index()]) leafsets_with[a.index()].push_back(l);
     }
+    const uint64_t key =
+        (static_cast<uint64_t>(~static_cast<uint32_t>(values.size())) << 32) |
+        l.value();
     for (CoreId c : lines_of_[l.index()].cores) {
-      if (recover_core[c.index()]) leafsets_under[c.index()].push_back(l);
+      if (recover_core[c.index()]) leafsets_under[c.index()].push_back(key);
     }
   }
-  for (std::vector<LeafsetId>& cands : leafsets_under) {
-    std::sort(cands.begin(), cands.end(), [this](LeafsetId a, LeafsetId b) {
-      const size_t sa = leafsets_.Values(a).size();
-      const size_t sb = leafsets_.Values(b).size();
-      if (sa != sb) return sa > sb;
-      return a < b;
-    });
+  for (std::vector<uint64_t>& keys : leafsets_under) {
+    std::sort(keys.begin(), keys.end());
   }
 
+  // Position edits are decided vertex by vertex but applied line by line
+  // at the end, so a line that many dirty vertices touch is rewritten
+  // once. Deciding against the unedited lines is sound: an edit for
+  // vertex u moves only position u, dirty vertices are distinct, and u's
+  // removals precede its insertions, so whether u sits in a line is the
+  // same before and after every other vertex's edits.
+  struct Edit {
+    uint64_t line;  // leafset << 32 | coreset
+    VertexId u;
+    bool add;
+  };
+  std::vector<Edit> edits;
   std::vector<char> core_dirty(num_cores, 0);
   std::vector<LeafsetId> touched;
-  PosList scratch;
 
   // Removes u from line (c, y) when present; false when it is not there.
   auto remove_if_present = [&](CoreId c, LeafsetId y, VertexId u) {
-    LeafsetLines& lines = lines_of_[y.index()];
-    const size_t i = LowerBoundCore(lines, c);
-    if (i == lines.cores.size() || lines.cores[i] != c) return false;
-    PosListView view = pool_.View(lines.refs[i]);
-    auto it = std::lower_bound(view.begin(), view.end(), u);
-    if (it == view.end() || *it != u) return false;
-    if (view.size() == 1) {
-      EraseLineAt(y, i);
-    } else {
-      scratch.clear();
-      scratch.insert(scratch.end(), view.begin(), it);
-      scratch.insert(scratch.end(), it + 1, view.end());
-      pool_.Assign(lines.refs[i], scratch);
-    }
+    const PosListView view = FindLine(c, y);
+    if (!std::binary_search(view.begin(), view.end(), u)) return false;
+    edits.push_back({(static_cast<uint64_t>(y.value()) << 32) | c.value(), u,
+                     false});
     --core_line_total_[c.index()];
     core_dirty[c.index()] = 1;
     touched.push_back(y);
@@ -336,25 +341,8 @@ Status InvertedDatabase::ApplyDeltaMerged(
   };
   // Adds u to line (c, y), creating the line if needed; u must be absent.
   auto insert_position = [&](CoreId c, LeafsetId y, VertexId u) {
-    if (y.index() >= lines_of_.size()) lines_of_.resize(y.index() + 1);
-    LeafsetLines& lines = lines_of_[y.index()];
-    const size_t i = LowerBoundCore(lines, c);
-    if (i == lines.cores.size() || lines.cores[i] != c) {
-      if (lines.cores.empty()) ActivateLeafset(y);
-      lines.cores.insert(lines.cores.begin() + i, c);
-      const VertexId one[] = {u};
-      lines.refs.insert(lines.refs.begin() + i, pool_.Allocate(one));
-      ++num_lines_;
-    } else {
-      PosListView view = pool_.View(lines.refs[i]);
-      auto it = std::lower_bound(view.begin(), view.end(), u);
-      CSPM_CHECK(it == view.end() || *it != u);
-      scratch.clear();
-      scratch.insert(scratch.end(), view.begin(), it);
-      scratch.push_back(u);
-      scratch.insert(scratch.end(), it, view.end());
-      pool_.Assign(lines.refs[i], scratch);
-    }
+    edits.push_back({(static_cast<uint64_t>(y.value()) << 32) | c.value(), u,
+                     true});
     ++core_line_total_[c.index()];
     core_dirty[c.index()] = 1;
     touched.push_back(y);
@@ -409,8 +397,9 @@ Status InvertedDatabase::ApplyDeltaMerged(
       ++cur;
       for (AttrId a : nbr_new) needed[a.index()] = cur;
       size_t remaining = nbr_new.size();
-      for (LeafsetId l : leafsets_under[c.index()]) {
+      for (uint64_t key : leafsets_under[c.index()]) {
         if (remaining == 0) break;
+        const LeafsetId l(static_cast<uint32_t>(key));
         const std::vector<AttrId>& values = leafsets_.Values(l);
         if (values.size() > remaining) continue;
         bool fits = true;
@@ -453,6 +442,48 @@ Status InvertedDatabase::ApplyDeltaMerged(
       }
     }
     vertex_coresets_[u.index()] = cores_new;
+  }
+
+  // Edits were pushed in ascending vertex order, a vertex's removal before
+  // its insertion; a stable sort by line keeps that order within a line.
+  std::stable_sort(edits.begin(), edits.end(),
+                   [](const Edit& a, const Edit& b) { return a.line < b.line; });
+  PosList rewritten;
+  for (size_t i = 0; i < edits.size();) {
+    const uint64_t line = edits[i].line;
+    const LeafsetId y(static_cast<uint32_t>(line >> 32));
+    const CoreId c(static_cast<uint32_t>(line));
+    if (y.index() >= lines_of_.size()) lines_of_.resize(y.index() + 1);
+    LeafsetLines& lines = lines_of_[y.index()];
+    const size_t at = LowerBoundCore(lines, c);
+    const bool exists = at < lines.cores.size() && lines.cores[at] == c;
+    const PosListView old = exists ? pool_.View(lines.refs[at]) : PosListView{};
+    // One merge of the old positions with the line's edits; a vertex
+    // removed and re-inserted stays.
+    rewritten.clear();
+    size_t p = 0;
+    for (; i < edits.size() && edits[i].line == line; ++i) {
+      const VertexId u = edits[i].u;
+      while (p < old.size() && old[p] < u) rewritten.push_back(old[p++]);
+      if (edits[i].add) {
+        CSPM_CHECK(p == old.size() || old[p] != u);
+        rewritten.push_back(u);
+      } else {
+        CSPM_DCHECK(p < old.size() && old[p] == u);
+        ++p;
+      }
+    }
+    rewritten.insert(rewritten.end(), old.begin() + p, old.end());
+    if (exists && rewritten.empty()) {
+      EraseLineAt(y, at);
+    } else if (exists) {
+      pool_.Assign(lines.refs[at], rewritten);
+    } else if (!rewritten.empty()) {
+      if (lines.cores.empty()) ActivateLeafset(y);
+      lines.cores.insert(lines.cores.begin() + at, c);
+      lines.refs.insert(lines.refs.begin() + at, pool_.Allocate(rewritten));
+      ++num_lines_;
+    }
   }
 
   for (CoreId c(0); c.index() < num_cores; ++c) {

@@ -79,6 +79,8 @@ struct SearchContext {
   const CspmOptions* options;
   InvertedDatabase* idb;
   const CodeModel* cm;
+  /// One XLog2X table per mine or resume, shared by every gain pass.
+  const XLogTable* xlog;
   MiningStats* stats;
   const WallTimer* timer;
 
@@ -120,7 +122,8 @@ BestPair ScanAllPairs(const SearchContext& ctx,
       best.Offer(p.gain.Total(ctx.options->gain_policy), x, p.y);
     }
   };
-  *computations += SweepMergeGains(*ctx.idb, *ctx.cm, actives, offer);
+  *computations +=
+      SweepMergeGains(*ctx.idb, *ctx.cm, *ctx.xlog, actives, offer);
   return best;
 }
 
@@ -139,7 +142,7 @@ uint64_t GenerateCandidates(const SearchContext& ctx, CandidateStore* store,
       rdict->Link(x, p.y);
     }
   };
-  return SweepMergeGains(*ctx.idb, *ctx.cm, actives, seed);
+  return SweepMergeGains(*ctx.idb, *ctx.cm, *ctx.xlog, actives, seed);
 }
 
 void RecordIteration(const SearchContext& ctx, uint64_t iteration,
@@ -191,7 +194,7 @@ void RunPartialLoop(const SearchContext& ctx, CandidateStore& store,
   obs::TraceSpan merge_loop_span("merge_loop");
   uint64_t iteration = 0;
   std::vector<LeafsetId> scratch;
-  RowRescorer rescorer(*ctx.idb, *ctx.cm);
+  RowRescorer rescorer(*ctx.idb, *ctx.cm, *ctx.xlog);
   std::vector<LeafsetId> partners;
   std::vector<GainResult> gains;
   while (!store.empty() && !rdict.empty()) {
@@ -344,7 +347,10 @@ StatusOr<CspmMiner::MineArtifacts> CspmMiner::ResumeFast(
   model.stats.initial_leafsets = idb.num_active_leafsets();
   model.stats.initial_lines = idb.num_lines();
 
-  SearchContext ctx{&options_, &idb, &cm, &model.stats, &timer};
+  // Tabulated before the unmerge pass, whose split terms read past the end
+  // (computed directly), and extended after it for the sweep and the loop.
+  XLogTable xlog(idb);
+  SearchContext ctx{&options_, &idb, &cm, &xlog, &model.stats, &timer};
 
   const size_t num_cores = idb.num_coresets();
   std::vector<char> core_dirty(num_cores, all_dirty ? 1 : 0);
@@ -367,9 +373,10 @@ StatusOr<CspmMiner::MineArtifacts> CspmMiner::ResumeFast(
   uint64_t computations = 0;
   std::vector<LeafsetId> split_fed;  // singletons the unmerge pass grew
   std::optional<obs::TraceSpan> unmerge_span(std::in_place, "unmerge");
-  // Splits grow f_e, so later arguments can pass the table's end; those
-  // are computed directly.
-  const std::vector<double> xlog_table = TabulateXLog2X(idb);
+  // A split term reads its member singleton line sizes from this table;
+  // the pass's own splits keep it current.
+  SingletonLineSizes singles(idb);
+  std::vector<std::pair<CoreId, uint64_t>> lines;  // (e, fl) of one leafset
   bool changed = true;
   while (changed) {
     changed = false;
@@ -385,25 +392,22 @@ StatusOr<CspmMiner::MineArtifacts> CspmMiner::ResumeFast(
         }
       }
       if (!touches_dirty) continue;
+      // Every line exists and l is no singleton, so every term is feasible.
       double total = 0.0;
-      bool feasible = true;
-      for (CoreId e : cores) {
-        GainResult gr = ComputeSplitGain(idb, cm, e, l, xlog_table);
-        ++computations;
-        if (!gr.feasible) {
-          feasible = false;
-          break;
-        }
-        total += gr.Total(options_.gain_policy);
-      }
-      if (!feasible || total <= kMinGainBits) continue;
-      // Split every line; copy the core list first (SplitLine erases
-      // from it as it goes) and the values (SplitLine interns, which can
-      // reallocate the registry's value storage).
-      const std::vector<CoreId> cores_copy = cores;
+      lines.clear();
+      idb.ForEachLineOf(l, [&](CoreId e, PosListView line) {
+        lines.emplace_back(e, line.size());
+        total += ComputeSplitGain(idb, cm, singles, xlog, e, l, line.size())
+                     .Total(options_.gain_policy);
+      });
+      computations += lines.size();
+      if (total <= kMinGainBits) continue;
+      // Split every line. Copy the values first: SplitLine interns, which
+      // can reallocate the registry's value storage.
       const std::vector<AttrId> values = idb.leafsets().Values(l);
-      for (CoreId e : cores_copy) {
+      for (const auto& [e, fl] : lines) {
         CSPM_RETURN_IF_ERROR(idb.SplitLine(e, l));
+        singles.AddSplit(e, values, fl);
       }
       for (AttrId a : values) {
         split_fed.push_back(idb.leafsets().Singleton(a));
@@ -413,6 +417,7 @@ StatusOr<CspmMiner::MineArtifacts> CspmMiner::ResumeFast(
     }
   }
   unmerge_span.reset();
+  xlog.Cover(idb);
 
   // Seed: repair scope only. The re-judged pairs are those BOTH of whose
   // members' position lists changed — by the delta patch
@@ -475,7 +480,7 @@ StatusOr<CspmMiner::MineArtifacts> CspmMiner::ResumeFast(
         if (fast_stats != nullptr) ++fast_stats->seeded_pairs;
       }
     };
-    computations += SweepMergeGains(idb, cm, sources, seed);
+    computations += SweepMergeGains(idb, cm, xlog, sources, seed);
     RecordIteration(ctx, /*iteration=*/0, computations,
                     PossiblePairs(actives.size()), /*accepted_gain=*/0.0);
   }
@@ -519,7 +524,9 @@ StatusOr<CspmMiner::MineArtifacts> CspmMiner::MineWithArtifacts(
   model.stats.initial_leafsets = idb.num_active_leafsets();
   model.stats.initial_lines = idb.num_lines();
 
-  SearchContext ctx{&options_, &idb, &cm, &model.stats, &timer};
+  // Merges only shrink f_e: the table covers the whole search.
+  const XLogTable xlog(idb);
+  SearchContext ctx{&options_, &idb, &cm, &xlog, &model.stats, &timer};
   if (options_.strategy == SearchStrategy::kBasic) {
     RunBasicSearch(ctx);
   } else {

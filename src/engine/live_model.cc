@@ -63,9 +63,7 @@ StatusOr<UpdateStats> UpdateAndLog(MiningSession& session,
       return Status::IOError(
           "update applied to the live session but its delta could not be "
           "logged (" +
-          appended.ToString() +
-          "); still serving the previous model — re-save it to resync the "
-          "store (cspm_shell: save " + name + "), then retry");
+          appended.ToString() + "); still serving the previous model");
     }
   }
   CSPM_RETURN_IF_ERROR(session.Publish(registry, name).status());

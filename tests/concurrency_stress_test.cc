@@ -287,6 +287,11 @@ TEST(ObsStress, SnapshotJsonRacesServingAndHotSwap) {
       (void)engine->ScoreBatch(batch);
     }
   });
+  // The updates take a few milliseconds in all; start them only once a
+  // snapshot has been taken, so the race is always exercised.
+  while (snapshots.load(std::memory_order_relaxed) == 0) {
+    std::this_thread::yield();
+  }
   for (int update = 0; update < 4; ++update) {
     auto delta = graph::MakeRandomEdgeRewires(
         session->graph(), /*num_ops=*/3,

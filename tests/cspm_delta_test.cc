@@ -555,6 +555,40 @@ TEST(FastUpdateTest, ApplyDeltaMergedKeepsDbValidAndLossless) {
   }
 }
 
+TEST(FastUpdateTest, ApplyDeltaMergedRefusesUnsortedDirtyVertices) {
+  // The patch applies its position edits line by line after deciding them
+  // vertex by vertex, which needs distinct, ascending dirty vertices; it
+  // refuses anything else before touching the database.
+  AttributedGraph g = SmallCommunityGraph(4);
+  auto applied = graph::ApplyDelta(g, RandomEdgeDelta(g, 6, 14));
+  ASSERT_TRUE(applied.ok());
+  ASSERT_GE(applied->dirty_vertices.size(), 2u);
+  core::CspmMiner miner{core::CspmOptions{}};
+  auto mined = miner.MineWithArtifacts(g);
+  ASSERT_TRUE(mined.ok());
+  InvertedDatabase& idb = mined->inverted_db;
+  const size_t lines = idb.num_lines();
+
+  std::vector<VertexId> reversed(applied->dirty_vertices.rbegin(),
+                                 applied->dirty_vertices.rend());
+  std::vector<VertexId> repeated = applied->dirty_vertices;
+  repeated.insert(repeated.begin() + 1, repeated[0]);
+  for (const std::vector<VertexId>& dirty : {reversed, repeated}) {
+    core::DeltaPatchStats stats;
+    Status st = idb.ApplyDeltaMerged(g, applied->graph, dirty, &stats);
+    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << st.ToString();
+    EXPECT_EQ(idb.num_lines(), lines);
+    EXPECT_EQ(idb.vertex_coresets().size(), g.num_vertices().index());
+  }
+
+  core::DeltaPatchStats stats;
+  ASSERT_TRUE(idb.ApplyDeltaMerged(g, applied->graph,
+                                   applied->dirty_vertices, &stats)
+                  .ok());
+  Status lossless = core::VerifyLossless(applied->graph, idb);
+  EXPECT_TRUE(lossless.ok()) << lossless.ToString();
+}
+
 TEST(FastUpdateTest, SplitGainMatchesDataCostDelta) {
   // ComputeSplitGain's data term must be the exact negated change of
   // DataCostBits when the line is actually split.
@@ -576,12 +610,20 @@ TEST(FastUpdateTest, SplitGainMatchesDataCostDelta) {
   }
   ASSERT_TRUE(found);
 
+  const core::XLogTable xlog(idb);
+  core::SingletonLineSizes singles(idb);
+  const auto split_gain = [&](core::CoreId e, core::LeafsetId l) {
+    return core::ComputeSplitGain(idb, cm, singles, xlog, e, l,
+                                  idb.FindLine(e, l).size());
+  };
   while (!idb.CoresOf(merged).empty()) {
     const core::CoreId e = idb.CoresOf(merged)[0];
-    core::GainResult split = core::ComputeSplitGain(idb, cm, e, merged);
+    core::GainResult split = split_gain(e, merged);
     ASSERT_TRUE(split.feasible);
     const double before = idb.DataCostBits();
+    const uint64_t fl = idb.FindLine(e, merged).size();
     ASSERT_TRUE(idb.SplitLine(e, merged).ok());
+    singles.AddSplit(e, idb.leafsets().Values(merged), fl);
     EXPECT_NEAR(split.data_gain_bits, before - idb.DataCostBits(), 1e-6);
   }
   Status invariants = core::CheckInvariants(idb);
@@ -592,8 +634,73 @@ TEST(FastUpdateTest, SplitGainMatchesDataCostDelta) {
   ASSERT_FALSE(singletons.empty());
   const core::LeafsetId s = singletons[0];
   ASSERT_FALSE(idb.CoresOf(s).empty());
-  EXPECT_FALSE(core::ComputeSplitGain(idb, cm, idb.CoresOf(s)[0], s).feasible);
+  EXPECT_FALSE(split_gain(idb.CoresOf(s)[0], s).feasible);
   EXPECT_FALSE(idb.SplitLine(idb.CoresOf(s)[0], merged).ok());
+}
+
+/// Every cell of `singles` against the singleton line it stands for.
+void ExpectSingletonSizesMatchLines(const InvertedDatabase& idb,
+                                    const core::SingletonLineSizes& singles) {
+  for (core::CoreId e(0); e.index() < idb.num_coresets(); ++e) {
+    for (core::AttrId a(0); a.index() < idb.num_coresets(); ++a) {
+      ASSERT_EQ(singles.Get(e, a),
+                idb.FindLine(e, idb.leafsets().Singleton(a)).size())
+          << "core " << e.value() << " value " << a.value();
+    }
+  }
+}
+
+/// Splits up to `count` random lines of multi-value leafsets, keeping
+/// `singles` current as the unmerge pass does, and checks every cell after
+/// each split.
+void SplitRandomLines(InvertedDatabase& idb,
+                      core::SingletonLineSizes& singles, uint64_t seed,
+                      int count) {
+  Rng rng(seed);
+  for (int split = 0; split < count; ++split) {
+    std::vector<core::LeafsetId> merged;
+    for (core::LeafsetId l : idb.active_leafsets()) {
+      if (idb.leafsets().Values(l).size() >= 2) merged.push_back(l);
+    }
+    if (merged.empty()) return;
+    const core::LeafsetId l = merged[rng.Uniform(merged.size())];
+    const std::vector<core::CoreId>& cores = idb.CoresOf(l);
+    const core::CoreId e = cores[rng.Uniform(cores.size())];
+    const uint64_t fl = idb.FindLine(e, l).size();
+    ASSERT_TRUE(idb.SplitLine(e, l).ok());
+    singles.AddSplit(e, idb.leafsets().Values(l), fl);
+    ExpectSingletonSizesMatchLines(idb, singles);
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+}
+
+TEST(FastUpdateTest, SingletonLineSizesTrackSplitsAndPatches) {
+  for (uint64_t seed : {1u, 2u, 3u}) {
+    SCOPED_TRACE(::testing::Message() << "seed " << seed);
+    AttributedGraph g = SmallCommunityGraph(seed);
+    core::CspmMiner miner{core::CspmOptions{}};
+    auto mined = miner.MineWithArtifacts(g);
+    ASSERT_TRUE(mined.ok());
+    InvertedDatabase& idb = mined->inverted_db;
+
+    // On the mined database, then across a random split sequence.
+    core::SingletonLineSizes singles(idb);
+    ExpectSingletonSizesMatchLines(idb, singles);
+    SplitRandomLines(idb, singles, seed, 25);
+    if (HasFatalFailure()) return;
+
+    // On the database a merged patch leaves (singleton lines grown,
+    // shrunk, created and erased), then across more splits.
+    auto applied = graph::ApplyDelta(g, RandomEdgeDelta(g, 8, seed + 40));
+    ASSERT_TRUE(applied.ok());
+    core::DeltaPatchStats patch;
+    ASSERT_TRUE(idb.ApplyDeltaMerged(g, applied->graph,
+                                     applied->dirty_vertices, &patch)
+                    .ok());
+    core::SingletonLineSizes patched(idb);
+    ExpectSingletonSizesMatchLines(idb, patched);
+    SplitRandomLines(idb, patched, seed + 7, 25);
+  }
 }
 
 // --- serving hot-swap -------------------------------------------------------

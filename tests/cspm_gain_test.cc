@@ -196,7 +196,8 @@ void CompareSweepWithOracle(const InvertedDatabase& idb, const CodeModel& cm,
       swept.emplace(CandidatePairKey(x, p.y), p.gain);
     }
   };
-  coverage->evaluated = SweepMergeGains(idb, cm, rows, collect);
+  coverage->evaluated =
+      SweepMergeGains(idb, cm, XLogTable(idb), rows, collect);
   EXPECT_EQ(coverage->evaluated, swept.size());
 
   for (size_t i = 0; i < rows.size(); ++i) {
@@ -306,7 +307,7 @@ TEST(GainSweepOracle, RepairedFinalDatabaseOverSourceSubset) {
       if (!idb.CoresOf(u).empty()) sources.push_back(u);
     }
   };
-  SweepMergeGains(idb, cm, actives, add_unions);
+  SweepMergeGains(idb, cm, XLogTable(idb), actives, add_unions);
   std::sort(sources.begin(), sources.end());
   sources.erase(std::unique(sources.begin(), sources.end()), sources.end());
   ASSERT_LT(sources.size(), actives.size() / 2);
@@ -357,7 +358,7 @@ std::vector<RowCase> MixedRowCases(const InvertedDatabase& idb,
                                    const CodeModel& cm, size_t row_step,
                                    size_t spread) {
   std::map<LeafsetId, std::vector<LeafsetId>> union_partners;
-  SweepMergeGains(idb, cm, idb.active_leafsets(),
+  SweepMergeGains(idb, cm, XLogTable(idb), idb.active_leafsets(),
                   [&](LeafsetId x, std::span<const PairGain> partners) {
                     for (const PairGain& p : partners) {
                       const LeafsetId u = idb.leafsets().Find(
@@ -450,7 +451,8 @@ TEST(RowRescoreOracle, ColdMineStoppedMidMineThenMergedFurther) {
   InvertedDatabase idb = std::move(mined->inverted_db);
   const CodeModel cm(g, idb);
 
-  RowRescorer rescorer(idb, cm);
+  const XLogTable xlog(idb);
+  RowRescorer rescorer(idb, cm, xlog);
   RowCoverage coverage;
   ExpectRowsMatchOracle(idb, cm, &rescorer, MixedRowCases(idb, cm, 7, 200),
                         &coverage);
@@ -460,12 +462,12 @@ TEST(RowRescoreOracle, ColdMineStoppedMidMineThenMergedFurther) {
   EXPECT_GT(coverage.no_lines, 0u);
 
   // Keep merging with the same rescorer, as the loop does: the XLog2X
-  // table it built covers the shrinking f_e, and its scratch carries over.
+  // table it reads covers the shrinking f_e, and its scratch carries over.
   for (int merge = 0; merge < 20; ++merge) {
     double best_gain = 0.0;
     LeafsetId best_x{};
     LeafsetId best_y{};
-    SweepMergeGains(idb, cm, idb.active_leafsets(),
+    SweepMergeGains(idb, cm, XLogTable(idb), idb.active_leafsets(),
                     [&](LeafsetId x, std::span<const PairGain> partners) {
                       for (const PairGain& p : partners) {
                         const double total =
@@ -512,7 +514,8 @@ TEST(RowRescoreOracle, FastResumeStoppedMidMine) {
     idb = std::move(resumed->inverted_db);
   }
   const CodeModel cm(g, idb);
-  RowRescorer rescorer(idb, cm);
+  const XLogTable xlog(idb);
+  RowRescorer rescorer(idb, cm, xlog);
   RowCoverage coverage;
   ExpectRowsMatchOracle(idb, cm, &rescorer, MixedRowCases(idb, cm, 97, 60),
                         &coverage);
@@ -532,7 +535,8 @@ TEST(RowRescoreOracle, MultiValueCoresetMidMine) {
   ASSERT_TRUE(mined.ok());
   InvertedDatabase idb = std::move(mined->inverted_db);
   const CodeModel cm(g, idb);
-  RowRescorer rescorer(idb, cm);
+  const XLogTable xlog(idb);
+  RowRescorer rescorer(idb, cm, xlog);
   RowCoverage coverage;
   ExpectRowsMatchOracle(idb, cm, &rescorer, MixedRowCases(idb, cm, 5, 200),
                         &coverage);

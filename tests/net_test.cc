@@ -791,6 +791,9 @@ TEST(ModelHost, FailedAppendDoesNotLeakIntoTheNextUpdate) {
   auto failed = host.value()->Update("paper", d1, engine::UpdateMode::kExact);
   store::Pager::SetWriteFaultForTesting(0, false);
   ASSERT_FALSE(failed.ok());
+  // A server caller gets the engine's status, with no shell advice in it.
+  EXPECT_EQ(failed.status().ToString().find("cspm_shell"), std::string::npos)
+      << failed.status().ToString();
   ASSERT_TRUE(
       host.value()->Update("paper", d2.value(), engine::UpdateMode::kExact)
           .ok());

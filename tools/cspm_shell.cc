@@ -277,11 +277,20 @@ Status CmdUpdate(Shell& sh, const std::vector<std::string>& args) {
   // name; an unsaved session has no WAL to append to.
   const bool logged =
       sh.store.has_value() && sh.store->Contains(sh.session_name);
-  CSPM_ASSIGN_OR_RETURN(
-      engine::UpdateStats stats,
+  StatusOr<engine::UpdateStats> updated =
       engine::UpdateAndLog(*sh.session, delta, mode,
                            logged ? &*sh.store : nullptr, sh.registry,
-                           sh.session_name));
+                           sh.session_name);
+  if (!updated.ok()) {
+    if (logged && updated.status().code() == StatusCode::kIOError) {
+      // The session holds the delta the store lacks: a save resyncs them.
+      return Status::IOError(updated.status().message() +
+                             " — re-save it to resync the store (save " +
+                             sh.session_name + "), then retry");
+    }
+    return updated.status();
+  }
+  const engine::UpdateStats& stats = updated.value();
   // Hot swap: in-flight batches finish on the old handle's triple; the
   // next score command sees the updated model.
   sh.current = sh.registry.Get(sh.session_name);
