@@ -1,15 +1,17 @@
 // Serving-path benchmark: vertices/sec for the legacy per-vertex
 // ScoreAttributes walk vs the compiled-plan batch path, serial and
-// sharded. The headline number backing the batch serving design: the
-// compiled plan must beat the legacy path by >= 2x single-threaded on the
-// n=8000 synthetic pokec stand-in (postings turn the per-leafset scan
-// into intersection counting, and ScoreInto recycles buffers).
+// sharded across a ScorePool. The headline number backing the batch
+// serving design: the compiled plan must beat the legacy path by >= 2x
+// single-threaded on the n=8000 synthetic pokec stand-in (postings turn
+// the per-leafset scan into intersection counting, and ScoreInto recycles
+// buffers).
 //
 // CSPM_BENCH_SERVING_VERTICES overrides the graph size (CI smoke-runs
 // with a tiny n so the batch path is exercised in Release on every push).
 #include <benchmark/benchmark.h>
 
 #include <cstdlib>
+#include <memory>
 #include <numeric>
 #include <vector>
 
@@ -85,11 +87,13 @@ void BM_PlanBatchSerial(benchmark::State& state) {
 }
 BENCHMARK(BM_PlanBatchSerial)->Unit(benchmark::kMillisecond)->UseRealTime();
 
-/// Compiled plan sharded across a thread pool (arg = threads, 0 = auto).
+/// Compiled plan sharded across a ScorePool (arg = slots, 0 = auto). CI
+/// gates the 2-slot pool's vertices/s over BM_PlanBatchSerial's.
 void BM_PlanBatchThreads(benchmark::State& state) {
   const ServingFixture& f = ServingFixture::Get();
   engine::ServingOptions options;
-  options.num_threads = static_cast<uint32_t>(state.range(0));
+  options.pool = std::make_shared<engine::ScorePool>(
+      static_cast<uint32_t>(state.range(0)));
   auto engine = engine::ServingEngine::Create(f.graph, f.model, options).value();
   state.counters["threads"] = static_cast<double>(engine.num_threads());
   for (auto _ : state) {

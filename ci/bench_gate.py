@@ -10,6 +10,13 @@ the consolidated BENCH_PR.json artifact, and exits non-zero when:
     run on the same machine, so runner-speed differences cancel; the
     absolute vertices/s are reported alongside for humans.
 
+  * sharded scoring scales less than baseline `min_pool2_vs_serial`:
+    BM_PlanBatchThreads/2 (the compiled plan sharded across a 2-worker
+    engine::ScorePool) divided by BM_PlanBatchSerial in vertices/s.
+    Both come from the same bench_serving run, so runner speed cancels;
+    a pool that serialized its shards, or paid per-batch set-up, would
+    read ~1x.
+
   * the fast (continue-from-final-model) re-mine is less than
     baseline `min_warm_remine_speedup` (8.5x) faster end-to-end than a
     cold re-mine at 1% dirty vertices, or its model quality slips: the
@@ -144,7 +151,18 @@ def main():
             report[f"dl_ratio_vs_cold_{label}"] = round(
                 fast["dl_ratio_vs_cold"], 5)
 
+    pooled = require(serving, "BM_PlanBatchThreads/2/real_time")
+    pool2_vs_serial = pooled["items_per_second"] / plan["items_per_second"]
+    report["pool2_vertices_per_sec"] = round(pooled["items_per_second"], 1)
+    report["pool2_vs_serial"] = round(pool2_vs_serial, 3)
+    report["min_pool2_vs_serial"] = baseline["min_pool2_vs_serial"]
+
     failures = []
+    if pool2_vs_serial < baseline["min_pool2_vs_serial"]:
+        failures.append(
+            f"a 2-worker score pool scores only {pool2_vs_serial:.2f}x "
+            f"the serial plan path's vertices/s, below the required "
+            f"{baseline['min_pool2_vs_serial']:.2f}x")
     floor = baseline["plan_vs_legacy"] * (1.0 - args.max_serving_regression)
     if plan_vs_legacy < floor:
         failures.append(

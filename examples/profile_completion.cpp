@@ -14,6 +14,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -21,6 +22,7 @@
 #include "completion/models.h"
 #include "completion/task.h"
 #include "datasets/synthetic.h"
+#include "engine/serving.h"
 #include "engine/session.h"
 #include "util/string_util.h"
 #include "util/timer.h"
@@ -118,7 +120,7 @@ int main(int argc, char** argv) {
   // One serving batch over all test nodes, sharded across --threads; the
   // engine reuses the plan the session compiled at Mine/LoadModel time.
   engine::ServingOptions serving;
-  serving.num_threads = threads;
+  serving.pool = std::make_shared<engine::ScorePool>(threads);
   auto engine_or = session.Serve(serving);
   if (!engine_or.ok()) {
     std::fprintf(stderr, "%s\n", engine_or.status().ToString().c_str());

@@ -1,6 +1,7 @@
 #include "alarm/triage.h"
 
 #include <algorithm>
+#include <memory>
 
 #include "alarm/window_graph.h"
 
@@ -10,7 +11,7 @@ StatusOr<std::vector<WindowTriage>> TriageWindows(
     const graph::AttributedGraph& window_graph, const core::CspmModel& model,
     const TriageOptions& options) {
   engine::ServingOptions serving;
-  serving.num_threads = options.num_threads;
+  serving.pool = std::make_shared<engine::ScorePool>(options.num_threads);
   serving.scoring = options.scoring;
   CSPM_ASSIGN_OR_RETURN(
       engine::ServingEngine engine,

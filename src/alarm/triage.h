@@ -25,8 +25,8 @@ struct TriageOptions {
   size_t top_k = 3;
   /// Suspects scoring below this normalized threshold are dropped.
   double min_score = 0.0;
-  /// Shards for the batch scoring (0 = one per hardware core). Output is
-  /// identical at any thread count.
+  /// Slots of the ScorePool built for the batch scoring (0 = one per
+  /// hardware core). Output is identical at any thread count.
   uint32_t num_threads = 1;
   core::ScoringOptions scoring;
 };

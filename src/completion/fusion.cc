@@ -1,6 +1,7 @@
 #include "completion/fusion.h"
 
 #include <algorithm>
+#include <memory>
 
 #include "util/check.h"
 
@@ -54,7 +55,7 @@ nn::Matrix FuseWithCspm(const nn::Matrix& model_scores,
                         const core::CspmModel& cspm_model,
                         const FusionOptions& options) {
   engine::ServingOptions serving;
-  serving.num_threads = options.num_threads;
+  serving.pool = std::make_shared<engine::ScorePool>(options.num_threads);
   serving.scoring = options.scoring;
   // Cannot fail: the plan is compiled against this graph's own attribute
   // space. Whether cspm_model was actually mined on data.masked_graph is

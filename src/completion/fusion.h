@@ -16,8 +16,9 @@ struct FusionOptions {
   /// evidence boosts a value and its absence never demotes one.
   double evidence_floor = 1.0;
   engine::ScoringOptions scoring;
-  /// Shards for the batch CSPM scoring of the test nodes (0 = one per
-  /// hardware core). Results are identical at any thread count.
+  /// Slots of the ScorePool the model overload builds for the batch CSPM
+  /// scoring of the test nodes (0 = one per hardware core). Results are
+  /// identical at any thread count.
   uint32_t num_threads = 1;
 };
 
@@ -35,8 +36,8 @@ nn::Matrix FuseWithCspm(const nn::Matrix& model_scores,
                         const FusionOptions& options = {});
 
 /// Same, over a prebuilt engine (compile-once/fuse-many). The engine must
-/// serve `data.masked_graph`; its own ScoringOptions and thread count
-/// apply (FusionOptions::scoring / num_threads are ignored).
+/// serve `data.masked_graph`; its own ScoringOptions and pool apply
+/// (FusionOptions::scoring / num_threads are ignored).
 nn::Matrix FuseWithCspm(const nn::Matrix& model_scores,
                         const CompletionDataset& data,
                         const engine::ServingEngine& cspm_engine,

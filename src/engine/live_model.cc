@@ -32,8 +32,8 @@ StatusOr<ReplayedModel> ReplayModel(store::ModelStore& store,
   if (!stored.graph.has_value()) {
     return Status::FailedPrecondition(
         "model '" + name +
-        "' has no graph snapshot, so it cannot be mined or replayed; "
-        "re-save it with one (cspm_shell: save " + name + ")");
+        "' has no graph snapshot, so it cannot be mined or replayed until "
+        "it is saved again with its graph");
   }
   CSPM_ASSIGN_OR_RETURN(store::ModelStore::WalReplay wal, store.ReadWal(name));
   CSPM_ASSIGN_OR_RETURN(

@@ -66,7 +66,8 @@ StatusOr<ServingEngine> ServableModel::Serve(ServingOptions options) const {
   // snapshot alive on its own.
   std::shared_ptr<const void> keep_alive = weak_from_this().lock();
   if (keep_alive == nullptr) keep_alive = graph;
-  return ServingEngine::Create(*graph, plan, options, std::move(keep_alive));
+  return ServingEngine::Create(*graph, plan, std::move(options),
+                               std::move(keep_alive));
 }
 
 Status ModelRegistry::LoadModel(store::ModelStore& store,

@@ -6,17 +6,32 @@
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "util/check.h"
 #include "util/string_util.h"
 
 namespace cspm::engine {
-namespace {
 
-size_t ResolveThreads(uint32_t requested) {
-  return requested == 0 ? util::ThreadPool::AutoThreads()
-                        : static_cast<size_t>(requested);
+ScorePool::ScorePool(uint32_t num_threads)
+    : slots_(num_threads == 0 ? util::ThreadPool::AutoThreads()
+                              : num_threads) {
+  if (slots_.size() > 1) {
+    workers_ = std::make_unique<util::ThreadPool>(slots_.size());
+  }
 }
 
-}  // namespace
+void ScorePool::Run(const core::ScoringPlan& plan, size_t num_shards,
+                    const ShardFn& fn) {
+  CSPM_CHECK(num_shards <= slots_.size());
+  if (num_shards == 0) return;
+  std::lock_guard<std::mutex> lock(mu_);
+  for (size_t s = 0; s < num_shards; ++s) plan.PrepareScratch(&slots_[s]);
+  if (num_shards == 1) {
+    fn(0, &slots_[0]);
+    return;
+  }
+  workers_->ParallelFor(num_shards,
+                        [&](size_t shard) { fn(shard, &slots_[shard]); });
+}
 
 ServingEngine::ServingEngine(const graph::AttributedGraph& graph,
                              std::shared_ptr<const core::ScoringPlan> plan,
@@ -25,13 +40,7 @@ ServingEngine::ServingEngine(const graph::AttributedGraph& graph,
     : graph_(&graph),
       plan_(std::move(plan)),
       keep_alive_(std::move(keep_alive)),
-      options_(options) {
-  const size_t threads = ResolveThreads(options_.num_threads);
-  if (threads > 1) {
-    pool_ = std::make_unique<util::ThreadPool>(threads);
-    pool_mu_ = std::make_unique<std::mutex>();
-  }
-}
+      options_(std::move(options)) {}
 
 StatusOr<ServingEngine> ServingEngine::Create(
     const graph::AttributedGraph& graph,
@@ -46,7 +55,7 @@ StatusOr<ServingEngine> ServingEngine::Create(
         "attribute values, graph has %zu",
         plan->num_attribute_values(), graph.num_attribute_values()));
   }
-  return ServingEngine(graph, std::move(plan), options,
+  return ServingEngine(graph, std::move(plan), std::move(options),
                        std::move(keep_alive));
 }
 
@@ -55,11 +64,11 @@ StatusOr<ServingEngine> ServingEngine::Create(
     ServingOptions options) {
   return Create(graph,
                 core::CompileSharedPlan(model, graph.num_attribute_values()),
-                options);
+                std::move(options));
 }
 
 size_t ServingEngine::num_threads() const {
-  return pool_ == nullptr ? 1 : pool_->num_threads();
+  return options_.pool == nullptr ? 1 : options_.pool->num_threads();
 }
 
 void ServingEngine::ScoreRange(std::span<const graph::VertexId> vertices,
@@ -78,7 +87,7 @@ void ServingEngine::ScoreRange(std::span<const graph::VertexId> vertices,
 std::vector<core::AttributeScores> ServingEngine::ScoreValidated(
     std::span<const graph::VertexId> vertices) const {
   // Pre-resolved handles: the whole obs cost per batch is one scoped timer
-  // plus two relaxed adds (plus one timer per shard on the pooled path).
+  // plus two relaxed adds (plus one timer per shard of a sharded batch).
   static auto* const batch_hist =
       obs::GetHistogram("phase.serving.score_batch");
   static auto* const shard_hist =
@@ -88,28 +97,34 @@ std::vector<core::AttributeScores> ServingEngine::ScoreValidated(
   obs::ScopedPhaseTimer batch_timer(batch_hist);
   batches->Add(1);
   scored->Add(vertices.size());
+  // Every result is sized here, on the dispatching thread, so a shard
+  // only overwrites memory it was handed (ScoreInto's assign reuses it).
   std::vector<core::AttributeScores> results(vertices.size());
-  const size_t threads = num_threads();
-  if (pool_ == nullptr || threads <= 1 || vertices.size() <= 1) {
+  const size_t num_attrs = plan_->num_attribute_values();
+  for (core::AttributeScores& r : results) {
+    r.raw.reserve(num_attrs);
+    r.normalized.reserve(num_attrs);
+  }
+  if (options_.pool == nullptr) {
     core::ScoringScratch scratch;
     plan_->PrepareScratch(&scratch);
     ScoreRange(vertices, 0, vertices.size(), &scratch, &results);
     return results;
   }
-  // One contiguous shard per worker; output slot i is written only by the
+  // One contiguous shard per slot; output slot i is written only by the
   // shard owning i, so the result ordering is deterministic regardless of
-  // which worker runs which shard.
-  const size_t num_shards = std::min(threads, vertices.size());
-  std::vector<core::ScoringScratch> scratches(num_shards);
-  for (auto& s : scratches) plan_->PrepareScratch(&s);
-  // One dispatcher at a time: concurrent const callers queue here.
-  std::lock_guard<std::mutex> lock(*pool_mu_);
-  pool_->ParallelFor(num_shards, [&](size_t shard) {
-    obs::ScopedPhaseTimer shard_timer(shard_hist);
-    const size_t begin = vertices.size() * shard / num_shards;
-    const size_t end = vertices.size() * (shard + 1) / num_shards;
-    ScoreRange(vertices, begin, end, &scratches[shard], &results);
-  });
+  // which worker runs which shard. A batch of one vertex is one shard,
+  // scored on this thread with a pooled scratch.
+  const size_t num_shards =
+      std::min(options_.pool->num_threads(), vertices.size());
+  obs::Histogram* const timed_shards = num_shards > 1 ? shard_hist : nullptr;
+  options_.pool->Run(
+      *plan_, num_shards, [&](size_t shard, core::ScoringScratch* scratch) {
+        obs::ScopedPhaseTimer shard_timer(timed_shards);
+        const size_t begin = vertices.size() * shard / num_shards;
+        const size_t end = vertices.size() * (shard + 1) / num_shards;
+        ScoreRange(vertices, begin, end, scratch, &results);
+      });
   return results;
 }
 

@@ -1,30 +1,36 @@
 // Batch-first serving over a compiled ScoringPlan: the execution layer the
 // ROADMAP's serving traffic goes through. A ServingEngine binds one
-// immutable plan to one graph and scores vertex batches, optionally
-// sharded across a util::ThreadPool.
+// immutable plan to one graph and scores vertex batches, either serially
+// on the calling thread or sharded across a borrowed ScorePool.
 //
 // Determinism contract: ScoreBatch(vertices)[i] depends only on
-// vertices[i], the plan and the options — never on the shard layout or
-// thread count — so results are bit-identical at 1, 4 and auto threads
-// and identical to the legacy per-vertex ScoreAttributes path (see
-// DESIGN.md §7).
+// vertices[i], the plan and the scoring options — never on the pool, the
+// shard layout or the thread count — so results are bit-identical without
+// a pool, with pools of 1, 2, 4 and auto workers, and to the legacy
+// per-vertex ScoreAttributes path (see DESIGN.md §7).
+//
+// Threads: an engine never starts one. A ScorePool owns the workers and
+// one ScoringScratch per shard slot; every engine built with the same
+// pool (a server's engines across models and hot swaps) shares them, so
+// rebuilding an engine costs no thread start-up and a batch allocates no
+// scratch. A pool of one starts no worker: it scores on the calling
+// thread with its one slot's scratch.
 //
 // Thread safety: the const scoring calls are safe to invoke from
 // multiple caller threads. A serial engine shares nothing between calls;
-// a sharded engine serializes dispatches onto its worker pool (the pool
-// runs one ParallelFor at a time), so concurrent batches queue rather
-// than corrupt each other.
+// a pooled engine dispatches under the pool's mutex (one batch at a time
+// per pool), so concurrent batches queue rather than corrupt each other.
 //
-// Lifetime: the engine holds a reference to the graph and a shared_ptr to
-// the plan. The plan is kept alive by the engine itself, and engines
-// built through ServableModel::Serve also retain the ServableModel that
-// owns the graph snapshot — so registry hot-reloads or removals never
-// invalidate a live engine, even if the caller dropped its Handle. For
-// the raw Create(graph, ...) entry points the graph must outlive the
-// engine (or be passed as `keep_alive`).
+// Lifetime: the engine holds a reference to the graph and shared_ptrs to
+// the plan and its pool. Engines built through ServableModel::Serve also
+// retain the ServableModel that owns the graph snapshot — so registry
+// hot-reloads or removals never invalidate a live engine, even if the
+// caller dropped its Handle. For the raw Create(graph, ...) entry points
+// the graph must outlive the engine (or be passed as `keep_alive`).
 #ifndef CSPM_ENGINE_SERVING_H_
 #define CSPM_ENGINE_SERVING_H_
 
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <span>
@@ -44,10 +50,48 @@ namespace cspm::engine {
 using core::AttributeScores;
 using core::ScoringOptions;
 
+/// Workers plus one scoring scratch per shard slot, shared by every
+/// engine built with it. The pool runs one batch at a time: a dispatch
+/// holds its mutex from sizing the slots' scratch until the last shard
+/// is done.
+class ScorePool {
+ public:
+  /// A shard function: scores shard `shard` of a batch with `scratch`,
+  /// which is prepared for the dispatching plan and used by no other
+  /// shard meanwhile.
+  using ShardFn = std::function<void(size_t shard, core::ScoringScratch*)>;
+
+  /// `num_threads` shard slots: 0 = one per hardware core. A pool of one
+  /// starts no worker thread.
+  explicit ScorePool(uint32_t num_threads);
+
+  ScorePool(const ScorePool&) = delete;
+  ScorePool& operator=(const ScorePool&) = delete;
+
+  /// Shard slots: the most shards one batch can be split into.
+  size_t num_threads() const { return slots_.size(); }
+
+  /// Sizes the scratch of slots [0, num_shards) for `plan`, then runs
+  /// fn(shard, &slot scratch) for every shard: one shard on the calling
+  /// thread, more on the workers (the caller blocks until all are done).
+  /// Requires num_shards <= num_threads(). Concurrent callers queue.
+  void Run(const core::ScoringPlan& plan, size_t num_shards,
+           const ShardFn& fn);
+
+ private:
+  std::mutex mu_;
+  /// One scratch per slot, kept across batches and plans: PrepareScratch
+  /// only resizes, and ScoreInto leaves every array zeroed. Guarded by mu_.
+  std::vector<core::ScoringScratch> slots_;
+  /// Null for a pool of one.
+  std::unique_ptr<util::ThreadPool> workers_;
+};
+
 struct ServingOptions {
-  /// Shards for ScoreBatch / ScoreAll: 1 = serial (default), 0 = one per
-  /// hardware core. Results are bit-identical at any thread count.
-  uint32_t num_threads = 1;
+  /// Shards ScoreBatch / ScoreAll across this pool's slots; null scores
+  /// serially on the calling thread with a fresh scratch per batch.
+  /// Results are bit-identical either way.
+  std::shared_ptr<ScorePool> pool;
   core::ScoringOptions scoring;
 };
 
@@ -88,7 +132,7 @@ class ServingEngine {
   const std::shared_ptr<const core::ScoringPlan>& shared_plan() const {
     return plan_;
   }
-  /// Resolved shard count (auto already expanded).
+  /// Shards a batch can use: the pool's size, or 1 without a pool.
   size_t num_threads() const;
   const ServingOptions& options() const { return options_; }
 
@@ -112,11 +156,6 @@ class ServingEngine {
   /// registry handle), held so the graph cannot be freed under the engine.
   std::shared_ptr<const void> keep_alive_;
   ServingOptions options_;
-  /// Spawned at Create when num_threads > 1; null for a serial engine.
-  std::unique_ptr<util::ThreadPool> pool_;
-  /// Serializes ParallelFor dispatches from concurrent const callers
-  /// (ThreadPool supports one dispatcher at a time). Null iff pool_ is.
-  mutable std::unique_ptr<std::mutex> pool_mu_;
 };
 
 }  // namespace cspm::engine

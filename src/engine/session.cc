@@ -215,7 +215,7 @@ StatusOr<ServingEngine> MiningSession::Serve(ServingOptions options) const {
   }
   // The engine retains the session's current graph: after an
   // ApplyUpdates hot swap it keeps scoring the graph it was built on.
-  return ServingEngine::Create(*impl_->graph, impl_->plan, options,
+  return ServingEngine::Create(*impl_->graph, impl_->plan, std::move(options),
                                impl_->graph);
 }
 

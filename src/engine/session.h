@@ -170,10 +170,9 @@ class MiningSession {
   AttributeScores Score(graph::VertexId v,
                         const ScoringOptions& options = {}) const;
 
-  /// Batch scoring through a one-shot ServingEngine. Output slot i holds
-  /// the scores of vertices[i] at any thread count. Callers scoring many
-  /// batches should hold a Serve() engine instead: this spawns (and
-  /// joins) the shard pool per call.
+  /// Batch scoring through a one-shot ServingEngine (sharded across
+  /// `options.pool` when set). Output slot i holds the scores of
+  /// vertices[i] at any thread count.
   StatusOr<std::vector<AttributeScores>> ScoreBatch(
       std::span<const graph::VertexId> vertices,
       const ServingOptions& options = {}) const;

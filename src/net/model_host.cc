@@ -88,7 +88,7 @@ StatusOr<const engine::ServingEngine*> ModelHost::EngineFor(
     return &it->second.engine;
   }
   engine::ServingOptions serve_opts;
-  serve_opts.num_threads = options_.score_threads;
+  serve_opts.pool = pool_;
   CSPM_ASSIGN_OR_RETURN(engine::ServingEngine engine,
                         handle->Serve(serve_opts));
   // The engine retains the ServableModel it was built from, so dropping

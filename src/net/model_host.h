@@ -18,6 +18,10 @@
 //    server's executor thread). Update is a write to the live session;
 //    Score reuses a cached ServingEngine keyed by the registry handle,
 //    rebuilt after a hot swap.
+//  - Scoring parallelism is per host, not per model: Open builds one
+//    engine::ScorePool of `score_threads` slots, and every cached engine
+//    borrows it, so an engine rebuilt after a hot swap starts no thread
+//    and allocates no scratch.
 #ifndef CSPM_NET_MODEL_HOST_H_
 #define CSPM_NET_MODEL_HOST_H_
 
@@ -28,6 +32,7 @@
 #include <vector>
 
 #include "engine/model_registry.h"
+#include "engine/serving.h"
 #include "engine/session.h"
 #include "store/model_store.h"
 #include "util/status.h"
@@ -37,10 +42,10 @@ namespace cspm::net {
 class ModelHost {
  public:
   struct Options {
-    /// ServingOptions::num_threads for the cached per-model engines:
-    /// 1 = serial, 0 = one shard per hardware core. Results are
-    /// bit-identical at any setting (the PR 4 determinism contract).
-    uint32_t score_threads = 1;
+    /// Slots of the host's one ScorePool, which shards every model's
+    /// batches: 0 = one per hardware core (default), 1 = serial on the
+    /// executor thread. Results are bit-identical at any setting.
+    uint32_t score_threads = 0;
   };
 
   /// Opens the store and brings every cataloged model live (WAL replay
@@ -90,7 +95,7 @@ class ModelHost {
  private:
   ModelHost(store::ModelStore store, Options options)
       : store_(std::make_unique<store::ModelStore>(std::move(store))),
-        options_(options) {}
+        pool_(std::make_shared<engine::ScorePool>(options.score_threads)) {}
 
   /// Ensures a live MiningSession exists for `model`, replaying it from
   /// the store (engine::ReplayModel) and publishing it when it does not.
@@ -104,7 +109,8 @@ class ModelHost {
   StatusOr<const engine::ServingEngine*> EngineFor(const std::string& model);
 
   std::unique_ptr<store::ModelStore> store_;
-  Options options_;
+  /// Shared by every cached engine; used only from the executor thread.
+  std::shared_ptr<engine::ScorePool> pool_;
   engine::ModelRegistry registry_;
   /// Live sessions (update state); mutated only on the executor thread
   /// (and in Open, before the server threads exist).

@@ -139,60 +139,82 @@ Histogram* MetricsRegistry::GetHistogram(std::string_view name) {
 }
 
 MetricsRegistry::Snapshot MetricsRegistry::Snap() const {
-  std::lock_guard<std::mutex> lock(mu_);
+  // Only the (name, metric) pointers are copied under the lock; the values
+  // are read after it. Entries are never erased and map nodes never move,
+  // so the pointers stay valid. A scrape thus holds the lock for a few
+  // pointer copies, not for every histogram's percentile pass, and a
+  // scrape loop cannot starve the GetHistogram call that ends each
+  // TraceSpan.
+  std::vector<std::pair<const std::string*, const Counter*>> counters;
+  std::vector<std::pair<const std::string*, const Gauge*>> gauges;
+  std::vector<std::pair<const std::string*, const Histogram*>> histograms;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    counters.reserve(counters_.size());
+    for (const auto& [name, counter] : counters_) {
+      counters.emplace_back(&name, counter.get());
+    }
+    gauges.reserve(gauges_.size());
+    for (const auto& [name, gauge] : gauges_) {
+      gauges.emplace_back(&name, gauge.get());
+    }
+    histograms.reserve(histograms_.size());
+    for (const auto& [name, histogram] : histograms_) {
+      histograms.emplace_back(&name, histogram.get());
+    }
+  }
   Snapshot snap;
-  snap.counters.reserve(counters_.size());
-  for (const auto& [name, counter] : counters_) {
-    snap.counters.emplace_back(name, counter->Value());
+  snap.counters.reserve(counters.size());
+  for (const auto& [name, counter] : counters) {
+    snap.counters.emplace_back(*name, counter->Value());
   }
-  snap.gauges.reserve(gauges_.size());
-  for (const auto& [name, gauge] : gauges_) {
-    snap.gauges.emplace_back(name, gauge->Value());
+  snap.gauges.reserve(gauges.size());
+  for (const auto& [name, gauge] : gauges) {
+    snap.gauges.emplace_back(*name, gauge->Value());
   }
-  snap.histograms.reserve(histograms_.size());
-  for (const auto& [name, histogram] : histograms_) {
-    snap.histograms.emplace_back(name, histogram->Snap());
+  snap.histograms.reserve(histograms.size());
+  for (const auto& [name, histogram] : histograms) {
+    snap.histograms.emplace_back(*name, histogram->Snap());
   }
   return snap;
 }
 
 std::string MetricsRegistry::SnapshotJson() const {
-  std::lock_guard<std::mutex> lock(mu_);
+  const Snapshot snap = Snap();
   std::string out = "{\"counters\":{";
   bool first = true;
-  for (const auto& [name, counter] : counters_) {
+  for (const auto& [name, value] : snap.counters) {
     if (!first) out += ',';
     first = false;
     out += StrFormat("\"%s\":%llu", name.c_str(),
-                     static_cast<unsigned long long>(counter->Value()));
+                     static_cast<unsigned long long>(value));
   }
   out += "},\"gauges\":{";
   first = true;
-  for (const auto& [name, gauge] : gauges_) {
+  for (const auto& [name, value] : snap.gauges) {
     if (!first) out += ',';
     first = false;
     out += StrFormat("\"%s\":", name.c_str());
-    AppendJsonNumber(out, gauge->Value());
+    AppendJsonNumber(out, value);
   }
   out += "},\"histograms\":{";
   first = true;
-  for (const auto& [name, histogram] : histograms_) {
+  for (const auto& [name, h] : snap.histograms) {
     if (!first) out += ',';
     first = false;
-    const Histogram::Snapshot snap = histogram->Snap();
     out += StrFormat(
         "\"%s\":{\"count\":%llu,\"sum_ns\":%llu,\"min_ns\":%llu,"
         "\"max_ns\":%llu,",
-        name.c_str(), static_cast<unsigned long long>(snap.count),
-        static_cast<unsigned long long>(snap.sum_ns),
-        static_cast<unsigned long long>(snap.min_ns),
-        static_cast<unsigned long long>(snap.max_ns));
+        name.c_str(), static_cast<unsigned long long>(h.count),
+        static_cast<unsigned long long>(h.sum_ns),
+        static_cast<unsigned long long>(h.min_ns),
+        static_cast<unsigned long long>(h.max_ns));
     out += "\"p50_ns\":";
-    AppendJsonNumber(out, snap.p50_ns);
+    AppendJsonNumber(out, h.p50_ns);
     out += ",\"p90_ns\":";
-    AppendJsonNumber(out, snap.p90_ns);
+    AppendJsonNumber(out, h.p90_ns);
     out += ",\"p99_ns\":";
-    AppendJsonNumber(out, snap.p99_ns);
+    AppendJsonNumber(out, h.p99_ns);
     out += '}';
   }
   out += "}}";

@@ -1,6 +1,7 @@
 // Fixed-size worker pool with a blocking parallel-for. Workers are spawned
-// once and reused across calls — a serving engine dispatches one sharded
-// ScoreBatch per request, so per-call thread spawning would dominate.
+// once and reused across calls — engine::ScorePool, its one owner, shards
+// every ScoreBatch of a server's engines onto it, so per-batch (or
+// per-engine) thread spawning would dominate.
 #ifndef CSPM_UTIL_THREAD_POOL_H_
 #define CSPM_UTIL_THREAD_POOL_H_
 

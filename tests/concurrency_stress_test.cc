@@ -1,9 +1,9 @@
 // ThreadSanitizer stress suite for the concurrent layers: ThreadPool
 // dispatch/shutdown churn, ModelRegistry readers racing Put/Remove,
-// ScoreBatch traffic across serving engines while a mining session
-// hot-swaps the published model. Every test also passes in a plain
-// build; run them under -DCSPM_TSAN=ON (the dedicated CI job) to turn
-// latent races into failures.
+// ScoreBatch traffic across serving engines that share one ScorePool
+// while a mining session hot-swaps the published model. Every test also
+// passes in a plain build; run them under -DCSPM_TSAN=ON (the dedicated
+// CI job) to turn latent races into failures.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -157,14 +157,16 @@ TEST(ServingStress, ScoreBatchAcrossEnginesDuringHotSwap) {
   std::atomic<bool> stop{false};
   std::atomic<int> batches{0};
   std::atomic<int> failures{0};
+  // One pool for every engine of every scorer, across all the swaps (as a
+  // server's engines share its pool): dispatches queue on it.
+  engine::ServingOptions serve_options;
+  serve_options.pool = std::make_shared<engine::ScorePool>(2);
   std::vector<std::thread> scorers;
   for (int t = 0; t < 3; ++t) {
     scorers.emplace_back([&] {
       while (!stop.load(std::memory_order_acquire)) {
         engine::ModelRegistry::Handle h = registry.Get("live");
         if (h == nullptr) continue;
-        engine::ServingOptions serve_options;
-        serve_options.num_threads = 2;
         auto engine = h->Serve(serve_options);
         if (!engine.ok()) {
           failures.fetch_add(1);
@@ -272,12 +274,12 @@ TEST(ObsStress, SnapshotJsonRacesServingAndHotSwap) {
       }
     });
   }
+  engine::ServingOptions serve_options;
+  serve_options.pool = std::make_shared<engine::ScorePool>(2);
   std::thread scorer([&] {
     while (!stop.load(std::memory_order_acquire)) {
       engine::ModelRegistry::Handle h = registry.Get("live");
       if (h == nullptr) continue;
-      engine::ServingOptions serve_options;
-      serve_options.num_threads = 2;
       auto engine = h->Serve(serve_options);
       if (!engine.ok()) continue;
       std::vector<graph::VertexId> batch;

@@ -826,5 +826,33 @@ TEST(ModelHost, FailedAppendDoesNotLeakIntoTheNextUpdate) {
   }
 }
 
+TEST(ModelHost, UpdateOfASnapshotlessModelGivesNoShellAdvice) {
+  const std::string path = TempPath("net_host_no_snapshot.cspm");
+  std::remove(path.c_str());
+  graph::AttributedGraph g = PaperExampleGraph();
+  {
+    auto store = store::ModelStore::Create(path);
+    ASSERT_TRUE(store.ok());
+    store::StoredModel stored;
+    stored.model = engine::MineModel(g).value();
+    stored.dict = g.dict();
+    ASSERT_TRUE(store.value().Put("bare", stored).ok());
+  }
+  auto host = ModelHost::Open(path);
+  ASSERT_TRUE(host.ok()) << host.status().ToString();
+  auto delta = graph::MakeRandomEdgeRewires(g, 2, /*seed=*/11);
+  ASSERT_TRUE(delta.ok());
+  auto updated =
+      host.value()->Update("bare", delta.value(), engine::UpdateMode::kExact);
+  ASSERT_FALSE(updated.ok());
+  EXPECT_EQ(updated.status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_NE(updated.status().message().find("no graph snapshot"),
+            std::string::npos)
+      << updated.status().ToString();
+  // A wire client cannot run the shell: the status names no shell command.
+  EXPECT_EQ(updated.status().ToString().find("cspm_shell"), std::string::npos)
+      << updated.status().ToString();
+}
+
 }  // namespace
 }  // namespace cspm::net

@@ -1,17 +1,21 @@
 // Tests for the batch serving layer: ServingEngine sharding determinism
-// (bit-identical at 1, 4 and auto threads, and to the legacy per-vertex
-// path), clean Status on bad input, and the session / registry wiring.
+// (bit-identical without a pool, with pools of 1, 2, 4 and auto slots,
+// and to the legacy per-vertex path), ScorePool scratch reuse across
+// plans, clean Status on bad input, and the session / registry wiring.
 #include "engine/serving.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstring>
 #include <memory>
 #include <numeric>
+#include <span>
 #include <thread>
 #include <vector>
 
 #include "cspm/scoring.h"
+#include "datasets/synthetic.h"
 #include "engine/model_registry.h"
 #include "engine/session.h"
 #include "graph/generators.h"
@@ -37,9 +41,29 @@ void ExpectSameScores(const AttributeScores& got, const AttributeScores& want,
   }
 }
 
+// Memcmp-equal score vectors (bit patterns, so -inf and signed zeros
+// count too).
+void ExpectBitEqual(const std::vector<AttributeScores>& got,
+                    const std::vector<AttributeScores>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < want.size(); ++i) {
+    ASSERT_EQ(got[i].raw.size(), want[i].raw.size()) << "slot " << i;
+    ASSERT_EQ(got[i].normalized.size(), want[i].normalized.size())
+        << "slot " << i;
+    ASSERT_EQ(std::memcmp(got[i].raw.data(), want[i].raw.data(),
+                          want[i].raw.size() * sizeof(double)),
+              0)
+        << "slot " << i;
+    ASSERT_EQ(std::memcmp(got[i].normalized.data(), want[i].normalized.data(),
+                          want[i].normalized.size() * sizeof(double)),
+              0)
+        << "slot " << i;
+  }
+}
+
 // The acceptance criterion: ScoreBatch is bit-identical to the legacy
-// per-vertex ScoreAttributes path for every vertex/value at 1, 4 and auto
-// threads.
+// per-vertex ScoreAttributes path for every vertex/value without a pool
+// and with pools of 1, 2, 4 and auto slots.
 TEST(ServingEngine, BatchMatchesLegacyAtEveryThreadCount) {
   auto g = SmallRandomGraph(7);
   auto model = MineModel(g).value();
@@ -52,9 +76,13 @@ TEST(ServingEngine, BatchMatchesLegacyAtEveryThreadCount) {
     legacy.push_back(core::ScoreAttributes(g, model, v));
   }
 
-  for (const uint32_t threads : {1u, 4u, 0u}) {
+  std::vector<std::shared_ptr<ScorePool>> pools = {nullptr};
+  for (const uint32_t threads : {1u, 2u, 4u, 0u}) {
+    pools.push_back(std::make_shared<ScorePool>(threads));
+  }
+  for (const std::shared_ptr<ScorePool>& pool : pools) {
     ServingOptions options;
-    options.num_threads = threads;
+    options.pool = pool;
     auto engine = ServingEngine::Create(g, model, options).value();
     auto batch = engine.ScoreBatch(all).value();
     ASSERT_EQ(batch.size(), all.size());
@@ -84,6 +112,52 @@ TEST(ServingEngine, BatchSlotsFollowInputOrderWithDuplicates) {
   }
 }
 
+// Two engines of very different plan sizes share one pool: a slot's
+// scratch shrinks to the small plan and grows back to the big one between
+// batches, and its zeroed arrays must carry no count from one batch into
+// the next. Every slot of every batch, sharded (big, small, big) or
+// serial on a pooled scratch (1-vertex batches, alternating), is
+// memcmp-equal to a serial engine's.
+TEST(ScorePool, ScratchReuseAcrossPlansMatchesSerial) {
+  const auto big_graph = datasets::MakePokecLike(1, 8000).value();
+  const auto small_graph = datasets::MakePokecLike(2, 200).value();
+  const auto big_model = MineModel(big_graph).value();
+  const auto small_model = MineModel(small_graph).value();
+  auto pool = std::make_shared<ScorePool>(4);
+  ServingOptions pooled;
+  pooled.pool = pool;
+  auto big = ServingEngine::Create(big_graph, big_model, pooled).value();
+  auto small = ServingEngine::Create(small_graph, small_model, pooled).value();
+  auto big_serial = ServingEngine::Create(big_graph, big.shared_plan()).value();
+  auto small_serial =
+      ServingEngine::Create(small_graph, small.shared_plan()).value();
+  ASSERT_GT(big.plan().num_units(), small.plan().num_units());
+  ASSERT_GT(big.plan().num_attribute_values(),
+            small.plan().num_attribute_values());
+
+  std::vector<graph::VertexId> big_batch;
+  for (uint32_t v = 0; v < big_graph.num_vertices().value(); v += 13) {
+    big_batch.push_back(graph::VertexId(v));
+  }
+  std::vector<graph::VertexId> small_batch;
+  for (graph::VertexId v(0); v < small_graph.num_vertices(); ++v) {
+    small_batch.push_back(v);
+  }
+  const auto big_want = big_serial.ScoreBatch(big_batch).value();
+  const auto small_want = small_serial.ScoreBatch(small_batch).value();
+  ExpectBitEqual(big.ScoreBatch(big_batch).value(), big_want);
+  ExpectBitEqual(small.ScoreBatch(small_batch).value(), small_want);
+  ExpectBitEqual(big.ScoreBatch(big_batch).value(), big_want);
+  for (size_t i = 0; i < small_batch.size(); ++i) {
+    const std::span<const graph::VertexId> one_big(&big_batch[i], 1);
+    const std::span<const graph::VertexId> one_small(&small_batch[i], 1);
+    ExpectBitEqual(big.ScoreBatch(one_big).value(),
+                   big_serial.ScoreBatch(one_big).value());
+    ExpectBitEqual(small.ScoreBatch(one_small).value(),
+                   small_serial.ScoreBatch(one_small).value());
+  }
+}
+
 // Concurrent const callers on one sharded engine: dispatches serialize on
 // the pool, so every caller gets complete, correct batches (no clobbered
 // jobs, no deadlock).
@@ -91,7 +165,7 @@ TEST(ServingEngine, ConcurrentScoreBatchCallersAreSafe) {
   auto g = SmallRandomGraph(11);
   auto model = MineModel(g).value();
   ServingOptions options;
-  options.num_threads = 2;
+  options.pool = std::make_shared<ScorePool>(2);
   auto engine = ServingEngine::Create(g, model, options).value();
   const auto expected = engine.ScoreAll();
 

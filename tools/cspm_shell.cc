@@ -65,8 +65,9 @@ struct Shell {
   /// is the live session's model (vs a loaded snapshot).
   engine::ModelRegistry::Handle session_handle;
   bool interactive = false;
-  /// Shards for score / score-all batches (0 = one per hardware core).
-  uint32_t threads = 1;
+  /// Shards score / score-all batches across --threads N slots (0 = one
+  /// per hardware core); built once, shared by every engine.
+  std::shared_ptr<engine::ScorePool> pool;
 };
 
 void PrintHelp() {
@@ -314,8 +315,19 @@ Status CmdUpdate(Shell& sh, const std::vector<std::string>& args) {
 Status CmdReplay(Shell& sh, const std::vector<std::string>& args) {
   if (args.size() != 2) return Status::InvalidArgument("usage: replay <name>");
   CSPM_RETURN_IF_ERROR(RequireStore(sh));
-  CSPM_ASSIGN_OR_RETURN(engine::ReplayedModel replayed,
-                        engine::ReplayModel(*sh.store, args[1]));
+  StatusOr<engine::ReplayedModel> replayed_or =
+      engine::ReplayModel(*sh.store, args[1]);
+  if (!replayed_or.ok()) {
+    if (replayed_or.status().code() == StatusCode::kFailedPrecondition) {
+      // The record has no graph snapshot: saving a model that has one
+      // (e.g. mined here) under the same name adds it.
+      return Status::FailedPrecondition(replayed_or.status().message() +
+                                        " — re-save it with one (save " +
+                                        args[1] + ")");
+    }
+    return replayed_or.status();
+  }
+  engine::ReplayedModel& replayed = replayed_or.value();
   CSPM_RETURN_IF_ERROR(
       AdoptSession(sh, std::move(replayed.session), args[1]));
   if (replayed.truncated) {
@@ -424,7 +436,7 @@ void PrintTopScores(const Shell& sh, graph::VertexId v,
 
 StatusOr<engine::ServingEngine> MakeEngine(const Shell& sh) {
   engine::ServingOptions options;
-  options.num_threads = sh.threads;
+  options.pool = sh.pool;
   return sh.current->Serve(options);
 }
 
@@ -682,6 +694,7 @@ int Run(int argc, char** argv) {
   Shell sh;
   sh.interactive = ::isatty(::fileno(stdin)) != 0;
   std::vector<std::string> positional;
+  uint32_t threads = 1;
   for (int i = 1; i < argc; ++i) {
     std::string threads_value;
     switch (MatchFlagWithValue(argc, argv, &i, "--threads", &threads_value)) {
@@ -692,7 +705,7 @@ int Run(int argc, char** argv) {
         std::fprintf(stderr, "--threads needs a value\n");
         return 2;
       default:
-        if (!ParseUint32(threads_value, &sh.threads)) {
+        if (!ParseUint32(threads_value, &threads)) {
           std::fprintf(stderr,
                        "--threads needs a non-negative integer, got '%s'\n",
                        threads_value.c_str());
@@ -700,6 +713,7 @@ int Run(int argc, char** argv) {
         }
     }
   }
+  sh.pool = std::make_shared<engine::ScorePool>(threads);
   // One-shot verification mode: `cspm_shell fsck <file>` audits the store
   // and exits (0 healthy, 1 corrupt) without entering the REPL.
   if (!positional.empty() && positional[0] == "fsck") {
